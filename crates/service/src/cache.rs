@@ -39,16 +39,38 @@
 //! and `insert` are O(1), eviction pops the list tail. No external
 //! dependency and no unsafe.
 //!
+//! # One plan, one key, one hash
+//!
+//! Both levels store the same value type, [`CachedOutcome`]. A `theorem2`
+//! request's canonical key *is* the phase key of its permutation, so a
+//! `theorem2` miss inserts one `Arc` under one key into both levels: the
+//! plan is stored once, not once per level. A key is a [`CacheKey`]: the
+//! bytes in one shared allocation plus their FNV-1a hash, computed once
+//! when the key is built. The map and the slab slot of each level, and the
+//! two levels of a `theorem2` entry, all hold the same allocation. Every
+//! shard choice and map lookup reuses the stored hash; a lookup reads the
+//! key bytes only to confirm a match.
+//!
 //! # Sharding
 //!
-//! A [`ShardedPlanCache`] splits one logical LRU into N key-hashed
-//! [`PlanCache`] shards behind independent mutexes, so concurrent hits on
-//! different shards never serialize — the single cache mutex was the
-//! service's documented throughput ceiling above ~10⁶ hits/sec. Recency
-//! and eviction are per shard (the hash spreads keys uniformly, so each
-//! shard behaves like an LRU over its 1/N-th of the keyspace).
+//! A [`ShardedPlanCache`] splits one logical LRU into N [`PlanCache`]
+//! shards behind independent mutexes, so concurrent hits on different
+//! shards never serialize. A key's shard is `fnv1a64(key) % N`. Recency
+//! and eviction are per shard.
+//!
+//! That hash does **not** spread keys over the shards. The FNV prime is
+//! odd, so bit 0 of the hash is the XOR of bit 0 of every key byte, and
+//! the keys of one shape are orderings of the same bytes: with 2 shards,
+//! every `theorem2` key of a shape lands in the same shard. For POPS(16,16)
+//! the same holds for the low four bits, so with 16 shards every key lands
+//! in shard 15. A level then holds only one shard's capacity of
+//! permutation keys, and every hit takes the same mutex. The shard choice
+//! stays bit-for-bit `fnv1a64(key) % N` on purpose: storing each plan and
+//! key once changed no cache decision. Mixing the hash before taking the
+//! shard is a separate change.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use pops_core::RoutingOutcome;
@@ -59,9 +81,123 @@ use crate::service::ServiceRequest;
 
 const NIL: usize = usize::MAX;
 
+/// A cache key: the canonical key bytes in one shared allocation, with
+/// their FNV-1a hash computed once at construction. Cloning bumps a
+/// reference count, so every holder of a key shares its bytes.
+///
+/// ```
+/// use pops_service::CacheKey;
+///
+/// let key = CacheKey::from(&b"plan"[..]);
+/// assert_eq!(key, CacheKey::from(&b"plan"[..]));
+/// assert_eq!(key.clone().as_bytes(), b"plan");
+/// ```
+#[derive(Clone)]
+pub struct CacheKey(Arc<KeyBytes>);
+
+struct KeyBytes {
+    fnv: u64,
+    bytes: Box<[u8]>,
+}
+
+impl CacheKey {
+    /// Wraps `bytes`, hashing them once.
+    pub(crate) fn new(bytes: Box<[u8]>) -> Self {
+        Self(Arc::new(KeyBytes {
+            fnv: fnv1a64(&bytes),
+            bytes,
+        }))
+    }
+
+    /// The key bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0.bytes
+    }
+
+    /// The FNV-1a hash of the key bytes, as computed at construction.
+    pub(crate) fn fnv1a(&self) -> u64 {
+        self.0.fnv
+    }
+
+    /// Whether `self` and `other` hold the same allocation (not merely
+    /// equal bytes).
+    #[cfg(test)]
+    pub(crate) fn shares_bytes_with(&self, other: &CacheKey) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl From<&[u8]> for CacheKey {
+    fn from(bytes: &[u8]) -> Self {
+        Self::new(bytes.into())
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.fnv == other.0.fnv && self.0.bytes == other.0.bytes
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.fnv);
+    }
+}
+
+impl std::fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CacheKey")
+            .field("fnv1a", &format_args!("{:#018x}", self.0.fnv))
+            .field("bytes", &self.as_bytes())
+            .finish()
+    }
+}
+
+/// The map hasher of a [`PlanCache`]: it takes a [`CacheKey`]'s stored
+/// FNV-1a value and mixes it with the splitmix64 finaliser, so the map's
+/// bucket bits depend on every bit of the hash (its low bits alone barely
+/// depend on byte order; see the module docs). It never reads the key
+/// bytes.
+///
+/// Keys come from clients and FNV-1a is unkeyed, so unlike the std
+/// default hasher this gives no protection against keys crafted to share
+/// one 64-bit hash. Such keys share one probe sequence, and a lookup then
+/// compares at most the shard's capacity of keys: the cost is bounded by
+/// configuration, not by the client.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(fnv1a64(bytes));
+    }
+
+    fn write_u64(&mut self, fnv: u64) {
+        let mut z = self.0 ^ fnv;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
 /// Builds the canonical cache key of `req` on a POPS(d, g) service.
-pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(16 + 4 * d * g);
+pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> CacheKey {
+    let payload = match req {
+        ServiceRequest::Theorem2 { pi }
+        | ServiceRequest::SingleSlot { pi }
+        | ServiceRequest::Direct { pi }
+        | ServiceRequest::Structured { pi } => 4 * pi.len(),
+        ServiceRequest::HRelation { relation } => 4 + 8 * relation.requests().len(),
+        ServiceRequest::WithFaults { pi, faults } => 4 + 4 * faults.failed_count() + 4 * pi.len(),
+    };
+    let mut key = Vec::with_capacity(9 + payload);
     key.push(req.kind().index() as u8);
     key.extend_from_slice(&(d as u32).to_le_bytes());
     key.extend_from_slice(&(g as u32).to_le_bytes());
@@ -94,7 +230,7 @@ pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> Box<[u8]> {
             push_image(&mut key, pi.as_slice());
         }
     }
-    key.into_boxed_slice()
+    CacheKey::new(key.into_boxed_slice())
 }
 
 /// Builds the level-2 cache key of one routing *phase*: the completed
@@ -102,52 +238,50 @@ pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> Box<[u8]> {
 /// [`canonical_key`] of a `Theorem2` request over the same permutation, so
 /// a permutation routed as a plain request and the same permutation
 /// appearing as an h-relation phase share one level-2 entry.
-pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(9 + 4 * d * g);
+pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> CacheKey {
+    let mut key = Vec::with_capacity(9 + 4 * completed.len());
     key.push(RequestKind::Theorem2.index() as u8);
     key.extend_from_slice(&(d as u32).to_le_bytes());
     key.extend_from_slice(&(g as u32).to_le_bytes());
     for &v in completed.as_slice() {
         key.extend_from_slice(&(v as u32).to_le_bytes());
     }
-    key.into_boxed_slice()
+    CacheKey::new(key.into_boxed_slice())
 }
 
-/// The cached value type: an immutable, thread-shareable routing outcome.
+/// The cached value type of both levels: an immutable, thread-shareable
+/// routing outcome. A level-2 entry is read for its schedule only; an
+/// h-relation assembled from it copies the schedule's slots (cheaper than
+/// re-running the construction, which is what a miss pays).
 pub type CachedOutcome = Arc<RoutingOutcome>;
 
-/// The level-2 cached value: one phase's Theorem-2 schedule. The `Arc`
-/// makes the *lookup* a pointer clone; assembling an h-relation then
-/// copies the hit's slots into the concatenated schedule (cheaper than
-/// re-running the construction, which is what a miss pays).
-pub type CachedPhase = Arc<pops_network::Schedule>;
-
 struct Slot<V> {
-    key: Box<[u8]>,
+    key: CacheKey,
     value: V,
     prev: usize,
     next: usize,
 }
 
-/// A fixed-capacity LRU map from canonical keys to values — one shard of
-/// a [`ShardedPlanCache`] (the service instantiates the levels at
-/// `V = `[`CachedOutcome`] and `V = `[`CachedPhase`]). Capacity 0
-/// disables caching entirely.
+/// A fixed-capacity LRU map from cache keys to values — one shard of a
+/// [`ShardedPlanCache`] (the service instantiates both levels at
+/// `V = `[`CachedOutcome`]). The map and the slab slot of an entry share
+/// one [`CacheKey`]. Capacity 0 disables caching entirely.
 ///
 /// ```
-/// use pops_service::PlanCache;
+/// use pops_service::{CacheKey, PlanCache};
 ///
+/// let key = |bytes: &[u8]| CacheKey::from(bytes);
 /// let mut cache: PlanCache<u32> = PlanCache::new(2);
-/// cache.insert(b"a".to_vec().into_boxed_slice(), 1);
-/// cache.insert(b"b".to_vec().into_boxed_slice(), 2);
-/// assert_eq!(cache.get(b"a"), Some(1)); // "a" is now most recent
-/// cache.insert(b"c".to_vec().into_boxed_slice(), 3); // evicts "b"
-/// assert_eq!(cache.get(b"b"), None);
+/// cache.insert(key(b"a"), 1);
+/// cache.insert(key(b"b"), 2);
+/// assert_eq!(cache.get(&key(b"a")), Some(1)); // "a" is now most recent
+/// cache.insert(key(b"c"), 3); // evicts "b"
+/// assert_eq!(cache.get(&key(b"b")), None);
 /// assert_eq!(cache.len(), 2);
 /// ```
 pub struct PlanCache<V> {
     capacity: usize,
-    map: HashMap<Box<[u8]>, usize>,
+    map: HashMap<CacheKey, usize, BuildHasherDefault<KeyHasher>>,
     slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
@@ -159,7 +293,7 @@ impl<V: Clone> PlanCache<V> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -183,7 +317,7 @@ impl<V: Clone> PlanCache<V> {
     }
 
     /// Looks `key` up, marking the entry most-recently-used on a hit.
-    pub fn get(&mut self, key: &[u8]) -> Option<V> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<V> {
         let &idx = self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -192,7 +326,7 @@ impl<V: Clone> PlanCache<V> {
 
     /// Inserts (or refreshes) `key → value`, evicting the least-recently-
     /// used entry if the cache is full.
-    pub fn insert(&mut self, key: Box<[u8]>, value: V) {
+    pub fn insert(&mut self, key: CacheKey, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -209,23 +343,19 @@ impl<V: Clone> PlanCache<V> {
             self.map.remove(&self.slots[lru].key);
             self.free.push(lru);
         }
+        let slot = Slot {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[idx] = slot;
                 idx
             }
             None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(slot);
                 self.slots.len() - 1
             }
         };
@@ -274,13 +404,22 @@ impl<V: Clone> PlanCache<V> {
     /// touching recency — the spill path ([`crate::persist`]) writes
     /// entries in this order so a later restore, which inserts in file
     /// order, reproduces the same recency ranking.
-    pub fn for_each_lru(&self, mut f: impl FnMut(&[u8], &V)) {
+    pub fn for_each_lru(&self, mut f: impl FnMut(&CacheKey, &V)) {
         let mut idx = self.tail;
         while idx != NIL {
             let slot = &self.slots[idx];
             f(&slot.key, &slot.value);
             idx = slot.prev;
         }
+    }
+
+    /// The stored key and value of `key`'s entry, without touching
+    /// recency.
+    #[cfg(test)]
+    fn peek(&self, key: &CacheKey) -> Option<(CacheKey, V)> {
+        let &idx = self.map.get(key)?;
+        let slot = &self.slots[idx];
+        Some((slot.key.clone(), slot.value.clone()))
     }
 }
 
@@ -293,9 +432,9 @@ impl<V> std::fmt::Debug for PlanCache<V> {
     }
 }
 
-/// FNV-1a over a byte string — the shard selector, and the integrity
-/// checksum of the spill file ([`crate::persist`]). Any decent byte hash
-/// works; FNV is dependency-free and two lines.
+/// FNV-1a over a byte string — the hash a [`CacheKey`] stores (and so the
+/// shard selector), and the integrity checksum of the spill file
+/// ([`crate::persist`]). FNV is dependency-free and two lines.
 pub(crate) fn fnv1a64(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in key {
@@ -311,17 +450,19 @@ pub(crate) fn fnv1a64(key: &[u8]) -> u64 {
 /// logical capacity is exactly what was asked for.
 ///
 /// ```
-/// use pops_service::cache::ShardedPlanCache;
+/// use pops_service::cache::{CacheKey, ShardedPlanCache};
 ///
 /// let cache: ShardedPlanCache<u32> = ShardedPlanCache::new(100, 8);
 /// assert_eq!((cache.capacity(), cache.shard_count()), (100, 8));
-/// cache.insert(b"plan".to_vec().into_boxed_slice(), 7);
-/// assert_eq!(cache.get(b"plan"), Some(7));
-/// assert_eq!(cache.get(b"other"), None);
+/// let plan = CacheKey::from(&b"plan"[..]);
+/// cache.insert(plan.clone(), 7);
+/// assert_eq!(cache.get(&plan), Some(7));
+/// assert_eq!(cache.get(&CacheKey::from(&b"other"[..])), None);
 /// assert_eq!(cache.len(), 1);
 /// ```
 pub struct ShardedPlanCache<V> {
     shards: Vec<Mutex<PlanCache<V>>>,
+    capacity: usize,
 }
 
 impl<V: Clone> ShardedPlanCache<V> {
@@ -335,6 +476,7 @@ impl<V: Clone> ShardedPlanCache<V> {
             shards: (0..shards)
                 .map(|s| Mutex::new(PlanCache::new(base + usize::from(s < extra))))
                 .collect(),
+            capacity,
         }
     }
 
@@ -345,7 +487,7 @@ impl<V: Clone> ShardedPlanCache<V> {
 
     /// Total eviction capacity across shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).capacity()).sum()
+        self.capacity
     }
 
     /// Entries currently held across shards.
@@ -364,19 +506,20 @@ impl<V: Clone> ShardedPlanCache<V> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn shard_of(&self, key: &[u8]) -> &Mutex<PlanCache<V>> {
-        &self.shards[(fnv1a64(key) % self.shards.len() as u64) as usize]
+    /// `key`'s shard: its stored FNV-1a hash modulo the shard count.
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<PlanCache<V>> {
+        &self.shards[(key.fnv1a() % self.shards.len() as u64) as usize]
     }
 
     /// Looks `key` up in its shard, marking the entry most-recently-used
     /// there on a hit. Only that shard's lock is taken.
-    pub fn get(&self, key: &[u8]) -> Option<V> {
+    pub fn get(&self, key: &CacheKey) -> Option<V> {
         self.lock(self.shard_of(key)).get(key)
     }
 
     /// Inserts (or refreshes) `key → value` in its shard, evicting that
     /// shard's least-recently-used entry if the shard is full.
-    pub fn insert(&self, key: Box<[u8]>, value: V) {
+    pub fn insert(&self, key: CacheKey, value: V) {
         self.lock(self.shard_of(&key)).insert(key, value);
     }
 
@@ -390,10 +533,17 @@ impl<V: Clone> ShardedPlanCache<V> {
     /// Visits every entry, shard by shard, least-recently-used first
     /// within each shard (see [`PlanCache::for_each_lru`]). Takes one
     /// shard lock at a time.
-    pub fn for_each_lru(&self, mut f: impl FnMut(&[u8], &V)) {
+    pub fn for_each_lru(&self, mut f: impl FnMut(&CacheKey, &V)) {
         for shard in &self.shards {
             self.lock(shard).for_each_lru(&mut f);
         }
+    }
+
+    /// The stored key and value of `key`'s entry, without touching
+    /// recency.
+    #[cfg(test)]
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<(CacheKey, V)> {
+        self.lock(self.shard_of(key)).peek(key)
     }
 }
 
@@ -413,8 +563,8 @@ mod tests {
     use pops_network::PopsTopology;
     use pops_permutation::families::vector_reversal;
 
-    fn key_of(bytes: &[u8]) -> Box<[u8]> {
-        bytes.to_vec().into_boxed_slice()
+    fn key_of(bytes: &[u8]) -> CacheKey {
+        CacheKey::from(bytes)
     }
 
     #[test]
@@ -422,11 +572,11 @@ mod tests {
         let mut cache: PlanCache<u32> = PlanCache::new(2);
         cache.insert(key_of(b"a"), 1);
         cache.insert(key_of(b"b"), 2);
-        assert_eq!(cache.get(b"a"), Some(1)); // a is now MRU
+        assert_eq!(cache.get(&key_of(b"a")), Some(1)); // a is now MRU
         cache.insert(key_of(b"c"), 3); // evicts b
-        assert_eq!(cache.get(b"b"), None);
-        assert_eq!(cache.get(b"a"), Some(1));
-        assert_eq!(cache.get(b"c"), Some(3));
+        assert_eq!(cache.get(&key_of(b"b")), None);
+        assert_eq!(cache.get(&key_of(b"a")), Some(1));
+        assert_eq!(cache.get(&key_of(b"c")), Some(3));
         assert_eq!(cache.len(), 2);
     }
 
@@ -437,15 +587,15 @@ mod tests {
         cache.insert(key_of(b"b"), 2);
         cache.insert(key_of(b"a"), 10); // refresh, a becomes MRU
         cache.insert(key_of(b"c"), 3); // evicts b
-        assert_eq!(cache.get(b"a"), Some(10));
-        assert_eq!(cache.get(b"b"), None);
+        assert_eq!(cache.get(&key_of(b"a")), Some(10));
+        assert_eq!(cache.get(&key_of(b"b")), None);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache: PlanCache<u32> = PlanCache::new(0);
         cache.insert(key_of(b"a"), 1);
-        assert_eq!(cache.get(b"a"), None);
+        assert_eq!(cache.get(&key_of(b"a")), None);
         assert!(cache.is_empty());
     }
 
@@ -457,7 +607,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         assert!(cache.slots.len() <= 4, "slab must recycle evicted slots");
-        assert_eq!(cache.get(b"k49"), Some(49));
+        assert_eq!(cache.get(&key_of(b"k49")), Some(49));
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -513,9 +663,9 @@ mod tests {
         cache.insert(key_of(b"a"), 1);
         cache.insert(key_of(b"b"), 2);
         cache.insert(key_of(b"c"), 3);
-        assert_eq!(cache.get(b"a"), Some(1)); // a becomes MRU
+        assert_eq!(cache.get(&key_of(b"a")), Some(1)); // a becomes MRU
         let mut seen = Vec::new();
-        cache.for_each_lru(|key, &v| seen.push((key.to_vec(), v)));
+        cache.for_each_lru(|key, &v| seen.push((key.as_bytes().to_vec(), v)));
         assert_eq!(
             seen,
             vec![
@@ -556,7 +706,7 @@ mod tests {
         // Zero capacity still disables caching, sharded or not.
         let off: ShardedPlanCache<u32> = ShardedPlanCache::new(0, 8);
         off.insert(key_of(b"a"), 1);
-        assert_eq!(off.get(b"a"), None);
+        assert_eq!(off.get(&key_of(b"a")), None);
     }
 
     #[test]
@@ -604,5 +754,58 @@ mod tests {
             },
         );
         assert_ne!(k_none, k_one);
+    }
+
+    #[test]
+    fn map_and_slot_share_one_key_allocation() {
+        let mut cache: PlanCache<u32> = PlanCache::new(2);
+        let key = key_of(b"plan");
+        cache.insert(key.clone(), 1);
+        let (stored, value) = cache.peek(&key_of(b"plan")).unwrap();
+        assert_eq!(value, 1);
+        assert!(
+            stored.shares_bytes_with(&key),
+            "the slot holds the caller's key"
+        );
+        // The caller's handle, the map key, the slot key and `stored`.
+        assert_eq!(Arc::strong_count(&key.0), 4);
+        drop(stored);
+        cache.insert(key_of(b"x"), 2);
+        cache.insert(key_of(b"y"), 3); // evicts "plan"
+        assert_eq!(
+            Arc::strong_count(&key.0),
+            1,
+            "eviction releases both holders"
+        );
+    }
+
+    #[test]
+    fn keys_hash_once_and_compare_by_bytes() {
+        let pi = vector_reversal(16);
+        let a = canonical_key(4, 4, &ServiceRequest::Theorem2 { pi: pi.clone() });
+        let b = phase_key(4, 4, &pi);
+        assert_eq!(a.fnv1a(), fnv1a64(a.as_bytes()));
+        assert_eq!(a, b);
+        assert!(
+            !a.shares_bytes_with(&b),
+            "equal bytes, separate allocations"
+        );
+        assert_eq!(a.as_bytes().len(), 9 + 4 * 16);
+    }
+
+    #[test]
+    fn shard_choice_is_fnv_modulo_the_shard_count() {
+        let mut rng = pops_permutation::SplitMix64::new(5);
+        for shards in [1usize, 2, 3, 16] {
+            let cache: ShardedPlanCache<u32> = ShardedPlanCache::new(1024, shards);
+            for i in 0..64u32 {
+                let pi = pops_permutation::families::random_permutation(16, &mut rng);
+                let key = canonical_key(4, 4, &ServiceRequest::Theorem2 { pi });
+                cache.insert(key.clone(), i);
+                let want = (fnv1a64(key.as_bytes()) % shards as u64) as usize;
+                let shard = cache.shards[want].lock().unwrap();
+                assert!(shard.peek(&key).is_some(), "{shards} shards, key {i}");
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`pool`] | [`EnginePool`]: N warm engines, round-robin + overflow dispatch |
-//! | [`cache`] | [`ShardedPlanCache`]: two-level canonical-key LRU (whole requests + per-phase plans), key-hashed lock shards |
+//! | [`cache`] | [`ShardedPlanCache`]: two-level canonical-key LRU (whole requests + per-phase plans) sharing one plan and one [`CacheKey`] per `theorem2` entry, key-hashed lock shards |
 //! | [`persist`] | cache spill/restore — the stable on-disk byte format behind `--cache-dir` |
 //! | [`service`] | [`RoutingService`]: admission → cache L1/L2 → pool → metrics |
 //! | [`router`] | [`TopologyRouter`]: `(d, g)` → lazily-built `RoutingService`, LRU-bounded — one daemon, many topologies |
@@ -63,9 +63,7 @@ pub mod server;
 pub mod service;
 pub mod trace;
 
-pub use cache::{
-    canonical_key, phase_key, CachedOutcome, CachedPhase, PlanCache, ShardedPlanCache,
-};
+pub use cache::{canonical_key, phase_key, CacheKey, CachedOutcome, PlanCache, ShardedPlanCache};
 pub use client::{
     BatchItem, BatchItemError, BatchItemReply, BatchReply, BatchSummary, ClientError, RouteReply,
     ServerInfo, ServiceClient,

@@ -30,6 +30,7 @@
 //! assert!(!first.cache_hit && again.cache_hit);
 //! ```
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,7 +44,7 @@ use pops_core::{
 use pops_network::{FaultSet, PopsTopology, Schedule, UNREACHABLE};
 use pops_permutation::Permutation;
 
-use crate::cache::{canonical_key, phase_key, CachedOutcome, CachedPhase, ShardedPlanCache};
+use crate::cache::{canonical_key, phase_key, CacheKey, CachedOutcome, ShardedPlanCache};
 use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::persist::{self, PersistSummary};
 use crate::pool::EnginePool;
@@ -240,12 +241,9 @@ pub struct RoutingService {
     pool: EnginePool,
     /// Level 1: whole-request canonical keys → shared outcomes.
     cache: ShardedPlanCache<CachedOutcome>,
-    /// Level 2: completed-permutation phase keys → Theorem-2 schedules.
-    phase_cache: ShardedPlanCache<CachedPhase>,
-    /// Whether level 2 has any capacity — guards the schedule clones that
-    /// would otherwise be paid just to be dropped by a zero-capacity
-    /// insert.
-    phase_caching: bool,
+    /// Level 2: completed-permutation phase keys → Theorem-2 plans. A
+    /// `theorem2` entry shares its key and plan with level 1.
+    phase_cache: ShardedPlanCache<CachedOutcome>,
     /// Persistent batch executor: worker engines warmed by the first
     /// batch op and reused by every later one, so repeated wire batches
     /// stay on the zero-allocation hot path. Batches serialize on this
@@ -274,7 +272,6 @@ impl RoutingService {
             pool: EnginePool::new(topology, config.colorer, config.shards, metrics.clone()),
             cache: ShardedPlanCache::new(config.cache_capacity, config.cache_shards),
             phase_cache: ShardedPlanCache::new(config.phase_cache_capacity, config.cache_shards),
-            phase_caching: config.phase_cache_capacity > 0,
             batch_router: Mutex::new(BatchRouter::new(topology, config.colorer)),
             metrics,
             admission: Admission::new(config.max_in_flight),
@@ -413,12 +410,12 @@ impl RoutingService {
             Ok((outcome, phase_hits)) => {
                 let slots = outcome.schedule().slot_count();
                 let outcome = Arc::new(outcome);
-                if self.phase_caching && matches!(req, ServiceRequest::Theorem2 { .. }) {
+                if matches!(req, ServiceRequest::Theorem2 { .. }) {
                     // The theorem2 canonical key IS the phase key of the
-                    // same permutation (see `phase_key`), so the plan also
-                    // becomes a level-2 entry for future h-relation phases.
-                    self.phase_cache
-                        .insert(key.clone(), Arc::new(outcome.schedule().clone()));
+                    // same permutation (see `phase_key`), so the same plan
+                    // under the same key also becomes a level-2 entry for
+                    // future h-relation phases: two pointer clones.
+                    self.phase_cache.insert(key.clone(), outcome.clone());
                 }
                 self.cache.insert(key, outcome.clone());
                 let micros = start.elapsed().as_micros() as u64;
@@ -471,16 +468,21 @@ impl RoutingService {
                 self.metrics.record_phase_hit();
                 phase_hits += 1;
                 blocks.push(Schedule {
-                    slots: cached.slots.clone(),
+                    slots: cached.schedule().slots.clone(),
                 });
             } else {
                 let plan = self
                     .pool
                     .with_engine(|engine| engine.plan_theorem2(&completed));
                 self.metrics.record_phase_miss();
-                if self.phase_caching {
-                    self.phase_cache
-                        .insert(pkey, Arc::new(plan.schedule.clone()));
+                // Level 2 keeps its own copy of the schedule, since the
+                // block moves into the assembled one; skip it when level 2
+                // is off.
+                if self.phase_cache.capacity() > 0 {
+                    self.phase_cache.insert(
+                        pkey,
+                        Arc::new(RoutingOutcome::Schedule(plan.schedule.clone())),
+                    );
                 }
                 blocks.push(plan.schedule);
             }
@@ -492,27 +494,23 @@ impl RoutingService {
     }
 
     /// Spills both cache levels to `path` in the stable
-    /// [`crate::persist`] byte format (level-1 values are persisted as
-    /// their schedules). Entries are written least-recently-used first
+    /// [`crate::persist`] byte format (values are persisted as their
+    /// schedules, so a plan both levels share is written in each
+    /// section). Entries are written least-recently-used first
     /// per shard, so a restore into the same shard layout reproduces each
     /// shard's recency ranking (and approximates it otherwise). The file
     /// is written to a unique temporary sibling and atomically renamed
     /// into place, so a crash mid-spill (or a concurrent save) can never
     /// leave a truncated file where a good one was.
     pub fn save_cache(&self, path: &Path) -> std::io::Result<PersistSummary> {
-        let mut l1: Vec<(Box<[u8]>, Schedule)> = Vec::new();
-        self.cache.for_each_lru(|key, outcome| {
-            l1.push((key.into(), outcome.schedule().clone()));
-        });
-        let mut l2: Vec<(Box<[u8]>, Schedule)> = Vec::new();
-        self.phase_cache.for_each_lru(|key, schedule| {
-            l2.push((
-                key.into(),
-                Schedule {
-                    slots: schedule.slots.clone(),
-                },
-            ));
-        });
+        let entries = |level: &ShardedPlanCache<CachedOutcome>| {
+            let mut out: Vec<persist::CacheEntry> = Vec::new();
+            level.for_each_lru(|key, outcome| {
+                out.push((key.as_bytes().into(), outcome.schedule().clone()));
+            });
+            out
+        };
+        let (l1, l2) = (entries(&self.cache), entries(&self.phase_cache));
         let bytes = persist::encode_cache_file(self.topology.d(), self.topology.g(), &l1, &l2);
         // Unique temp name per call: concurrent saves each write their own
         // file and the (atomic) renames serialize on the final path.
@@ -538,7 +536,10 @@ impl RoutingService {
     /// Restores both cache levels from a file written by
     /// [`RoutingService::save_cache`] for the **same topology**. Restored
     /// level-1 entries carry the identical schedule and slot count but no
-    /// construction artefacts (like a schedule-only reply); restored
+    /// construction artefacts (like a schedule-only reply). A key stored
+    /// in both sections with the same schedule (a `theorem2` request and
+    /// its own phase) is restored as one key and one plan shared by both
+    /// levels, as [`RoutingService::route`] stores it; restored
     /// entries land in their capacity-bounded shards, so loading a file
     /// larger than the cache keeps (approximately, per shard) its
     /// most-recently-used tail. Decode failures — wrong magic, wrong
@@ -569,12 +570,24 @@ impl RoutingService {
             l1_entries: decoded.l1.len(),
             l2_entries: decoded.l2.len(),
         };
+        let mut restored: HashMap<CacheKey, CachedOutcome> =
+            HashMap::with_capacity(decoded.l1.len());
         for (key, schedule) in decoded.l1 {
-            self.cache
-                .insert(key, Arc::new(RoutingOutcome::Schedule(schedule)));
+            let key = CacheKey::new(key);
+            let outcome = Arc::new(RoutingOutcome::Schedule(schedule));
+            self.cache.insert(key.clone(), outcome.clone());
+            restored.insert(key, outcome);
         }
         for (key, schedule) in decoded.l2 {
-            self.phase_cache.insert(key, Arc::new(schedule));
+            let key = CacheKey::new(key);
+            match restored.get_key_value(&key) {
+                Some((shared, outcome)) if *outcome.schedule() == schedule => {
+                    self.phase_cache.insert(shared.clone(), outcome.clone());
+                }
+                _ => self
+                    .phase_cache
+                    .insert(key, Arc::new(RoutingOutcome::Schedule(schedule))),
+            }
         }
         Ok(summary)
     }
@@ -873,6 +886,103 @@ mod tests {
         let err = wrong.load_cache(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A service with an explicit shard layout, so no entry of these
+    /// tests is evicted whatever the host's core count.
+    fn two_shard_service() -> RoutingService {
+        RoutingService::with_config(
+            PopsTopology::new(4, 4),
+            ServiceConfig {
+                shards: 1,
+                cache_capacity: 8,
+                phase_cache_capacity: 8,
+                cache_shards: 2,
+                max_in_flight: 2,
+                colorer: ColorerKind::AlternatingPath,
+            },
+        )
+    }
+
+    #[test]
+    fn theorem2_miss_stores_one_plan_and_one_key_for_both_levels() {
+        let service = two_shard_service();
+        let req = ServiceRequest::Theorem2 {
+            pi: vector_reversal(16),
+        };
+        let reply = service.route(&req).unwrap();
+        let probe = canonical_key(4, 4, &req);
+        let (l1_key, l1_plan) = service.cache.peek(&probe).unwrap();
+        let (l2_key, l2_plan) = service.phase_cache.peek(&probe).unwrap();
+        assert!(Arc::ptr_eq(&l1_plan, &l2_plan), "one plan for both levels");
+        assert!(Arc::ptr_eq(&l1_plan, &reply.outcome));
+        assert!(l1_key.shares_bytes_with(&l2_key), "one key for both levels");
+        assert!(!l1_key.shares_bytes_with(&probe));
+        // The reply, the two levels and `l1_plan`/`l2_plan`: no other copy.
+        assert_eq!(Arc::strong_count(&reply.outcome), 5);
+    }
+
+    /// A unique spill path under the system temp directory.
+    fn spill_path(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "pops-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = crate::persist::cache_file_path(&dir);
+        (dir, path)
+    }
+
+    #[test]
+    fn warm_restart_keeps_plans_shared_and_spills_identical_bytes() {
+        let (dir, path) = spill_path("cache-share");
+        let mut rng = SplitMix64::new(25);
+        let first = two_shard_service();
+        let pi = random_permutation(16, &mut rng);
+        let theorem2 = ServiceRequest::Theorem2 { pi: pi.clone() };
+        first.route(&theorem2).unwrap();
+        first
+            .route(&ServiceRequest::HRelation {
+                relation: random_relation(16, 2, &mut rng),
+            })
+            .unwrap();
+        first
+            .route(&ServiceRequest::Direct { pi: pi.clone() })
+            .unwrap();
+        first.save_cache(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+
+        let second = two_shard_service();
+        assert_eq!(
+            second.load_cache(&path).unwrap(),
+            PersistSummary {
+                l1_entries: 3,
+                l2_entries: 3
+            }
+        );
+        let probe = canonical_key(4, 4, &theorem2);
+        let (l1_key, l1_plan) = second.cache.peek(&probe).unwrap();
+        let (l2_key, l2_plan) = second.phase_cache.peek(&probe).unwrap();
+        assert!(
+            Arc::ptr_eq(&l1_plan, &l2_plan),
+            "restored levels share the plan"
+        );
+        assert!(l1_key.shares_bytes_with(&l2_key), "and the key");
+        // Phases that are not also level-1 keys are restored on their own.
+        let mut shared = 0;
+        second.phase_cache.for_each_lru(|key, _| {
+            shared += usize::from(second.cache.peek(key).is_some());
+        });
+        assert_eq!(shared, 1);
+
+        second.save_cache(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), saved, "save → load → save");
+        assert!(second.route(&theorem2).unwrap().cache_hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

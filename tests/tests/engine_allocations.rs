@@ -4,30 +4,45 @@
 //! ([`RoutingEngine::fair_distribution_targets`]) — the acceptance
 //! criterion of the zero-allocation refactor.
 //!
+//! The same accounting bounds the bytes a warm service miss allocates: one
+//! schedule, the construction's intermediate map and one cache key, with
+//! the plan and the key shared by both cache levels.
+//!
 //! The test binary installs a counting wrapper around the system allocator;
-//! the counter is thread-local, so the test harness's other threads cannot
+//! the counters are thread-local, so the test harness's other threads cannot
 //! perturb the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
-use pops_network::PopsTopology;
+use pops_core::RoutingOutcome;
+use pops_network::{PopsTopology, SlotFrame, Transmission};
 use pops_permutation::families::{random_permutation, vector_reversal};
 use pops_permutation::SplitMix64;
+use pops_service::{canonical_key, RoutingService, ServiceConfig, ServiceRequest};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested: every allocation's size, plus the growth of every
+    /// reallocation (a shrink counts nothing).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct CountingAllocator;
 
-// SAFETY: delegates every operation to `System`; the bookkeeping is a
-// thread-local counter bump with no allocation of its own (const-initialized
+// SAFETY: delegates every operation to `System`; the bookkeeping is
+// thread-local counter bumps with no allocation of their own (const-initialized
 // `Cell<u64>` thread-locals need no lazy setup and have no destructor).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -36,12 +51,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -51,6 +66,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 #[test]
@@ -127,5 +146,65 @@ fn warm_plan_allocates_only_its_output() {
         (after - before) as usize <= output_budget,
         "warm plan allocated {} times, output budget is {output_budget}",
         after - before
+    );
+}
+
+#[test]
+fn warm_service_miss_allocates_one_plan_and_one_key() {
+    // A theorem2 miss stores its plan and key in both cache levels. Both
+    // must be shared, not copied: the miss may allocate the schedule, the
+    // construction's intermediate map, one key and small fixed headers.
+    let (d, g) = (32usize, 32usize);
+    let n = d * g;
+    let service = RoutingService::with_config(
+        PopsTopology::new(d, g),
+        ServiceConfig {
+            shards: 1,
+            cache_capacity: 16,
+            phase_cache_capacity: 16,
+            cache_shards: 1,
+            max_in_flight: 1,
+            colorer: ColorerKind::AlternatingPath,
+        },
+    );
+    let mut rng = SplitMix64::new(44);
+    // Warm the engine arenas and both levels' slabs.
+    for _ in 0..2 {
+        let pi = random_permutation(n, &mut rng);
+        service.route(&ServiceRequest::Theorem2 { pi }).unwrap();
+    }
+    let req = ServiceRequest::Theorem2 {
+        pi: random_permutation(n, &mut rng),
+    };
+
+    let before = bytes_allocated();
+    let reply = service.route(&req).unwrap();
+    let allocated = (bytes_allocated() - before) as usize;
+
+    assert!(!reply.cache_hit);
+    let RoutingOutcome::Plan(plan) = reply.outcome.as_ref() else {
+        panic!("a theorem2 miss returns a full plan");
+    };
+    let schedule = plan.schedule.slots.capacity() * size_of::<SlotFrame>()
+        + plan
+            .schedule
+            .slots
+            .iter()
+            .map(|s| s.transmissions.capacity() * size_of::<Transmission>())
+            .sum::<usize>();
+    let intermediate = plan.intermediate.capacity() * size_of::<usize>();
+    let key = canonical_key(d, g, &req).as_bytes().len();
+    assert_eq!(key, 4 * n + 9);
+    assert!(
+        4 * allocated < 5 * (schedule + key),
+        "a warm miss allocated {allocated} bytes; one schedule ({schedule}) plus one key \
+         ({key}) is the budget, with a quarter of headroom"
+    );
+    // Everything beyond the plan's own heap is the key and fixed headers:
+    // a second copy of the key does not fit.
+    let beyond_plan = allocated - schedule - intermediate;
+    assert!(
+        beyond_plan < 2 * key,
+        "a warm miss allocated {beyond_plan} bytes beyond its plan; one {key}-byte key fits"
     );
 }
