@@ -102,15 +102,6 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> std::io::Result<Vec<u8
     Ok(payload)
 }
 
-/// Wraps a JSON document (rendered as text) in a [`TAG_JSON`] payload.
-pub fn json_payload(doc: &crate::json::Json) -> Vec<u8> {
-    let text = doc.to_string();
-    let mut out = Vec::with_capacity(1 + text.len());
-    out.push(TAG_JSON);
-    out.extend_from_slice(text.as_bytes());
-    out
-}
-
 /// A bounds-checked little-endian reader over one frame body.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -171,6 +162,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Reads `d:u32 g:u32 n:u32 perm:[u32; n]`: a shape and a
+    /// permutation, or why the image is not a bijection.
+    fn shaped_perm(&mut self) -> Result<BatchFrameItem, String> {
+        let shape = (self.u32()? as usize, self.u32()? as usize);
+        let perm = Permutation::new(self.u32_array()?).map_err(|e| e.to_string());
+        Ok(BatchFrameItem { shape, perm })
+    }
+
     fn done(&self) -> Result<(), String> {
         if self.remaining() == 0 {
             Ok(())
@@ -186,6 +185,19 @@ impl<'a> Reader<'a> {
 // lint: hot-path
 fn push_u32(buf: &mut Vec<u8>, v: usize) {
     buf.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+/// Appends `d:u32 g:u32 n:u32 perm:[u32; n]`; no shape rides as
+/// `d = g = 0`, the server's default.
+// lint: hot-path
+fn push_shaped_perm(buf: &mut Vec<u8>, shape: Option<(usize, usize)>, pi: &Permutation) {
+    let (d, g) = shape.unwrap_or((0, 0));
+    push_u32(buf, d);
+    push_u32(buf, g);
+    push_u32(buf, pi.len());
+    for &v in pi.as_slice() {
+        push_u32(buf, v);
+    }
 }
 
 /// Appends the slot-prefixed flat schedule encoding to `buf`.
@@ -260,17 +272,11 @@ pub fn encode_route_request(
     shape: Option<(usize, usize)>,
     pi: &Permutation,
 ) -> Vec<u8> {
-    let (d, g) = shape.unwrap_or((0, 0));
     let mut out = Vec::with_capacity(2 + 12 + 4 * pi.len() + 2);
     out.push(TAG_ROUTE);
     out.push(kind.index() as u8);
     out.push(if want_schedule { FLAG_WANT_SCHEDULE } else { 0 });
-    push_u32(&mut out, d);
-    push_u32(&mut out, g);
-    push_u32(&mut out, pi.len());
-    for &v in pi.as_slice() {
-        push_u32(&mut out, v);
-    }
+    push_shaped_perm(&mut out, shape, pi);
     out
 }
 
@@ -294,15 +300,12 @@ pub fn decode_route_request(body: &[u8]) -> Result<RouteFrame, String> {
         ));
     }
     let want_schedule = r.u8()? & FLAG_WANT_SCHEDULE != 0;
-    let d = r.u32()? as usize;
-    let g = r.u32()? as usize;
-    let image = r.u32_array()?;
+    let BatchFrameItem { shape, perm } = r.shaped_perm()?;
     r.done()?;
-    let perm = Permutation::new(image).map_err(|e| e.to_string());
     Ok(RouteFrame {
         kind,
         want_schedule,
-        shape: (d, g),
+        shape,
         perm,
     })
 }
@@ -331,13 +334,7 @@ pub fn encode_batch_request(
     out.push(if want_schedule { FLAG_WANT_SCHEDULE } else { 0 });
     push_u32(&mut out, items.len());
     for (shape, pi) in &items {
-        let (d, g) = shape.unwrap_or((0, 0));
-        push_u32(&mut out, d);
-        push_u32(&mut out, g);
-        push_u32(&mut out, pi.len());
-        for &v in pi.as_slice() {
-            push_u32(&mut out, v);
-        }
+        push_shaped_perm(&mut out, *shape, pi);
     }
     out
 }
@@ -356,14 +353,7 @@ pub fn decode_batch_request(body: &[u8]) -> Result<(Vec<BatchFrameItem>, bool), 
     }
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
-        let d = r.u32()? as usize;
-        let g = r.u32()? as usize;
-        let image = r.u32_array()?;
-        let perm = Permutation::new(image).map_err(|e| e.to_string());
-        items.push(BatchFrameItem {
-            shape: (d, g),
-            perm,
-        });
+        items.push(r.shaped_perm()?);
     }
     r.done()?;
     Ok((items, want_schedule))

@@ -51,6 +51,7 @@ use pops_core::HRelation;
 use pops_network::{FaultSet, PopsTopology, Schedule, SlotFrame, Transmission};
 use pops_permutation::Permutation;
 
+use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
 use crate::json::Json;
 use crate::metrics::{MetricsSnapshot, RequestKind};
 use crate::router::RouterStats;
@@ -116,11 +117,6 @@ impl WireErrorKind {
             WireErrorKind::Overloaded => 7,
             WireErrorKind::Unroutable => 8,
         }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        WireErrorKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
     /// The kind's wire name.
@@ -205,9 +201,19 @@ impl CacheAction {
     }
 }
 
-/// A parsed protocol request.
+/// A protocol request. Every codec — a JSON line, a `TAG_JSON` frame, a
+/// dense `TAG_ROUTE`/`TAG_BATCH` frame — decodes into one owned form,
+/// whose routes are not yet checked against a topology; the server and
+/// the `pops record` proxy share it. [`parse_request`] returns the form
+/// validated against one topology, whose routes are [`ServiceRequest`]s.
 #[derive(Debug, Clone)]
-pub enum WireRequest {
+pub enum WireRequest<R = ServiceRequest> {
+    /// Wire-format negotiation: the connection switches to `format`
+    /// after the acknowledgement.
+    Hello {
+        /// The requested format.
+        format: WireFormat,
+    },
     /// Liveness probe.
     Ping,
     /// Serving-topology and configuration query.
@@ -224,7 +230,7 @@ pub enum WireRequest {
     /// A routing request.
     Route {
         /// The request to route.
-        req: ServiceRequest,
+        req: R,
         /// Whether the response should carry the schedule body.
         want_schedule: bool,
     },
@@ -237,6 +243,101 @@ pub enum WireRequest {
         /// are usually what bulk callers want).
         want_schedule: bool,
     },
+}
+
+impl<R> WireRequest<R> {
+    /// The same request with its route, if it is one, mapped through `f`.
+    pub fn try_map_route<S, E>(
+        self,
+        f: impl FnOnce(R) -> Result<S, E>,
+    ) -> Result<WireRequest<S>, E> {
+        Ok(match self {
+            WireRequest::Route { req, want_schedule } => WireRequest::Route {
+                req: f(req)?,
+                want_schedule,
+            },
+            WireRequest::Hello { format } => WireRequest::Hello { format },
+            WireRequest::Ping => WireRequest::Ping,
+            WireRequest::Info => WireRequest::Info,
+            WireRequest::Stats => WireRequest::Stats,
+            WireRequest::Shutdown => WireRequest::Shutdown,
+            WireRequest::Cache { action } => WireRequest::Cache { action },
+            WireRequest::Batch {
+                items,
+                want_schedule,
+            } => WireRequest::Batch {
+                items,
+                want_schedule,
+            },
+        })
+    }
+}
+
+/// A decoded route request: the shape `(d, g)` it selects (absent fields
+/// already resolved against the server's default) and its body, or why
+/// the body is malformed — answered `bad-request` once the shape's
+/// service is selected. Nothing is checked against a topology until
+/// [`RouteRequest::service_request`].
+#[derive(Debug, Clone)]
+pub(crate) struct RouteRequest {
+    pub(crate) d: usize,
+    pub(crate) g: usize,
+    pub(crate) body: Result<RouteBody, String>,
+}
+
+/// What a route request asks to route.
+#[derive(Debug, Clone)]
+pub(crate) enum RouteBody {
+    /// A permutation, its kind (never `h-relation`) and its request-level
+    /// failed couplers (sorted, deduped, in `0..g²`; only `theorem2` and
+    /// `faults` carry any).
+    Perm {
+        kind: RequestKind,
+        pi: Permutation,
+        faults: Vec<usize>,
+    },
+    /// An h-relation's `(source, destination)` pairs.
+    HRelation(Vec<(usize, usize)>),
+}
+
+impl RouteRequest {
+    /// Validates the request against `topology`, the one its shape
+    /// selected, and builds the service request: a permutation must have
+    /// length `n` and h-relation endpoints must lie in `0..n`. A
+    /// `theorem2` request with no faults stays on the healthy Theorem-2
+    /// path (and its healthy cache key).
+    pub(crate) fn service_request(self, topology: &PopsTopology) -> Result<ServiceRequest, String> {
+        let (kind, pi, ids) = match self.body? {
+            RouteBody::HRelation(pairs) => {
+                let relation = HRelation::new(topology.n(), pairs).map_err(|e| e.to_string())?;
+                return Ok(ServiceRequest::HRelation { relation });
+            }
+            RouteBody::Perm { kind, pi, faults } => (kind, pi, faults),
+        };
+        if pi.len() != topology.n() {
+            return Err(format!(
+                "permutation has length {}, {topology} needs {}",
+                pi.len(),
+                topology.n()
+            ));
+        }
+        Ok(match kind {
+            RequestKind::Theorem2 if ids.is_empty() => ServiceRequest::Theorem2 { pi },
+            RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi },
+            RequestKind::Direct => ServiceRequest::Direct { pi },
+            RequestKind::Structured => ServiceRequest::Structured { pi },
+            RequestKind::Theorem2 | RequestKind::WithFaults => {
+                let mut faults = FaultSet::none(topology);
+                for c in ids.into_iter().filter(|&c| c < topology.coupler_count()) {
+                    faults.fail_coupler(c);
+                }
+                ServiceRequest::WithFaults { pi, faults }
+            }
+            RequestKind::HRelation => {
+                return Err("h-relation requests carry 'requests', not 'perm'".into())
+            }
+        })
+    }
 }
 
 /// One parsed item of a `{"op":"batch"}` request. The shape is already
@@ -259,6 +360,19 @@ pub struct BatchItemRequest {
     pub faults: Vec<usize>,
 }
 
+/// Checks a batch item's permutation against its shape `(d, g)`.
+fn item_perm(d: usize, g: usize, perm: Result<Permutation, String>) -> Result<Permutation, String> {
+    let pi = perm?;
+    match d.checked_mul(g) {
+        Some(n) if n == pi.len() => Ok(pi),
+        _ => Err(format!(
+            "item permutation has length {}, POPS({d}, {g}) needs {}",
+            pi.len(),
+            d.saturating_mul(g)
+        )),
+    }
+}
+
 /// Resolves a wire `"faults"` array into sorted, deduped coupler ids on
 /// a fabric with `g` groups (`g²` couplers). Each entry is either a
 /// coupler id or a `[src_group, dst_group]` pair — the paper's coupler
@@ -279,14 +393,12 @@ pub fn parse_fault_ids(value: &Json, g: usize) -> Result<Vec<usize>, String> {
             }
             c
         } else if let Some(pair) = entry.as_arr().filter(|p| p.len() == 2) {
-            let src = pair
-                .first()
-                .and_then(Json::as_usize)
-                .ok_or("fault pair entries must be integers")?;
-            let dst = pair
-                .get(1)
-                .and_then(Json::as_usize)
-                .ok_or("fault pair entries must be integers")?;
+            let group = |i: usize| {
+                pair.get(i)
+                    .and_then(Json::as_usize)
+                    .ok_or("fault pair entries must be integers")
+            };
+            let (src, dst) = (group(0)?, group(1)?);
             if src >= g || dst >= g {
                 return Err(format!(
                     "fault pair [{src}, {dst}] out of range (groups: 0..{g})"
@@ -305,13 +417,39 @@ pub fn parse_fault_ids(value: &Json, g: usize) -> Result<Vec<usize>, String> {
     Ok(ids)
 }
 
-/// Parses one request document against the serving `topology`.
+/// Parses one request document against the serving `topology`: a route
+/// must select that topology and fit it.
 pub fn parse_request(doc: &Json, topology: &PopsTopology) -> Result<WireRequest, String> {
+    decode_request(doc, topology)?.try_map_route(|req| {
+        for (field, got, expected) in [("d", req.d, topology.d()), ("g", req.g, topology.g())] {
+            if got != expected {
+                return Err(format!(
+                    "request {field} = {got} does not match serving topology {topology}"
+                ));
+            }
+        }
+        req.service_request(topology)
+    })
+}
+
+/// Decodes one request document into the shared owned request. Route and
+/// batch shapes fall back to `default` field by field; nothing is checked
+/// against a topology yet.
+pub(crate) fn decode_request(
+    doc: &Json,
+    default: &PopsTopology,
+) -> Result<WireRequest<RouteRequest>, String> {
     let op = doc
         .get("op")
         .and_then(Json::as_str)
         .ok_or("missing string field 'op'")?;
     match op {
+        "hello" => {
+            let name = doc.get("format").and_then(Json::as_str).unwrap_or("json");
+            let format = WireFormat::from_name(name)
+                .ok_or_else(|| format!("unknown format '{name}' (json|binary)"))?;
+            Ok(WireRequest::Hello { format })
+        }
         "ping" => Ok(WireRequest::Ping),
         "info" => Ok(WireRequest::Info),
         "stats" => Ok(WireRequest::Stats),
@@ -322,8 +460,22 @@ pub fn parse_request(doc: &Json, topology: &PopsTopology) -> Result<WireRequest,
                 .ok_or_else(|| format!("unknown cache action '{name}' (save|load|stats)"))?;
             Ok(WireRequest::Cache { action })
         }
-        "route" => parse_route(doc, topology),
-        "batch" => parse_batch(doc, topology),
+        "route" => {
+            let (d, g) = requested_shape(doc, default)?;
+            let want_schedule = doc
+                .get("want_schedule")
+                .and_then(Json::as_bool)
+                .unwrap_or(true);
+            Ok(WireRequest::Route {
+                req: RouteRequest {
+                    d,
+                    g,
+                    body: route_body(doc, g),
+                },
+                want_schedule,
+            })
+        }
+        "batch" => parse_batch(doc, default),
         other => Err(format!("unknown op '{other}'")),
     }
 }
@@ -343,10 +495,22 @@ pub fn requested_shape(doc: &Json, default: &PopsTopology) -> Result<(usize, usi
     Ok((field("d", default.d())?, field("g", default.g())?))
 }
 
+/// A `"perm"` array as a permutation; `missing` is the error when the
+/// field is absent or not an array.
+fn parse_perm(value: Option<&Json>, missing: &str) -> Result<Permutation, String> {
+    let image = value
+        .and_then(Json::as_arr)
+        .ok_or(missing)?
+        .iter()
+        .map(|v| v.as_usize().ok_or("'perm' entries must be integers"))
+        .collect::<Result<Vec<_>, _>>()?;
+    Permutation::new(image).map_err(|e| e.to_string())
+}
+
 /// Parses a `{"op":"batch"}` document. Top-level problems (missing or
 /// empty `items`) are request-level errors; per-item problems are carried
 /// inside each [`BatchItemRequest`] and answered line by line.
-fn parse_batch(doc: &Json, default: &PopsTopology) -> Result<WireRequest, String> {
+fn parse_batch(doc: &Json, default: &PopsTopology) -> Result<WireRequest<RouteRequest>, String> {
     let items = doc
         .get("items")
         .and_then(Json::as_arr)
@@ -368,95 +532,33 @@ fn parse_batch(doc: &Json, default: &PopsTopology) -> Result<WireRequest, String
 }
 
 fn parse_batch_item(item: &Json, default: &PopsTopology) -> BatchItemRequest {
-    let (d, g) = match requested_shape(item, default) {
-        Ok(shape) => shape,
-        Err(e) => {
-            return BatchItemRequest {
-                d: default.d(),
-                g: default.g(),
-                perm: Err(e),
-                faults: Vec::new(),
-            }
+    let (d, g, parsed) = match requested_shape(item, default) {
+        Err(e) => (default.d(), default.g(), Err(e)),
+        Ok((d, g)) => {
+            let perm = parse_perm(item.get("perm"), "batch item needs an array field 'perm'");
+            let parsed = item_perm(d, g, perm).and_then(|pi| {
+                let faults = match item.get("faults") {
+                    None => Vec::new(),
+                    Some(value) => parse_fault_ids(value, g)?,
+                };
+                Ok((pi, faults))
+            });
+            (d, g, parsed)
         }
     };
-    let parsed = (|| {
-        let arr = item
-            .get("perm")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "batch item needs an array field 'perm'".to_string())?;
-        let image = arr
-            .iter()
-            .map(|v| {
-                v.as_usize()
-                    .ok_or_else(|| "'perm' entries must be integers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let pi = Permutation::new(image).map_err(|e| e.to_string())?;
-        match d.checked_mul(g) {
-            Some(n) if n == pi.len() => {}
-            _ => {
-                return Err(format!(
-                    "item permutation has length {}, POPS({d}, {g}) needs {}",
-                    pi.len(),
-                    d.saturating_mul(g)
-                ))
-            }
-        }
-        let faults = match item.get("faults") {
-            None => Vec::new(),
-            Some(value) => parse_fault_ids(value, g)?,
-        };
-        Ok((pi, faults))
-    })();
-    match parsed {
-        Ok((pi, faults)) => BatchItemRequest {
-            d,
-            g,
-            perm: Ok(pi),
-            faults,
-        },
-        Err(e) => BatchItemRequest {
-            d,
-            g,
-            perm: Err(e),
-            faults: Vec::new(),
-        },
-    }
+    let (perm, faults) = match parsed {
+        Ok((pi, faults)) => (Ok(pi), faults),
+        Err(e) => (Err(e), Vec::new()),
+    };
+    BatchItemRequest { d, g, perm, faults }
 }
 
-fn parse_route(doc: &Json, topology: &PopsTopology) -> Result<WireRequest, String> {
-    for (field, expected) in [("d", topology.d()), ("g", topology.g())] {
-        if let Some(value) = doc.get(field) {
-            let got = value
-                .as_usize()
-                .ok_or_else(|| format!("field '{field}' must be a non-negative integer"))?;
-            if got != expected {
-                return Err(format!(
-                    "request {field} = {got} does not match serving topology {topology}"
-                ));
-            }
-        }
-    }
+/// A route document's body. `g` is the selected shape's group count, the
+/// range fault ids are checked against.
+fn route_body(doc: &Json, g: usize) -> Result<RouteBody, String> {
     let kind_name = doc.get("kind").and_then(Json::as_str).unwrap_or("theorem2");
     let kind =
         RequestKind::from_name(kind_name).ok_or_else(|| format!("unknown kind '{kind_name}'"))?;
-    let want_schedule = doc
-        .get("want_schedule")
-        .and_then(Json::as_bool)
-        .unwrap_or(true);
-
-    let parse_perm = || -> Result<Permutation, String> {
-        let arr = doc
-            .get("perm")
-            .and_then(Json::as_arr)
-            .ok_or("route request needs an array field 'perm'")?;
-        let image = arr
-            .iter()
-            .map(|v| v.as_usize().ok_or("'perm' entries must be integers"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Permutation::new(image).map_err(|e| e.to_string())
-    };
-
     // Degraded routing is only meaningful on the kinds the fault router
     // plans (the production `theorem2` path and the explicit `faults`
     // kind); the diagnostic baselines and h-relations keep their exact
@@ -468,59 +570,217 @@ fn parse_route(doc: &Json, topology: &PopsTopology) -> Result<WireRequest, Strin
             "kind '{kind_name}' does not support a 'faults' field; use kind 'theorem2' or 'faults'"
         ));
     }
-
-    let req = match kind {
-        RequestKind::Theorem2 | RequestKind::WithFaults => {
-            let pi = parse_perm()?;
-            let ids = match doc.get("faults") {
-                Some(value) => parse_fault_ids(value, topology.g())?,
-                None if kind == RequestKind::WithFaults => {
-                    return Err("faults request needs an array field 'faults'".into())
-                }
-                None => Vec::new(),
-            };
-            if ids.is_empty() && kind == RequestKind::Theorem2 {
-                // An empty fault list is a healthy request: keep the
-                // Theorem-2 plan and the healthy cache key.
-                ServiceRequest::Theorem2 { pi }
-            } else {
-                let mut faults = FaultSet::none(topology);
-                for c in ids {
-                    faults.fail_coupler(c);
-                }
-                ServiceRequest::WithFaults { pi, faults }
-            }
-        }
-        RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi: parse_perm()? },
-        RequestKind::Direct => ServiceRequest::Direct { pi: parse_perm()? },
-        RequestKind::Structured => ServiceRequest::Structured { pi: parse_perm()? },
-        RequestKind::HRelation => {
-            let arr = doc
-                .get("requests")
-                .and_then(Json::as_arr)
-                .ok_or("h-relation request needs an array field 'requests'")?;
-            let mut pairs = Vec::with_capacity(arr.len());
-            for pair in arr {
+    if kind == RequestKind::HRelation {
+        let pairs = doc
+            .get("requests")
+            .and_then(Json::as_arr)
+            .ok_or("h-relation request needs an array field 'requests'")?
+            .iter()
+            .map(|pair| {
                 let pair = pair
                     .as_arr()
                     .filter(|p| p.len() == 2)
                     .ok_or("'requests' entries must be [source, destination] pairs")?;
-                let src = pair
-                    .first()
-                    .and_then(Json::as_usize)
-                    .ok_or("request endpoints must be integers")?;
-                let dst = pair
-                    .get(1)
-                    .and_then(Json::as_usize)
-                    .ok_or("request endpoints must be integers")?;
-                pairs.push((src, dst));
-            }
-            ServiceRequest::HRelation {
-                relation: HRelation::new(topology.n(), pairs).map_err(|e| e.to_string())?,
-            }
+                let endpoint = |i: usize| {
+                    pair.get(i)
+                        .and_then(Json::as_usize)
+                        .ok_or("request endpoints must be integers")
+                };
+                Ok((endpoint(0)?, endpoint(1)?))
+            })
+            .collect::<Result<Vec<_>, &str>>()?;
+        return Ok(RouteBody::HRelation(pairs));
+    }
+    let pi = parse_perm(doc.get("perm"), "route request needs an array field 'perm'")?;
+    let faults = match doc.get("faults") {
+        Some(value) => parse_fault_ids(value, g)?,
+        None if kind == RequestKind::WithFaults => {
+            return Err("faults request needs an array field 'faults'".into())
         }
+        None => Vec::new(),
     };
-    Ok(WireRequest::Route { req, want_schedule })
+    Ok(RouteBody::Perm { kind, pi, faults })
+}
+
+/// How one request arrived, and so how its replies are encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Codec {
+    /// A JSON line; every reply is a JSON line.
+    Line,
+    /// A `TAG_JSON` frame; every reply is a `TAG_JSON` frame.
+    JsonFrame,
+    /// A dense `TAG_ROUTE`/`TAG_BATCH` frame; plans reply in dense
+    /// frames, everything else in `TAG_JSON` frames.
+    Dense,
+}
+
+/// A decoded message, or the typed error that answers it.
+pub(crate) type Decoded = Result<WireRequest<RouteRequest>, (WireErrorKind, String)>;
+
+/// Decodes one complete message read in the connection's `framing` — a
+/// line, or a frame payload — into the shared owned request, with the
+/// codec its replies use. Shapes fall back to `default`. Invalid UTF-8 in
+/// a line flows through lossily and fails the JSON parse.
+pub(crate) fn decode_message(
+    message: &[u8],
+    framing: WireFormat,
+    default: &PopsTopology,
+) -> (Codec, Decoded) {
+    let json = |text: &str| -> Decoded {
+        let doc = Json::parse(text).map_err(|e| (WireErrorKind::Parse, e.to_string()))?;
+        decode_request(&doc, default).map_err(|e| (WireErrorKind::BadRequest, e))
+    };
+    let parse_error = |e: String| (WireErrorKind::Parse, e);
+    // `(0, 0)` in a dense frame selects the default shape, mirroring a
+    // JSON request without `d`/`g` fields.
+    let shape = |shape| match shape {
+        (0, 0) => (default.d(), default.g()),
+        shape => shape,
+    };
+    if framing == WireFormat::Json {
+        return (Codec::Line, json(&String::from_utf8_lossy(message)));
+    }
+    let Some((&tag, body)) = message.split_first() else {
+        return (Codec::JsonFrame, Err(parse_error("empty frame".into())));
+    };
+    match tag {
+        TAG_JSON => (
+            Codec::JsonFrame,
+            std::str::from_utf8(body)
+                .map_err(|_| parse_error("TAG_JSON frame is not valid UTF-8".into()))
+                .and_then(json),
+        ),
+        TAG_ROUTE => (
+            Codec::Dense,
+            frame::decode_route_request(body)
+                .map_err(parse_error)
+                .map(|route| {
+                    let (d, g) = shape(route.shape);
+                    let body = route.perm.map(|pi| RouteBody::Perm {
+                        kind: route.kind,
+                        pi,
+                        faults: Vec::new(),
+                    });
+                    WireRequest::Route {
+                        req: RouteRequest { d, g, body },
+                        want_schedule: route.want_schedule,
+                    }
+                }),
+        ),
+        // The dense batch body carries no fault lists; a declared
+        // baseline still applies per item.
+        TAG_BATCH => (
+            Codec::Dense,
+            frame::decode_batch_request(body)
+                .map_err(parse_error)
+                .map(|(items, want_schedule)| WireRequest::Batch {
+                    items: items
+                        .into_iter()
+                        .map(|item| {
+                            let (d, g) = shape(item.shape);
+                            let perm = item_perm(d, g, item.perm);
+                            BatchItemRequest {
+                                d,
+                                g,
+                                perm,
+                                faults: Vec::new(),
+                            }
+                        })
+                        .collect(),
+                    want_schedule,
+                }),
+        ),
+        other => (
+            Codec::JsonFrame,
+            Err((
+                WireErrorKind::BadRequest,
+                format!("unknown frame tag 0x{other:02x}"),
+            )),
+        ),
+    }
+}
+
+/// One typed reply. It stays typed until the server encodes it in the
+/// request's [`Codec`], so counters read its error kind, not the encoded
+/// bytes.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    /// A finished JSON document: a control-op answer or a batch summary.
+    Doc(Json),
+    /// A typed failure; a failed batch item carries its `index`.
+    Error {
+        kind: WireErrorKind,
+        msg: String,
+        index: Option<usize>,
+    },
+    /// A request shed by overload control, with its back-off hint.
+    Overloaded { msg: String, retry_after_ms: u64 },
+    /// A served route; `kind` is the kind routed after baseline
+    /// composition.
+    Route {
+        kind: RequestKind,
+        reply: ServiceReply,
+        want_schedule: bool,
+    },
+    /// One routed batch item; `degraded` when the fault router planned it.
+    Item {
+        index: usize,
+        d: usize,
+        g: usize,
+        schedule: Schedule,
+        want_schedule: bool,
+        degraded: bool,
+    },
+}
+
+impl Reply {
+    /// A request-level failure.
+    pub(crate) fn error(kind: WireErrorKind, msg: impl Into<String>) -> Self {
+        Reply::Error {
+            kind,
+            msg: msg.into(),
+            index: None,
+        }
+    }
+
+    /// The failure category of an error reply, `None` on success.
+    pub(crate) fn error_kind(&self) -> Option<WireErrorKind> {
+        match self {
+            Reply::Error { kind, .. } => Some(*kind),
+            Reply::Overloaded { .. } => Some(WireErrorKind::Overloaded),
+            Reply::Doc(_) | Reply::Route { .. } | Reply::Item { .. } => None,
+        }
+    }
+
+    /// The reply as a JSON document.
+    pub(crate) fn into_json(self) -> Json {
+        match self {
+            Reply::Doc(doc) => doc,
+            Reply::Error {
+                kind,
+                msg,
+                index: Some(index),
+            } => batch_item_error(index, kind, msg),
+            Reply::Error { kind, msg, .. } => error_response(kind, msg),
+            Reply::Overloaded {
+                msg,
+                retry_after_ms,
+            } => overloaded_response(msg, retry_after_ms),
+            Reply::Route {
+                kind,
+                reply,
+                want_schedule,
+            } => route_response(kind, &reply, want_schedule),
+            Reply::Item {
+                index,
+                d,
+                g,
+                schedule,
+                want_schedule,
+                degraded,
+            } => batch_item_response(index, d, g, &schedule, want_schedule, degraded),
+        }
+    }
 }
 
 /// The `hello` response acknowledging a format negotiation:

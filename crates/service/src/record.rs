@@ -55,13 +55,13 @@ use std::time::{Duration, Instant};
 
 use pops_network::PopsTopology;
 
-use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
+use crate::frame;
 use crate::json::Json;
 use crate::metrics::RequestKind;
 use crate::proto::{
-    parse_request, requested_shape, BatchItemRequest, CacheAction, WireFormat, WireRequest,
+    decode_message, BatchItemRequest, CacheAction, RouteRequest, WireFormat, WireRequest,
 };
-use crate::server::{read_bounded_frame, read_bounded_line, FrameOutcome, LineOutcome};
+use crate::server::{read_message, ReadOutcome};
 use crate::service::ServiceRequest;
 
 /// The trace format version this build writes and the only one it reads.
@@ -280,30 +280,22 @@ fn parse_record_body(doc: &Json) -> Result<RecordedRequest, String> {
                 }
                 _ => {}
             }
-            if kind == RequestKind::HRelation {
+            let (perm, requests) = if kind == RequestKind::HRelation {
                 let pairs = doc
                     .get("requests")
                     .ok_or("h-relation records need a 'requests' array")?;
-                let requests = pair_array(pairs)?;
-                RecordedOp::Route {
-                    d,
-                    g,
-                    kind,
-                    perm: Vec::new(),
-                    requests,
-                    faults,
-                }
+                (Vec::new(), pair_array(pairs)?)
             } else {
                 let perm_value = doc.get("perm").ok_or("route records need a 'perm' array")?;
-                let perm = usize_array(perm_value, "perm")?;
-                RecordedOp::Route {
-                    d,
-                    g,
-                    kind,
-                    perm,
-                    requests: Vec::new(),
-                    faults,
-                }
+                (usize_array(perm_value, "perm")?, Vec::new())
+            };
+            RecordedOp::Route {
+                d,
+                g,
+                kind,
+                perm,
+                requests,
+                faults,
             }
         }
         "batch" => {
@@ -469,53 +461,47 @@ pub fn read_trace(path: &Path) -> Result<Vec<RecordedRequest>, TraceError> {
 /// resolved shape the request selected. Empty effective fault sets are
 /// canonicalised to `theorem2` (see the module docs).
 pub fn recorded_route(d: usize, g: usize, req: &ServiceRequest) -> RecordedOp {
-    let perm_route = |kind: RequestKind, pi: &pops_permutation::Permutation| RecordedOp::Route {
-        d,
-        g,
-        kind,
-        perm: pi.as_slice().to_vec(),
-        requests: Vec::new(),
-        faults: Vec::new(),
-    };
-    match req {
-        ServiceRequest::Theorem2 { pi } => perm_route(RequestKind::Theorem2, pi),
-        ServiceRequest::SingleSlot { pi } => perm_route(RequestKind::SingleSlot, pi),
-        ServiceRequest::Direct { pi } => perm_route(RequestKind::Direct, pi),
-        ServiceRequest::Structured { pi } => perm_route(RequestKind::Structured, pi),
-        ServiceRequest::HRelation { relation } => RecordedOp::Route {
-            d,
-            g,
-            kind: RequestKind::HRelation,
-            perm: Vec::new(),
-            requests: relation.requests().to_vec(),
-            faults: Vec::new(),
-        },
+    let (kind, perm, requests, faults) = match req {
+        ServiceRequest::HRelation { relation } => {
+            let requests = relation.requests().to_vec();
+            (RequestKind::HRelation, Vec::new(), requests, Vec::new())
+        }
         ServiceRequest::WithFaults { pi, faults } => {
             let couplers = g.saturating_mul(g);
             let ids: Vec<usize> = (0..couplers).filter(|&c| faults.is_failed(c)).collect();
-            if ids.is_empty() {
-                perm_route(RequestKind::Theorem2, pi)
+            let kind = if ids.is_empty() {
+                RequestKind::Theorem2
             } else {
-                RecordedOp::Route {
-                    d,
-                    g,
-                    kind: RequestKind::WithFaults,
-                    perm: pi.as_slice().to_vec(),
-                    requests: Vec::new(),
-                    faults: ids,
-                }
-            }
+                RequestKind::WithFaults
+            };
+            (kind, pi.as_slice().to_vec(), Vec::new(), ids)
         }
+        ServiceRequest::Theorem2 { pi }
+        | ServiceRequest::SingleSlot { pi }
+        | ServiceRequest::Direct { pi }
+        | ServiceRequest::Structured { pi } => {
+            (req.kind(), pi.as_slice().to_vec(), Vec::new(), Vec::new())
+        }
+    };
+    RecordedOp::Route {
+        d,
+        g,
+        kind,
+        perm,
+        requests,
+        faults,
     }
 }
 
 /// Builds the [`RecordedOp`] of one parsed batch request. Items whose
 /// permutation failed validation are skipped (the server answers them
-/// with per-item errors; there is nothing to replay). Returns `None` when
-/// no item survives.
+/// with per-item errors; there is nothing to replay), and so are items of
+/// a shape with a zero dimension, which no server admits and no trace
+/// can hold. Returns `None` when no item survives.
 pub fn recorded_batch(items: &[BatchItemRequest]) -> Option<RecordedOp> {
     let recorded: Vec<RecordedBatchItem> = items
         .iter()
+        .filter(|item| item.d > 0 && item.g > 0)
         .filter_map(|item| {
             item.perm.as_ref().ok().map(|pi| RecordedBatchItem {
                 d: item.d,
@@ -632,9 +618,11 @@ const PROXY_MAX_CONNS: usize = 256;
 /// is the upstream's default topology (learned from its `info` op), used
 /// to resolve requests that omit `d`/`g`.
 ///
-/// The proxy mirrors the protocol's format negotiation: it watches for a
-/// successful `{"op":"hello","format":"binary"}` and switches its request
-/// parser to frames, so binary traffic is recorded with full fidelity. A
+/// The proxy reads and decodes requests with the server's own reader and
+/// decoder, and validates routes the way the server does, so it records
+/// what `pops serve --record` would for the same traffic. It mirrors the
+/// protocol's format negotiation: after a
+/// `{"op":"hello","format":"binary"}` it reads frames. A
 /// forwarded `{"op":"shutdown"}` also stops the proxy (after the upstream
 /// acknowledges and closes). Undecodable requests are forwarded verbatim
 /// and simply not recorded — the tee never rejects traffic.
@@ -730,46 +718,28 @@ fn proxy_connection(
     };
     let mut reader = BufReader::new(client.try_clone()?);
     let mut to_server = server.try_clone()?;
-    let mut format = WireFormat::Json;
-    loop {
-        match format {
-            WireFormat::Json => {
-                match read_bounded_line(&mut reader, PROXY_MAX_BYTES, None, shutdown)? {
-                    LineOutcome::Line(line) => {
-                        let observed = observe_request_line(&line, format, default, recorder);
-                        writeln!(to_server, "{line}")?;
-                        to_server.flush()?;
-                        match observed {
-                            Observed::Shutdown => {
-                                shutdown.store(true, Ordering::SeqCst);
-                            }
-                            Observed::BinaryHello => format = WireFormat::Binary,
-                            Observed::Other => {}
-                        }
-                    }
-                    LineOutcome::Eof
-                    | LineOutcome::ShuttingDown
-                    | LineOutcome::TooLong { .. }
-                    | LineOutcome::TimedOut { .. } => break,
+    let mut framing = WireFormat::Json;
+    while let ReadOutcome::Message(message) =
+        read_message(&mut reader, framing, PROXY_MAX_BYTES, None, shutdown)?
+    {
+        let mut next = framing;
+        match decode_message(&message, framing, default).1 {
+            Ok(WireRequest::Shutdown) => shutdown.store(true, Ordering::SeqCst),
+            Ok(WireRequest::Hello { format }) if framing == WireFormat::Json => next = format,
+            Ok(request) => {
+                if let Some(op) = recorded_request(request) {
+                    recorder.record(framing, op);
                 }
             }
-            WireFormat::Binary => {
-                match read_bounded_frame(&mut reader, PROXY_MAX_BYTES, None, shutdown)? {
-                    FrameOutcome::Frame(payload) => {
-                        let observed = observe_frame(&payload, default, recorder);
-                        frame::write_frame(&mut to_server, &payload)?;
-                        to_server.flush()?;
-                        if matches!(observed, Observed::Shutdown) {
-                            shutdown.store(true, Ordering::SeqCst);
-                        }
-                    }
-                    FrameOutcome::Eof
-                    | FrameOutcome::ShuttingDown
-                    | FrameOutcome::TooLong { .. }
-                    | FrameOutcome::TimedOut { .. } => break,
-                }
-            }
+            Err(_) => {}
         }
+        if framing == WireFormat::Json {
+            to_server.write_all(&[message.as_slice(), b"\n"].concat())?;
+        } else {
+            frame::write_frame(&mut to_server, &message)?;
+        }
+        to_server.flush()?;
+        framing = next;
     }
     // FIN the upstream so it can wind the connection down; the pump exits
     // on the resulting EOF.
@@ -778,129 +748,22 @@ fn proxy_connection(
     Ok(())
 }
 
-/// What the tee noticed about one forwarded request (beyond recording).
-enum Observed {
-    /// A shutdown op — the upstream (and therefore the proxy) is done.
-    Shutdown,
-    /// A successful-looking binary `hello` — switch the request parser.
-    BinaryHello,
-    /// Anything else.
-    Other,
-}
-
-/// Parses one request line best-effort and records it if it is a
-/// decodable `route`/`batch`/`cache` op.
-fn observe_request_line(
-    line: &str,
-    format: WireFormat,
-    default: &PopsTopology,
-    recorder: &TraceRecorder,
-) -> Observed {
-    let Ok(doc) = Json::parse(line) else {
-        return Observed::Other;
-    };
-    match doc.get("op").and_then(Json::as_str) {
-        Some("shutdown") => Observed::Shutdown,
-        Some("hello") => {
-            if doc.get("format").and_then(Json::as_str) == Some(WireFormat::Binary.name()) {
-                Observed::BinaryHello
-            } else {
-                Observed::Other
-            }
-        }
-        Some("route") => {
-            let Ok((d, g)) = requested_shape(&doc, default) else {
-                return Observed::Other;
-            };
+/// The record of a request decoded by the server's own decoder, as the
+/// server would record it. The proxy has no services, so a route is
+/// validated against a topology of its own shape (within the record cap).
+fn recorded_request(request: WireRequest<RouteRequest>) -> Option<RecordedOp> {
+    match request {
+        WireRequest::Route { req, .. } => {
+            let (d, g) = (req.d, req.g);
             if d == 0 || g == 0 || d.checked_mul(g).is_none_or(|n| n > MAX_RECORD_N) {
-                return Observed::Other;
+                return None;
             }
-            let topology = PopsTopology::new(d, g);
-            if let Ok(WireRequest::Route { req, .. }) = parse_request(&doc, &topology) {
-                recorder.record(format, recorded_route(d, g, &req));
-            }
-            Observed::Other
+            let req = req.service_request(&PopsTopology::new(d, g)).ok()?;
+            Some(recorded_route(d, g, &req))
         }
-        Some("batch") => {
-            if let Ok(WireRequest::Batch { items, .. }) = parse_request(&doc, default) {
-                if let Some(op) = recorded_batch(&items) {
-                    recorder.record(format, op);
-                }
-            }
-            Observed::Other
-        }
-        Some("cache") => {
-            if let Ok(WireRequest::Cache { action }) = parse_request(&doc, default) {
-                recorder.record(format, recorded_cache(action));
-            }
-            Observed::Other
-        }
-        _ => Observed::Other,
-    }
-}
-
-/// Parses one binary frame best-effort and records what it carries.
-fn observe_frame(payload: &[u8], default: &PopsTopology, recorder: &TraceRecorder) -> Observed {
-    let Some((&tag, body)) = payload.split_first() else {
-        return Observed::Other;
-    };
-    match tag {
-        TAG_JSON => match std::str::from_utf8(body) {
-            Ok(line) => observe_request_line(line, WireFormat::Binary, default, recorder),
-            Err(_) => Observed::Other,
-        },
-        TAG_ROUTE => {
-            if let Ok(route) = frame::decode_route_request(body) {
-                let (d, g) = match route.shape {
-                    (0, 0) => (default.d(), default.g()),
-                    shape => shape,
-                };
-                if let Ok(pi) = route.perm {
-                    if d > 0
-                        && g > 0
-                        && d.checked_mul(g)
-                            .is_some_and(|n| n <= MAX_RECORD_N && n == pi.len())
-                    {
-                        let req = match route.kind {
-                            RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi },
-                            RequestKind::Direct => ServiceRequest::Direct { pi },
-                            RequestKind::Structured => ServiceRequest::Structured { pi },
-                            _ => ServiceRequest::Theorem2 { pi },
-                        };
-                        recorder.record(WireFormat::Binary, recorded_route(d, g, &req));
-                    }
-                }
-            }
-            Observed::Other
-        }
-        TAG_BATCH => {
-            if let Ok((frame_items, _)) = frame::decode_batch_request(body) {
-                let items: Vec<RecordedBatchItem> = frame_items
-                    .into_iter()
-                    .filter_map(|item| {
-                        let (d, g) = match item.shape {
-                            (0, 0) => (default.d(), default.g()),
-                            shape => shape,
-                        };
-                        let pi = item.perm.ok()?;
-                        if d == 0 || g == 0 || d.checked_mul(g) != Some(pi.len()) {
-                            return None;
-                        }
-                        Some(RecordedBatchItem {
-                            d,
-                            g,
-                            perm: pi.as_slice().to_vec(),
-                            faults: Vec::new(),
-                        })
-                    })
-                    .collect();
-                if !items.is_empty() {
-                    recorder.record(WireFormat::Binary, RecordedOp::Batch { items });
-                }
-            }
-            Observed::Other
-        }
-        _ => Observed::Other,
+        WireRequest::Batch { items, .. } => recorded_batch(&items),
+        WireRequest::Cache { action } => Some(recorded_cache(action)),
+        _ => None,
     }
 }
 
@@ -1027,6 +890,31 @@ mod tests {
     }
 
     #[test]
+    fn batches_record_only_items_a_trace_can_hold() {
+        let doc = Json::parse(
+            r#"{"op":"batch","items":[{"d":0,"g":5,"perm":[]},{"d":1,"g":2,"perm":[1,0]}]}"#,
+        )
+        .unwrap();
+        let Ok(WireRequest::Batch { items, .. }) =
+            crate::proto::decode_request(&doc, &PopsTopology::new(4, 4))
+        else {
+            panic!("batch must decode");
+        };
+        assert!(items[0].perm.is_ok(), "an empty image fits a 0x5 shape");
+        let op = recorded_batch(&items).unwrap();
+        let entry = RecordedRequest {
+            offset_us: 0,
+            format: WireFormat::Json,
+            op,
+        };
+        let parsed = parse_record(1, &encode_record(&entry)).unwrap();
+        match parsed.op {
+            RecordedOp::Batch { items } => assert_eq!((items.len(), items[0].d), (1, 1)),
+            other => panic!("expected a batch record, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn recorder_writes_header_once_and_appends() {
         let dir = std::env::temp_dir().join(format!(
             "pops-record-{}-{}",
@@ -1057,6 +945,84 @@ mod tests {
         assert_eq!(entries.len(), 2, "append keeps the single header");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().filter(|l| l.contains("pops-trace")).count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_proxy_records_what_the_server_tee_records() {
+        use crate::client::{BatchItem, ServiceClient};
+        use crate::router::{TopologyRouter, TopologyRouterConfig};
+        use crate::server::{serve_router, ServerConfig};
+
+        let dir = std::env::temp_dir().join(format!(
+            "pops-proxy-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (server_trace, proxy_trace) = (dir.join("server.jsonl"), dir.join("proxy.jsonl"));
+
+        // A server teeing its own trace, and the proxy in front of it.
+        let default = PopsTopology::new(4, 4);
+        let router = TopologyRouter::new(
+            default,
+            TopologyRouterConfig {
+                max_topologies: 2,
+                ..TopologyRouterConfig::default()
+            },
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap();
+        let config = ServerConfig {
+            record_path: Some(server_trace.clone()),
+            ..ServerConfig::default()
+        };
+        let server = std::thread::spawn(move || serve_router(listener, Arc::new(router), config));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy_addr = listener.local_addr().unwrap();
+        let recorder = Arc::new(TraceRecorder::create(&proxy_trace).unwrap());
+        let proxy = std::thread::spawn(move || record_proxy(listener, upstream, default, recorder));
+
+        let pi = vector_reversal(16);
+        let item = |shape, faults| BatchItem {
+            pi: pi.clone(),
+            shape,
+            faults,
+        };
+        let mut client = ServiceClient::connect(proxy_addr).unwrap();
+        // JSON lines: a cache op and a faulted mixed-shape batch.
+        client.cache_op("stats").unwrap();
+        let items = [item(None, vec![]), item(Some((2, 8)), vec![3])];
+        client.batch(&items, false).unwrap();
+        // Binary frames: a dense route, a faulted TAG_JSON route, a dense
+        // batch, a dense route on an explicit shape and a cache op.
+        client.set_format(WireFormat::Binary).unwrap();
+        client.route_permutation("theorem2", &pi).unwrap();
+        client
+            .route_permutation_with_faults("faults", &pi, None, &[1, 6])
+            .unwrap();
+        client
+            .batch(&[item(None, vec![]), item(Some((2, 8)), vec![])], false)
+            .unwrap();
+        client
+            .route_permutation_on("theorem2", &pi, Some((2, 8)))
+            .unwrap();
+        client.cache_op("stats").unwrap();
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        let summary = proxy.join().unwrap().unwrap();
+        assert_eq!(summary.dropped, 0);
+
+        let ops = |path: &Path| -> Vec<(WireFormat, RecordedOp)> {
+            let entries = read_trace(path).unwrap();
+            entries.into_iter().map(|e| (e.format, e.op)).collect()
+        };
+        let (served, proxied) = (ops(&server_trace), ops(&proxy_trace));
+        assert_eq!(served.len(), 7, "{served:?}");
+        assert_eq!(proxied, served);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

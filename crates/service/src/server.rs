@@ -11,22 +11,36 @@
 //! Connections speak JSON lines until (and unless) they negotiate the
 //! opt-in binary framing with `{"op":"hello","format":"binary"}` — the
 //! acknowledgement is the last JSON line, and both directions then switch
-//! to the length-prefixed frames of [`crate::frame`]. The binary reader
-//! enforces the same caps as the line reader (`max_line_bytes` bounds the
-//! frame payload, `read_timeout` bounds one complete frame) and control
-//! ops keep their JSON bodies inside `TAG_JSON` frames, so the two
-//! transports share one feature set and error vocabulary.
+//! to the length-prefixed frames of [`crate::frame`]. The two wire
+//! formats are codecs over **one request path**:
+//!
+//! ```text
+//! read_message      one bounded reader; the framing only says when a
+//!                   line or frame is complete
+//! decode_message    JSON line, TAG_JSON frame or dense TAG_ROUTE/TAG_BATCH
+//!                   frame → one owned request (shared with `pops record`)
+//! dispatch          one ordered sequence for every request: admission →
+//!                   service selection → validation against the topology
+//!                   → record → baseline composition → route (control ops
+//!                   skip the steps that do not concern them)
+//! encode_replies    typed replies → wire bytes in the request's codec;
+//!                   error kinds are counted from the typed replies
+//! ```
+//!
+//! Everything between reading and writing (`exchange`) runs without a
+//! socket, and each trace stage is marked from one place, so every
+//! request has the same stage sequence in every framing.
 //!
 //! One thread per connection (each service's admission gate, not the
 //! thread count, bounds concurrent routing work), governed by a
 //! [`ServerConfig`]:
 //!
-//! * **Bounded reads.** Request lines are read through a capped reader —
-//!   a frame longer than `max_line_bytes` is answered with a structured
-//!   `too-large` error and the connection closed, instead of buffering an
-//!   unterminated line without bound (a remote OOM).
+//! * **Bounded reads.** Requests are read through a capped reader — a
+//!   line or frame longer than `max_line_bytes` is answered with a
+//!   structured `too-large` error and the connection closed, instead of
+//!   buffering an unterminated message without bound (a remote OOM).
 //! * **Read deadlines.** `read_timeout` is the budget for receiving one
-//!   *complete* line, measured from when the server starts waiting — a
+//!   *complete* message, measured from when the server starts waiting — a
 //!   slow-loris client dripping a byte per second cannot reset it, and an
 //!   idle connection is reclaimed after the same budget. Timed-out
 //!   connections get a structured `timeout` error (best effort) and are
@@ -57,18 +71,18 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::exposition::{self, Exposition};
-use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
+use crate::frame::{self, TAG_JSON};
 use crate::json::Json;
 use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
-use crate::proto::BatchItemRequest;
 use crate::proto::{
-    attach_trace, batch_item_error, batch_item_response, batch_summary_response,
-    cache_persist_response, cache_stats_response, error_response, hello_response, info_response,
-    overloaded_response, parse_request, pong_response, requested_shape, route_response,
-    shutdown_response, stats_response, CacheAction, WireErrorKind, WireFormat, WireRequest,
+    attach_trace, batch_summary_response, cache_persist_response, cache_stats_response,
+    decode_message, error_response, hello_response, info_response, pong_response,
+    shutdown_response, stats_response, BatchItemRequest, CacheAction, Codec, Reply, RouteBody,
+    RouteRequest, WireErrorKind, WireFormat, WireRequest,
 };
+use crate::record::{recorded_batch, recorded_cache, recorded_route, TraceRecorder};
 use crate::router::{RouterError, TopologyRouter, TopologyRouterConfig};
-use crate::service::{RoutingService, ServiceRequest};
+use crate::service::{RoutingService, ServiceReply, ServiceRequest};
 use crate::trace::{RequestTrace, SlowLog, SlowVerdict};
 use pops_core::{FaultRoutingError, RoutingError};
 use pops_network::{FaultSet, PopsTopology};
@@ -355,7 +369,7 @@ struct ServeState {
     reject_threads: AtomicU64,
     /// The request-trace tee, present when `record_path` is set. Purely
     /// observational: hooks fire after decode and never alter responses.
-    recorder: Option<crate::record::TraceRecorder>,
+    recorder: Option<TraceRecorder>,
 }
 
 struct ConnHandle {
@@ -363,6 +377,49 @@ struct ConnHandle {
 }
 
 impl ServeState {
+    /// The state of a serve loop whose listener is bound at
+    /// `listener_addr`. Refuses a misconfigured baseline up front —
+    /// `fail_coupler` panics on an out-of-range id, and a fault list that
+    /// silently dropped entries would serve schedules that drive couplers
+    /// the operator declared dead — and opens the trace file before
+    /// anything is accepted: an unwritable recording target is a boot
+    /// error, not a silently-dropped tee.
+    fn new(
+        router: Arc<TopologyRouter>,
+        config: ServerConfig,
+        listener_addr: SocketAddr,
+    ) -> std::io::Result<Self> {
+        for ((d, g), ids) in &config.baseline_faults {
+            let couplers = g.saturating_mul(*g);
+            if let Some(&c) = ids.iter().find(|&&c| c >= couplers) {
+                return Err(std::io::Error::other(format!(
+                    "baseline fault set for {d}x{g}: coupler {c} out of range (couplers: 0..{couplers})"
+                )));
+            }
+        }
+        let recorder = match &config.record_path {
+            None => None,
+            Some(path) => Some(TraceRecorder::create(path).map_err(|e| {
+                std::io::Error::other(format!("cannot record to {}: {e}", path.display()))
+            })?),
+        };
+        Ok(Self {
+            router,
+            server_metrics: Arc::new(ServiceMetrics::new()),
+            listener_addr,
+            started: Instant::now(),
+            slow_log: config.slow_threshold.map(SlowLog::new),
+            overload: OverloadControl::from_config(&config),
+            config,
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            finished: Mutex::new(Vec::new()),
+            requests: AtomicU64::new(0),
+            reject_threads: AtomicU64::new(0),
+            recorder,
+        })
+    }
+
     /// Flips the shutdown flag and pokes the accept loop. Handlers notice
     /// the flag within [`SHUTDOWN_POLL`] (or finish their in-flight
     /// response first); [`serve_with_config`] joins them all.
@@ -422,43 +479,9 @@ pub fn serve_router(
     router: Arc<TopologyRouter>,
     config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
-    // Refuse a misconfigured baseline up front: `fail_coupler` panics on
-    // an out-of-range id, and a fault list that silently dropped entries
-    // would serve schedules that drive couplers the operator declared
-    // dead.
-    for ((d, g), ids) in &config.baseline_faults {
-        let couplers = g.saturating_mul(*g);
-        if let Some(&c) = ids.iter().find(|&&c| c >= couplers) {
-            return Err(std::io::Error::other(format!(
-                "baseline fault set for {d}x{g}: coupler {c} out of range (couplers: 0..{couplers})"
-            )));
-        }
-    }
-    let metrics = Arc::new(ServiceMetrics::new());
     let listener_addr = listener.local_addr()?;
-    // Open the trace file before accepting anything: an unwritable
-    // recording target is a boot error, not a silently-dropped tee.
-    let recorder = match &config.record_path {
-        None => None,
-        Some(path) => Some(crate::record::TraceRecorder::create(path).map_err(|e| {
-            std::io::Error::other(format!("cannot record to {}: {e}", path.display()))
-        })?),
-    };
-    let state = Arc::new(ServeState {
-        router,
-        server_metrics: metrics.clone(),
-        listener_addr,
-        started: Instant::now(),
-        slow_log: config.slow_threshold.map(SlowLog::new),
-        overload: OverloadControl::from_config(&config),
-        config,
-        shutdown: AtomicBool::new(false),
-        conns: Mutex::new(HashMap::new()),
-        finished: Mutex::new(Vec::new()),
-        requests: AtomicU64::new(0),
-        reject_threads: AtomicU64::new(0),
-        recorder,
-    });
+    let state = Arc::new(ServeState::new(router, config, listener_addr)?);
+    let metrics = state.server_metrics.clone();
     // Optional metrics sidecar: a second listener on the same interface
     // that only ever answers HTTP GETs, so a scraper never competes with
     // wire clients for the main accept loop or the connection cap.
@@ -665,50 +688,57 @@ fn close_after_error(writer: &mut TcpStream) {
     }
 }
 
-/// How reading one request line ended. Shared with the recording proxy
+/// How reading one message ended. Shared with the recording proxy
 /// ([`crate::record`]), which reads client traffic under the same caps.
-pub(crate) enum LineOutcome {
-    /// A complete line (newline stripped, possibly invalid JSON).
-    Line(String),
-    /// The peer closed the connection (mid-line partials are dropped).
+pub(crate) enum ReadOutcome {
+    /// A complete message: a line without its `\n` (and any `\r`), or a
+    /// frame payload without its length prefix.
+    Message(Vec<u8>),
+    /// The peer closed the connection (partial messages are dropped).
     Eof,
-    /// The line exceeded the configured cap; carries the bytes consumed
-    /// before giving up, so the traffic counters still see them.
+    /// The message exceeded the configured cap; carries the bytes
+    /// consumed before giving up, so the traffic counters still see them.
     TooLong { consumed: u64 },
-    /// No complete line arrived within the read deadline; carries the
+    /// No complete message arrived within the read deadline; carries the
     /// partial bytes consumed while waiting.
     TimedOut { consumed: u64 },
-    /// The server is shutting down and no bytes were pending — the
-    /// handler should close quietly.
+    /// The server is shutting down — the handler should close quietly.
     ShuttingDown,
 }
 
-/// Reads one `\n`-terminated line, enforcing the length cap and the
-/// whole-line deadline. Waits in [`SHUTDOWN_POLL`] slices so the shutdown
-/// flag is noticed promptly — but only on a tick where no data was
-/// pending, and even then only after one extra grace tick (catching a
-/// request segment that was in flight when the flag flipped). A request
-/// line delivered before shutdown is therefore read and served, and no
-/// socket is ever torn down mid-request; only partial lines are dropped.
-pub(crate) fn read_bounded_line(
+/// Reads one message in `framing`, enforcing the length cap and the
+/// whole-message deadline. The framing decides only when a message is
+/// complete: a line ends at `\n`, a frame after the payload length its
+/// 4-byte prefix declares. A line is capped on the bytes read; a frame on
+/// its **declared** length, refused before any of its payload is buffered.
+///
+/// Waits in [`SHUTDOWN_POLL`] slices so the shutdown flag is noticed
+/// promptly — but only on a tick where no data was pending, and even then
+/// only after one extra grace tick (catching a request segment that was in
+/// flight when the flag flipped). A message delivered before shutdown is
+/// therefore read and served, and no socket is ever torn down
+/// mid-request; only partial messages are dropped. Pipelined messages
+/// stay buffered.
+pub(crate) fn read_message(
     reader: &mut BufReader<TcpStream>,
+    framing: WireFormat,
     max_bytes: usize,
     deadline: Option<Duration>,
     shutdown: &AtomicBool,
-) -> std::io::Result<LineOutcome> {
-    let mut line: Vec<u8> = Vec::new();
+) -> std::io::Result<ReadOutcome> {
+    let mut buf: Vec<u8> = Vec::new();
     let started = Instant::now();
     let mut shutdown_grace_used = false;
     loop {
-        let consumed = line.len() as u64;
         let mut slice = SHUTDOWN_POLL;
         if let Some(budget) = deadline {
             match budget.checked_sub(started.elapsed()) {
-                None => return Ok(LineOutcome::TimedOut { consumed }),
-                Some(remaining) if remaining.is_zero() => {
-                    return Ok(LineOutcome::TimedOut { consumed })
+                Some(remaining) if !remaining.is_zero() => slice = slice.min(remaining),
+                _ => {
+                    return Ok(ReadOutcome::TimedOut {
+                        consumed: buf.len() as u64,
+                    })
                 }
-                Some(remaining) => slice = slice.min(remaining),
             }
         }
         reader.get_ref().set_read_timeout(Some(slice))?;
@@ -722,10 +752,10 @@ pub(crate) fn read_bounded_line(
             {
                 // Nothing arrived this tick: notice a shutdown (after one
                 // grace tick for a segment racing the flag), otherwise
-                // keep waiting towards the line deadline.
+                // keep waiting towards the deadline.
                 if shutdown.load(Ordering::SeqCst) {
                     if shutdown_grace_used {
-                        return Ok(LineOutcome::ShuttingDown);
+                        return Ok(ReadOutcome::ShuttingDown);
                     }
                     shutdown_grace_used = true;
                 }
@@ -735,362 +765,126 @@ pub(crate) fn read_bounded_line(
             Err(e) => return Err(e),
         };
         if available.is_empty() {
-            return Ok(LineOutcome::Eof);
+            return Ok(ReadOutcome::Eof);
         }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if line.len() + newline > max_bytes {
-                    return Ok(LineOutcome::TooLong {
-                        consumed: (line.len() + newline) as u64,
-                    });
-                }
-                // lint: allow(panic-freedom) -- `newline` was returned by position() over `available`
-                line.extend_from_slice(&available[..newline]);
-                reader.consume(newline + 1);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                // Invalid UTF-8 flows through lossily and fails JSON
-                // parsing with a structured `parse` error.
-                return Ok(LineOutcome::Line(
-                    String::from_utf8_lossy(&line).into_owned(),
-                ));
+        // How many of the available bytes belong to this message, and
+        // whether a line's terminating newline is among them.
+        let (take, newline) = match framing {
+            WireFormat::Json => match available.iter().position(|&b| b == b'\n') {
+                Some(at) => (at, true),
+                None => (available.len(), false),
+            },
+            WireFormat::Binary => {
+                let needed = match buf.first_chunk::<4>() {
+                    Some(header) => 4 + u32::from_le_bytes(*header) as usize - buf.len(),
+                    None => 4 - buf.len(),
+                };
+                (needed.min(available.len()), false)
             }
-            None => {
-                let chunk = available.len();
-                if line.len() + chunk > max_bytes {
-                    return Ok(LineOutcome::TooLong {
-                        consumed: (line.len() + chunk) as u64,
-                    });
-                }
-                line.extend_from_slice(available);
-                reader.consume(chunk);
-                // Still mid-line: a shutdown abandons the partial (only
-                // *complete* lines are owed a response). Without this, a
-                // client dripping bytes would dodge the WouldBlock tick
-                // below and stall the drain for the whole read deadline —
-                // or forever with timeouts disabled.
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(LineOutcome::ShuttingDown);
-                }
-            }
-        }
-    }
-}
-
-/// How reading one binary frame ended — the frame-mode mirror of
-/// [`LineOutcome`], under the same caps and deadlines.
-pub(crate) enum FrameOutcome {
-    /// A complete frame payload (the 4-byte length prefix stripped).
-    Frame(Vec<u8>),
-    /// The peer closed the connection (mid-frame partials are dropped).
-    Eof,
-    /// The declared payload length exceeded the configured cap; carries
-    /// the prefix bytes consumed.
-    TooLong { consumed: u64 },
-    /// No complete frame arrived within the read deadline; carries the
-    /// partial bytes consumed while waiting.
-    TimedOut { consumed: u64 },
-    /// The server is shutting down — the handler should close quietly.
-    ShuttingDown,
-}
-
-/// Reads one length-prefixed frame, enforcing the payload cap and the
-/// whole-frame deadline with the same shutdown-poll contract as
-/// [`read_bounded_line`]: a frame fully delivered before shutdown is
-/// read and served; only partial frames are dropped. The cap is checked
-/// against the **declared** length as soon as the 4-byte prefix arrives,
-/// so an oversized frame is refused before buffering any of its payload.
-pub(crate) fn read_bounded_frame(
-    reader: &mut BufReader<TcpStream>,
-    max_bytes: usize,
-    deadline: Option<Duration>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<FrameOutcome> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut payload_len: Option<usize> = None;
-    let started = Instant::now();
-    let mut shutdown_grace_used = false;
-    loop {
-        let consumed = buf.len() as u64;
-        let mut slice = SHUTDOWN_POLL;
-        if let Some(budget) = deadline {
-            match budget.checked_sub(started.elapsed()) {
-                None => return Ok(FrameOutcome::TimedOut { consumed }),
-                Some(remaining) if remaining.is_zero() => {
-                    return Ok(FrameOutcome::TimedOut { consumed })
-                }
-                Some(remaining) => slice = slice.min(remaining),
-            }
-        }
-        reader.get_ref().set_read_timeout(Some(slice))?;
-        let available = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if shutdown_grace_used {
-                        return Ok(FrameOutcome::ShuttingDown);
-                    }
-                    shutdown_grace_used = true;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
         };
-        if available.is_empty() {
-            return Ok(FrameOutcome::Eof);
+        if framing == WireFormat::Json && buf.len() + take > max_bytes {
+            return Ok(ReadOutcome::TooLong {
+                consumed: (buf.len() + take) as u64,
+            });
         }
-        // Consume only this frame's bytes; pipelined frames stay buffered.
-        let needed = match payload_len {
-            None => 4 - buf.len(),
-            Some(len) => 4 + len - buf.len(),
-        };
-        let take = needed.min(available.len());
-        // lint: allow(panic-freedom) -- `take` is clamped to available.len() on the line above
-        buf.extend_from_slice(&available[..take]);
-        reader.consume(take);
-        if let (None, Some(header)) = (payload_len, buf.first_chunk::<4>()) {
+        buf.extend_from_slice(available.get(..take).unwrap_or_default());
+        reader.consume(take + usize::from(newline));
+        if newline {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(ReadOutcome::Message(buf));
+        }
+        if let (WireFormat::Binary, Some(header)) = (framing, buf.first_chunk::<4>()) {
             let len = u32::from_le_bytes(*header) as usize;
             if len > max_bytes {
-                return Ok(FrameOutcome::TooLong { consumed: 4 });
+                return Ok(ReadOutcome::TooLong { consumed: 4 });
             }
-            payload_len = Some(len);
-        }
-        if let Some(len) = payload_len {
             if buf.len() == 4 + len {
                 buf.drain(..4);
-                return Ok(FrameOutcome::Frame(buf));
+                return Ok(ReadOutcome::Message(buf));
             }
         }
-        // Still mid-frame: a shutdown abandons the partial (only complete
-        // frames are owed a response), exactly like the line reader.
+        // Still mid-message: a shutdown abandons the partial (only
+        // *complete* messages are owed a response). Without this, a client
+        // dripping bytes would dodge the WouldBlock tick above and stall
+        // the drain for the whole read deadline — or forever with
+        // timeouts disabled.
         if shutdown.load(Ordering::SeqCst) {
-            return Ok(FrameOutcome::ShuttingDown);
+            return Ok(ReadOutcome::ShuttingDown);
         }
     }
 }
-
-/// One response unit: a JSON document (a line on JSON connections, a
-/// `TAG_JSON` frame on binary ones) or an already-encoded binary frame
-/// payload (binary connections only — the JSON dispatcher never emits
-/// these).
-enum Outgoing {
-    Json(Json),
-    Frame(Vec<u8>),
-}
-
-/// Writes one batch of responses in the connection's negotiated format,
-/// returning the bytes put on the wire (newlines and length prefixes
-/// included) for the per-format traffic counters.
-fn write_responses(
-    writer: &mut TcpStream,
-    format: WireFormat,
-    responses: &[Outgoing],
-) -> std::io::Result<u64> {
-    // The whole batch goes out in ONE write: per-response (or worse,
-    // per-fragment) writes on a raw socket without TCP_NODELAY let
-    // Nagle hold the tail segment until the peer's delayed ACK fires —
-    // a ~40 ms stall per reply that the soak harness flags as p99.
-    let mut wire: Vec<u8> = Vec::new();
-    for response in responses {
-        match (format, response) {
-            (WireFormat::Json, Outgoing::Json(doc)) => {
-                wire.extend_from_slice(doc.to_string().as_bytes());
-                wire.push(b'\n');
-            }
-            (WireFormat::Json, Outgoing::Frame(_)) => {
-                // The JSON dispatcher never queues binary frames; refuse
-                // the write rather than panic the connection thread.
-                return Err(std::io::Error::other(
-                    "internal: binary frame queued on a JSON connection",
-                ));
-            }
-            (WireFormat::Binary, Outgoing::Json(doc)) => {
-                let payload = frame::json_payload(doc);
-                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                wire.extend_from_slice(&payload);
-            }
-            (WireFormat::Binary, Outgoing::Frame(payload)) => {
-                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                wire.extend_from_slice(payload);
-            }
-        }
-    }
-    writer.write_all(&wire)?;
-    writer.flush()?;
-    Ok(wire.len() as u64)
-}
-
-/// Records the typed `kind` of every `ok: false` JSON response about to
-/// go on the wire, feeding the `error_kind`-labelled exposition family.
-fn record_wire_errors(metrics: &ServiceMetrics, responses: &[Outgoing]) {
-    for response in responses {
-        let Outgoing::Json(doc) = response else {
-            continue;
-        };
-        if doc.get("ok").and_then(Json::as_bool) != Some(false) {
-            continue;
-        }
-        if let Some(kind) = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(WireErrorKind::from_name)
-        {
-            metrics.record_wire_error(kind);
-        }
-    }
-}
-
-/// One fully-read request's worth of work: its trace, the responses to
-/// write, the request bytes consumed, whether the connection should stop,
-/// and a wire-format switch negotiated by a `hello`.
-type Exchange = (RequestTrace, Vec<Outgoing>, u64, bool, Option<WireFormat>);
 
 fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std::io::Result<()> {
     if state.config.tcp_nodelay {
         let _ = stream.set_nodelay(true);
     }
     stream.set_write_timeout(state.config.write_timeout)?;
+    let config = &state.config;
     let metrics = &state.server_metrics;
     let peer = stream.peer_addr().ok().map(|addr| addr.ip());
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut format = WireFormat::Json;
+    let mut framing = WireFormat::Json;
     let mut seq: u64 = 0;
     loop {
         // No shutdown check here: already-delivered requests (buffered or
         // still a segment in flight) must be served first, and the reader
         // notices the flag itself within two poll ticks.
-        let fatal = |kind: WireErrorKind, msg: String, consumed: u64| (kind, msg, consumed);
-        let exchange: Result<Exchange, _> = match format {
-            WireFormat::Json => {
-                let outcome = read_bounded_line(
-                    &mut reader,
-                    state.config.max_line_bytes,
-                    state.config.read_timeout,
-                    &state.shutdown,
-                )?;
-                match outcome {
-                    LineOutcome::Eof | LineOutcome::ShuttingDown => break,
-                    LineOutcome::TimedOut { consumed } => {
-                        metrics.record_read_timeout();
-                        Err(fatal(
-                            WireErrorKind::Timeout,
-                            format!(
-                                "no complete request line within {:?}",
-                                state.config.read_timeout.unwrap_or_default()
-                            ),
-                            consumed,
-                        ))
+        let binary = framing == WireFormat::Binary;
+        let outcome = read_message(
+            &mut reader,
+            framing,
+            config.max_line_bytes,
+            config.read_timeout,
+            &state.shutdown,
+        )?;
+        let (kind, msg, bytes_in) = match outcome {
+            ReadOutcome::Eof | ReadOutcome::ShuttingDown => break,
+            ReadOutcome::TimedOut { consumed } => {
+                metrics.record_read_timeout();
+                let unit = if binary { "frame" } else { "request line" };
+                let budget = config.read_timeout.unwrap_or_default();
+                let msg = format!("no complete {unit} within {budget:?}");
+                (WireErrorKind::Timeout, msg, consumed)
+            }
+            ReadOutcome::TooLong { consumed } => {
+                metrics.record_oversized_line();
+                let cap = config.max_line_bytes;
+                let msg = if binary {
+                    format!("frame exceeds the {cap}-byte payload cap")
+                } else {
+                    format!("request line exceeds the {cap}-byte cap")
+                };
+                (WireErrorKind::TooLarge, msg, consumed)
+            }
+            ReadOutcome::Message(message) => {
+                let bytes_in = message.len() as u64 + if binary { 4 } else { 1 };
+                if !binary {
+                    let line = String::from_utf8_lossy(&message);
+                    if line.trim().is_empty() {
+                        continue;
                     }
-                    LineOutcome::TooLong { consumed } => {
-                        metrics.record_oversized_line();
-                        Err(fatal(
-                            WireErrorKind::TooLarge,
-                            format!(
-                                "request line exceeds the {}-byte cap",
-                                state.config.max_line_bytes
-                            ),
-                            consumed,
-                        ))
-                    }
-                    LineOutcome::Line(line) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        // A scraper, not a wire client: answer the
-                        // HTTP request and close.
-                        if let Some(path) = exposition::http_request_path(&line) {
-                            let bytes_out = answer_http(&mut writer, state, path);
-                            metrics.record_wire_bytes(false, line.len() as u64 + 1, bytes_out);
-                            break;
-                        }
-                        seq += 1;
-                        let mut trace = RequestTrace::start(conn_id, seq);
-                        state.requests.fetch_add(1, Ordering::Relaxed);
-                        let (responses, stop, negotiated) =
-                            respond(&line, state, format, peer, &mut trace);
-                        Ok((trace, responses, line.len() as u64 + 1, stop, negotiated))
+                    // A scraper, not a wire client: answer the HTTP
+                    // request and close.
+                    if let Some(path) = exposition::http_request_path(&line) {
+                        let bytes_out = answer_http(&mut writer, state, path);
+                        metrics.record_wire_bytes(false, bytes_in, bytes_out);
+                        break;
                     }
                 }
-            }
-            WireFormat::Binary => {
-                let outcome = read_bounded_frame(
-                    &mut reader,
-                    state.config.max_line_bytes,
-                    state.config.read_timeout,
-                    &state.shutdown,
-                )?;
-                match outcome {
-                    FrameOutcome::Eof | FrameOutcome::ShuttingDown => break,
-                    FrameOutcome::TimedOut { consumed } => {
-                        metrics.record_read_timeout();
-                        Err(fatal(
-                            WireErrorKind::Timeout,
-                            format!(
-                                "no complete frame within {:?}",
-                                state.config.read_timeout.unwrap_or_default()
-                            ),
-                            consumed,
-                        ))
-                    }
-                    FrameOutcome::TooLong { consumed } => {
-                        metrics.record_oversized_line();
-                        Err(fatal(
-                            WireErrorKind::TooLarge,
-                            format!(
-                                "frame exceeds the {}-byte payload cap",
-                                state.config.max_line_bytes
-                            ),
-                            consumed,
-                        ))
-                    }
-                    FrameOutcome::Frame(payload) => {
-                        seq += 1;
-                        let mut trace = RequestTrace::start(conn_id, seq);
-                        state.requests.fetch_add(1, Ordering::Relaxed);
-                        let (responses, stop) = respond_frame(&payload, state, peer, &mut trace);
-                        Ok((trace, responses, payload.len() as u64 + 4, stop, None))
-                    }
-                }
-            }
-        };
-        match exchange {
-            Err((kind, msg, bytes_in)) => {
-                // Fatal transport-level problem: answer in the connection's
-                // negotiated format (best effort) and close. The partial
-                // request bytes consumed before giving up still count.
-                metrics.record_wire_error(kind);
-                let responses = [Outgoing::Json(error_response(kind, msg))];
-                let bytes_out = write_responses(&mut writer, format, &responses).unwrap_or(0);
-                metrics.record_wire_bytes(format == WireFormat::Binary, bytes_in, bytes_out);
-                close_after_error(&mut writer);
-                break;
-            }
-            Ok((mut trace, mut responses, bytes_in, stop, negotiated)) => {
-                record_wire_errors(metrics, &responses);
-                // Echo the trace id on every JSON response so a client
-                // can quote it back and an operator can match it to the
-                // slow-request log. (Dense binary reply frames have no
-                // spare field; their trace ids appear in the log only.)
-                for response in &mut responses {
-                    if let Outgoing::Json(doc) = response {
-                        let tagged =
-                            attach_trace(std::mem::replace(doc, Json::Bool(false)), trace.id());
-                        *doc = tagged;
-                    }
-                }
-                // One request may stream several responses (the batch op:
-                // one per item, then the summary) — written in order on
-                // this connection, each under the write timeout.
-                let bytes_out = write_responses(&mut writer, format, &responses)?;
-                metrics.record_wire_bytes(format == WireFormat::Binary, bytes_in, bytes_out);
+                seq += 1;
+                let mut trace = RequestTrace::start(conn_id, seq);
+                state.requests.fetch_add(1, Ordering::Relaxed);
+                let (wire, stop, negotiated) = exchange(state, framing, &message, peer, &mut trace);
+                // The whole answer goes out in ONE write: per-response (or
+                // worse, per-fragment) writes on a raw socket without
+                // TCP_NODELAY let Nagle hold the tail segment until the
+                // peer's delayed ACK fires — a ~40 ms stall per reply.
+                writer.write_all(&wire)?;
+                writer.flush()?;
+                metrics.record_wire_bytes(binary, bytes_in, wire.len() as u64);
                 trace.stage("serialize");
                 if let Some(slow_log) = &state.slow_log {
                     match slow_log.observe(&trace) {
@@ -1102,20 +896,316 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
                         SlowVerdict::Suppressed => metrics.record_slow_trace(false),
                     }
                 }
-                if let Some(new_format) = negotiated {
-                    if new_format == WireFormat::Binary && format != WireFormat::Binary {
+                if let Some(new_framing) = negotiated {
+                    if new_framing == WireFormat::Binary && !binary {
                         metrics.record_binary_negotiated();
                     }
-                    format = new_format;
+                    framing = new_framing;
                 }
                 if stop {
                     state.initiate_shutdown();
                     break;
                 }
+                continue;
             }
-        }
+        };
+        // Fatal transport-level problem: answer in the connection's
+        // framing (best effort) and close. The partial request bytes
+        // consumed before giving up still count.
+        let codec = if binary {
+            Codec::JsonFrame
+        } else {
+            Codec::Line
+        };
+        let wire = encode_replies(metrics, codec, vec![Reply::error(kind, msg)], None);
+        let bytes_out = match writer.write_all(&wire).and_then(|()| writer.flush()) {
+            Ok(()) => wire.len() as u64,
+            Err(_) => 0,
+        };
+        metrics.record_wire_bytes(binary, bytes_in, bytes_out);
+        close_after_error(&mut writer);
+        break;
     }
     Ok(())
+}
+
+/// Counts each typed error reply in the wire-error counters, then encodes
+/// the replies in `codec` into one wire buffer: JSON lines, or
+/// length-prefixed frames — dense for a dense request's plans, `TAG_JSON`
+/// otherwise. JSON documents carry the `trace` id when one is given.
+fn encode_replies(
+    metrics: &ServiceMetrics,
+    codec: Codec,
+    replies: Vec<Reply>,
+    trace: Option<&str>,
+) -> Vec<u8> {
+    let json = |reply: Reply| -> Json {
+        match trace {
+            Some(id) => attach_trace(reply.into_json(), id),
+            None => reply.into_json(),
+        }
+    };
+    let mut wire = Vec::new();
+    for reply in replies {
+        if let Some(kind) = reply.error_kind() {
+            metrics.record_wire_error(kind);
+        }
+        let payload = match (codec, reply) {
+            (Codec::Line, reply) => {
+                wire.extend_from_slice(json(reply).to_string().as_bytes());
+                wire.push(b'\n');
+                continue;
+            }
+            (
+                Codec::Dense,
+                Reply::Route {
+                    reply,
+                    want_schedule,
+                    ..
+                },
+            ) => frame::encode_route_reply(
+                reply.cache_hit,
+                reply.micros,
+                reply.outcome.schedule(),
+                want_schedule,
+            ),
+            (
+                Codec::Dense,
+                Reply::Item {
+                    index,
+                    d,
+                    g,
+                    schedule,
+                    want_schedule,
+                    ..
+                },
+            ) => frame::encode_batch_item(index, d, g, &schedule, want_schedule),
+            (_, reply) => std::iter::once(TAG_JSON)
+                .chain(json(reply).to_string().into_bytes())
+                .collect(),
+        };
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&payload);
+    }
+    wire
+}
+
+/// One request's way through the server, without the socket: decode the
+/// message read in `framing`, dispatch it, and encode the typed replies in
+/// the request's codec. Returns the wire bytes, whether the server stops,
+/// and the framing a `hello` negotiated.
+fn exchange(
+    state: &ServeState,
+    framing: WireFormat,
+    message: &[u8],
+    peer: Option<IpAddr>,
+    trace: &mut RequestTrace,
+) -> (Vec<u8>, bool, Option<WireFormat>) {
+    let (codec, decoded) = decode_message(message, framing, &state.router.default_topology());
+    trace.stage("parse");
+    let (replies, stop, negotiated) = match decoded {
+        Err((kind, msg)) => (vec![Reply::error(kind, msg)], false, None),
+        Ok(request) => dispatch(state, framing, request, peer, trace),
+    };
+    let wire = encode_replies(&state.server_metrics, codec, replies, Some(trace.id()));
+    (wire, stop, negotiated)
+}
+
+/// The dispatcher: answers one decoded request, whatever its codec, on a
+/// connection speaking `framing`. Every request takes the same ordered
+/// steps, each a no-op for the ops it does not concern: the batch item
+/// cap, overload admission (route and batch only — control and cache ops
+/// are never shed), service selection and validation against the
+/// topology, the distinct-topology cap, the recording tee, then the
+/// answer — for a route, baseline composition and routing. Each trace
+/// stage is marked here and only here. The flags say "stop the server
+/// after this" and "the connection negotiated this framing".
+fn dispatch(
+    state: &ServeState,
+    framing: WireFormat,
+    request: WireRequest<RouteRequest>,
+    peer: Option<IpAddr>,
+    trace: &mut RequestTrace,
+) -> (Vec<Reply>, bool, Option<WireFormat>) {
+    let (config, router) = (&state.config, &state.router);
+    let one = |reply| (vec![reply], false, None);
+    if let WireRequest::Batch { items, .. } = &request {
+        if items.len() > config.max_batch_items {
+            return one(Reply::error(
+                WireErrorKind::TooLarge,
+                format!(
+                    "batch of {} items exceeds the {}-item cap",
+                    items.len(),
+                    config.max_batch_items
+                ),
+            ));
+        }
+    }
+    // Overload control gates everything expensive: admitting a topology
+    // (which may construct a warm service) and routing. A whole batch
+    // spends one slot/token: its fan-out is bounded by max_batch_items,
+    // and charging per item would let one batch starve every other
+    // client's quota.
+    let _admitted = match request {
+        WireRequest::Route { .. } | WireRequest::Batch { .. } => {
+            match state.overload.try_admit(peer) {
+                Ok(guard) => {
+                    trace.stage("admission");
+                    Some(guard)
+                }
+                Err(shed) => {
+                    state.server_metrics.record_shed(shed.quota);
+                    return one(Reply::Overloaded {
+                        msg: shed.msg,
+                        retry_after_ms: shed.retry_after_ms,
+                    });
+                }
+            }
+        }
+        _ => None,
+    };
+    let request = match request.try_map_route(|route| resolve(state, route)) {
+        Ok(request) => request,
+        Err((kind, msg)) => return one(Reply::error(kind, msg)),
+    };
+    if let WireRequest::Batch { items, .. } = &request {
+        // Cap the distinct shapes BEFORE any lookup: admission can
+        // construct a warm service per shape, so a batch spraying novel
+        // shapes would otherwise amplify one request into hundreds of
+        // builds (and churn every other client's warm topology out of
+        // the registry).
+        let shapes: BTreeSet<(usize, usize)> = items
+            .iter()
+            .filter(|item| item.perm.is_ok())
+            .map(|item| (item.d, item.g))
+            .collect();
+        if shapes.len() > config.max_batch_topologies {
+            return one(Reply::error(
+                WireErrorKind::TooLarge,
+                format!(
+                    "batch touches {} distinct topologies, exceeding the {}-topology cap",
+                    shapes.len(),
+                    config.max_batch_topologies
+                ),
+            ));
+        }
+    }
+    // Tee the request *as the client sent it* (request-level faults only,
+    // no baseline) so traces port across baseline configurations.
+    if let Some(recorder) = &state.recorder {
+        let op = match &request {
+            WireRequest::Cache { action } => Some(recorded_cache(*action)),
+            WireRequest::Route {
+                req: (service, req),
+                ..
+            } => {
+                let topology = service.topology();
+                Some(recorded_route(topology.d(), topology.g(), req))
+            }
+            WireRequest::Batch { items, .. } => recorded_batch(items),
+            _ => None,
+        };
+        if let Some(op) = op {
+            recorder.record(framing, op);
+        }
+    }
+    // `planned` is whether the engine ran, and if so whether L1 answered.
+    let (replies, planned) = match request {
+        // The acknowledgement rides the current framing; the switch takes
+        // effect on the next exchange.
+        WireRequest::Hello { format } if framing == WireFormat::Json => {
+            return (
+                vec![Reply::Doc(hello_response(format))],
+                false,
+                Some(format),
+            )
+        }
+        WireRequest::Hello { .. } => {
+            let msg = "connection already negotiated the binary framing";
+            (vec![Reply::error(WireErrorKind::BadRequest, msg)], None)
+        }
+        WireRequest::Shutdown => return (vec![Reply::Doc(shutdown_response())], true, None),
+        WireRequest::Ping => (vec![Reply::Doc(pong_response())], None),
+        WireRequest::Info => {
+            let default = router.default_topology();
+            let service = router.default_service();
+            let shapes: Vec<(usize, usize)> = router
+                .services()
+                .iter()
+                .map(|(t, _)| (t.d(), t.g()))
+                .collect();
+            let info = info_response(
+                &default,
+                service.shard_count(),
+                service.cache_capacity(),
+                &shapes,
+                router.max_topologies(),
+                env!("CARGO_PKG_VERSION"),
+                state.started.elapsed().as_secs(),
+            );
+            (vec![Reply::Doc(info)], None)
+        }
+        WireRequest::Stats => {
+            let (aggregate, per_topology) = aggregate_stats(state);
+            let stats = stats_response(&aggregate, &per_topology, &router.stats());
+            (vec![Reply::Doc(stats)], None)
+        }
+        WireRequest::Cache { action } => (vec![respond_cache(action, state)], None),
+        WireRequest::Route {
+            req: (service, req),
+            want_schedule,
+        } => match route_one(state, &service, req) {
+            Ok((kind, reply)) => {
+                let hit = reply.cache_hit;
+                let reply = Reply::Route {
+                    kind,
+                    reply,
+                    want_schedule,
+                };
+                (vec![reply], Some(hit))
+            }
+            Err((kind, msg)) => (vec![Reply::error(kind, msg)], Some(false)),
+        },
+        WireRequest::Batch {
+            items,
+            want_schedule,
+        } => (run_batch(state, items, want_schedule), Some(false)),
+    };
+    if let Some(hit) = planned {
+        trace.stage(if hit { "cache" } else { "plan" });
+    }
+    (replies, false, None)
+}
+
+/// Selects the service of a route's shape and validates the route
+/// against that topology.
+fn resolve(
+    state: &ServeState,
+    route: RouteRequest,
+) -> Result<(Arc<RoutingService>, ServiceRequest), (WireErrorKind, String)> {
+    let service = select_service(state, route.d, route.g)?;
+    let req = route
+        .service_request(&service.topology())
+        .map_err(|e| (WireErrorKind::BadRequest, e))?;
+    Ok((service, req))
+}
+
+/// Composes the shape's baseline fault set into a validated request and
+/// routes it — the one place a single request (a route, or a batch item
+/// with a fault set) meets its service. Returns the kind routed, which
+/// the baseline may have turned from `theorem2` into `faults`.
+fn route_one(
+    state: &ServeState,
+    service: &RoutingService,
+    req: ServiceRequest,
+) -> Result<(RequestKind, ServiceReply), (WireErrorKind, String)> {
+    let topology = service.topology();
+    let baseline = baseline_fault_ids(&state.config, topology.d(), topology.g());
+    let req = compose_baseline_route(req, baseline, &topology);
+    match service.route(&req) {
+        Ok(reply) => Ok((req.kind(), reply)),
+        Err(e) => Err((route_error_kind(&e), e.to_string())),
+    }
 }
 
 /// The `(d, g)`-selected backend for one request, or the error line to
@@ -1157,25 +1247,17 @@ fn compose_baseline_route(
     if baseline.is_empty() {
         return req;
     }
+    let (pi, mut faults) = match req {
+        ServiceRequest::Theorem2 { pi } => (pi, FaultSet::none(topology)),
+        ServiceRequest::WithFaults { pi, faults } => (pi, faults),
+        other => return other,
+    };
     // Out-of-range ids were refused at boot; the filter keeps this
     // total (fail_coupler panics) whatever the config's provenance.
-    let add_baseline = |faults: &mut FaultSet| {
-        for &c in baseline.iter().filter(|&&c| c < topology.coupler_count()) {
-            faults.fail_coupler(c);
-        }
-    };
-    match req {
-        ServiceRequest::Theorem2 { pi } => {
-            let mut faults = FaultSet::none(topology);
-            add_baseline(&mut faults);
-            ServiceRequest::WithFaults { pi, faults }
-        }
-        ServiceRequest::WithFaults { pi, mut faults } => {
-            add_baseline(&mut faults);
-            ServiceRequest::WithFaults { pi, faults }
-        }
-        other => other,
+    for &c in baseline.iter().filter(|&&c| c < topology.coupler_count()) {
+        faults.fail_coupler(c);
     }
+    ServiceRequest::WithFaults { pi, faults }
 }
 
 /// The wire error kind for a routing failure: a fault set that
@@ -1255,14 +1337,16 @@ fn metrics_sidecar_loop(listener: TcpListener, state: &Arc<ServeState>) {
                     Err(_) => continue,
                 });
                 let mut writer = stream;
-                let outcome = read_bounded_line(
+                let outcome = read_message(
                     &mut reader,
+                    WireFormat::Json,
                     8 * 1024,
                     Some(Duration::from_secs(2)),
                     &state.shutdown,
                 );
-                if let Ok(LineOutcome::Line(line)) = outcome {
-                    let path = exposition::http_request_path(&line).unwrap_or("");
+                if let Ok(ReadOutcome::Message(line)) = outcome {
+                    let text = String::from_utf8_lossy(&line);
+                    let path = exposition::http_request_path(&text).unwrap_or("");
                     let bytes_out = answer_http(&mut writer, state, path);
                     state
                         .server_metrics
@@ -1277,535 +1361,108 @@ fn metrics_sidecar_loop(listener: TcpListener, state: &Arc<ServeState>) {
     }
 }
 
-/// Records a shed in the connection-layer registry and builds the typed
-/// `overloaded` response the client gets instead of queueing.
-fn shed_response(state: &ServeState, shed: Shed) -> Json {
-    state.server_metrics.record_shed(shed.quota);
-    overloaded_response(shed.msg, shed.retry_after_ms)
-}
-
-/// Answers one JSON request document with one or more responses; the
-/// flags say "stop the server after this" and "the connection negotiated
-/// this format". Route and batch requests select their backend by the
-/// request's `d`/`g` fields (defaulting to the server's boot topology
-/// field by field) and pass through overload control first; every other
-/// op is topology-independent and never shed. In binary mode the same
-/// dispatcher serves `TAG_JSON` frames — everything works identically
-/// except `hello`, which is only meaningful on a JSON line.
-fn respond(
-    line: &str,
-    state: &ServeState,
-    format: WireFormat,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool, Option<WireFormat>) {
-    let router = &state.router;
-    let one = |response: Json| (vec![Outgoing::Json(response)], false, None);
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => return one(error_response(WireErrorKind::Parse, e.to_string())),
-    };
-    trace.stage("parse");
-    let default = router.default_topology();
-
-    // Format negotiation. The acknowledgement rides the current format;
-    // the switch takes effect on the next exchange.
-    if doc.get("op").and_then(Json::as_str) == Some("hello") {
-        if format == WireFormat::Binary {
-            return one(error_response(
-                WireErrorKind::BadRequest,
-                "connection already negotiated the binary framing",
-            ));
-        }
-        let name = doc.get("format").and_then(Json::as_str).unwrap_or("json");
-        return match WireFormat::from_name(name) {
-            None => one(error_response(
-                WireErrorKind::BadRequest,
-                format!("unknown format '{name}' (json|binary)"),
-            )),
-            Some(requested) => (
-                vec![Outgoing::Json(hello_response(requested))],
-                false,
-                Some(requested),
-            ),
-        };
-    }
-
-    // Route ops resolve their backend before body parsing (the body's
-    // size validation needs the right topology in hand).
-    if doc.get("op").and_then(Json::as_str) == Some("route") {
-        let (d, g) = match requested_shape(&doc, &default) {
-            Ok(shape) => shape,
-            Err(e) => return one(error_response(WireErrorKind::BadRequest, e)),
-        };
-        // Overload control gates everything expensive: admitting the
-        // topology (which may construct a warm service) and routing.
-        let _admitted = match state.overload.try_admit(peer) {
-            Ok(guard) => guard,
-            Err(shed) => return one(shed_response(state, shed)),
-        };
-        trace.stage("admission");
-        let service = match select_service(state, d, g) {
-            Ok(service) => service,
-            Err((kind, msg)) => return one(error_response(kind, msg)),
-        };
-        return match parse_request(&doc, &service.topology()) {
-            Err(e) => one(error_response(WireErrorKind::BadRequest, e)),
-            Ok(WireRequest::Route { req, want_schedule }) => {
-                // Tee the request *as the client sent it* (request-level
-                // faults only, no baseline) so traces port across
-                // baseline configurations.
-                if let Some(recorder) = &state.recorder {
-                    recorder.record(format, crate::record::recorded_route(d, g, &req));
-                }
-                let req = compose_baseline_route(
-                    req,
-                    baseline_fault_ids(&state.config, d, g),
-                    &service.topology(),
-                );
-                match service.route(&req) {
-                    Ok(reply) => {
-                        trace.stage(if reply.cache_hit { "cache" } else { "plan" });
-                        one(route_response(req.kind(), &reply, want_schedule))
-                    }
-                    Err(e) => {
-                        trace.stage("plan");
-                        one(error_response(route_error_kind(&e), e.to_string()))
-                    }
-                }
-            }
-            Ok(_) => one(error_response(
-                WireErrorKind::BadRequest,
-                "internal: op 'route' parsed to a non-route request",
-            )),
-        };
-    }
-
-    match parse_request(&doc, &default) {
-        Err(e) => one(error_response(WireErrorKind::BadRequest, e)),
-        Ok(WireRequest::Ping) => one(pong_response()),
-        Ok(WireRequest::Info) => {
-            let service = router.default_service();
-            let shapes: Vec<(usize, usize)> = router
-                .services()
-                .iter()
-                .map(|(t, _)| (t.d(), t.g()))
-                .collect();
-            one(info_response(
-                &default,
-                service.shard_count(),
-                service.cache_capacity(),
-                &shapes,
-                router.max_topologies(),
-                env!("CARGO_PKG_VERSION"),
-                state.started.elapsed().as_secs(),
-            ))
-        }
-        Ok(WireRequest::Stats) => {
-            let (aggregate, per_topology) = aggregate_stats(state);
-            one(stats_response(&aggregate, &per_topology, &router.stats()))
-        }
-        Ok(WireRequest::Shutdown) => (vec![Outgoing::Json(shutdown_response())], true, None),
-        Ok(WireRequest::Cache { action }) => {
-            if let Some(recorder) = &state.recorder {
-                recorder.record(format, crate::record::recorded_cache(action));
-            }
-            one(respond_cache(action, state))
-        }
-        Ok(WireRequest::Batch {
-            items,
-            want_schedule,
-        }) => {
-            if let Some(recorder) = &state.recorder {
-                if let Some(op) = crate::record::recorded_batch(&items) {
-                    recorder.record(format, op);
-                }
-            }
-            (
-                respond_batch(&items, want_schedule, state, false, peer, trace),
-                false,
-                None,
-            )
-        }
-        Ok(WireRequest::Route { .. }) => one(error_response(
-            WireErrorKind::BadRequest,
-            "internal: route op fell through its dedicated dispatcher",
-        )),
-    }
-}
-
-/// Answers one binary frame. `TAG_JSON` frames carry any JSON op and ride
-/// the ordinary dispatcher (their responses come back as `TAG_JSON`
-/// frames); `TAG_ROUTE` and `TAG_BATCH` get the dense binary bodies and
-/// binary replies. Malformed frames are answered with a structured JSON
-/// error frame — the framing itself stays intact, so the connection
-/// survives exactly like a JSON connection survives a bad line.
-fn respond_frame(
-    payload: &[u8],
-    state: &ServeState,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool) {
-    let one = |response: Json| (vec![Outgoing::Json(response)], false);
-    let Some((&tag, body)) = payload.split_first() else {
-        return one(error_response(WireErrorKind::Parse, "empty frame"));
-    };
-    match tag {
-        TAG_JSON => match std::str::from_utf8(body) {
-            Err(_) => one(error_response(
-                WireErrorKind::Parse,
-                "TAG_JSON frame is not valid UTF-8",
-            )),
-            Ok(line) => {
-                let (responses, stop, _) = respond(line, state, WireFormat::Binary, peer, trace);
-                (responses, stop)
-            }
-        },
-        TAG_ROUTE => respond_route_frame(body, state, peer, trace),
-        TAG_BATCH => match frame::decode_batch_request(body) {
-            Err(e) => one(error_response(WireErrorKind::Parse, e)),
-            Ok((frame_items, want_schedule)) => {
-                let default = state.router.default_topology();
-                let items: Vec<BatchItemRequest> = frame_items
-                    .into_iter()
-                    .map(|item| {
-                        // (0, 0) means "the server's default shape",
-                        // mirroring a JSON item without d/g fields.
-                        let (d, g) = match item.shape {
-                            (0, 0) => (default.d(), default.g()),
-                            shape => shape,
-                        };
-                        let perm = item.perm.and_then(|pi| match d.checked_mul(g) {
-                            Some(n) if n == pi.len() => Ok(pi),
-                            _ => Err(format!(
-                                "item permutation has length {}, POPS({d}, {g}) needs {}",
-                                pi.len(),
-                                d.saturating_mul(g)
-                            )),
-                        });
-                        // The dense batch body carries no fault lists;
-                        // a declared baseline still applies per item.
-                        BatchItemRequest {
-                            d,
-                            g,
-                            perm,
-                            faults: Vec::new(),
-                        }
-                    })
-                    .collect();
-                if let Some(recorder) = &state.recorder {
-                    if let Some(op) = crate::record::recorded_batch(&items) {
-                        recorder.record(WireFormat::Binary, op);
-                    }
-                }
-                (
-                    respond_batch(&items, want_schedule, state, true, peer, trace),
-                    false,
-                )
-            }
-        },
-        other => one(error_response(
-            WireErrorKind::BadRequest,
-            format!("unknown frame tag 0x{other:02x}"),
-        )),
-    }
-}
-
-/// Answers one `TAG_ROUTE` frame: resolve the shape, validate the
-/// permutation against the selected topology, route, and reply with a
-/// `TAG_ROUTE_REPLY` frame (errors stay structured JSON frames).
-fn respond_route_frame(
-    body: &[u8],
-    state: &ServeState,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool) {
-    let one = |response: Json| (vec![Outgoing::Json(response)], false);
-    let route = match frame::decode_route_request(body) {
-        Ok(route) => route,
-        Err(e) => return one(error_response(WireErrorKind::Parse, e)),
-    };
-    trace.stage("parse");
-    let default = state.router.default_topology();
-    let (d, g) = match route.shape {
-        (0, 0) => (default.d(), default.g()),
-        shape => shape,
-    };
-    let _admitted = match state.overload.try_admit(peer) {
-        Ok(guard) => guard,
-        Err(shed) => return one(shed_response(state, shed)),
-    };
-    trace.stage("admission");
-    let service = match select_service(state, d, g) {
-        Ok(service) => service,
-        Err((kind, msg)) => return one(error_response(kind, msg)),
-    };
-    let pi = match route.perm {
-        Ok(pi) => pi,
-        Err(e) => return one(error_response(WireErrorKind::BadRequest, e)),
-    };
-    if pi.len() != service.topology().n() {
-        return one(error_response(
-            WireErrorKind::BadRequest,
-            format!(
-                "permutation has length {}, {} needs {}",
-                pi.len(),
-                service.topology(),
-                service.topology().n()
-            ),
-        ));
-    }
-    let req = match route.kind {
-        RequestKind::Theorem2 => ServiceRequest::Theorem2 { pi },
-        RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi },
-        RequestKind::Direct => ServiceRequest::Direct { pi },
-        RequestKind::Structured => ServiceRequest::Structured { pi },
-        // The decoder refuses these kinds; their richer bodies ride
-        // TAG_JSON frames instead.
-        RequestKind::HRelation | RequestKind::WithFaults => {
-            return one(error_response(
-                WireErrorKind::BadRequest,
-                "h-relation and fault bodies ride TAG_JSON frames, not TAG_ROUTE",
-            ))
-        }
-    };
-    if let Some(recorder) = &state.recorder {
-        recorder.record(
-            WireFormat::Binary,
-            crate::record::recorded_route(d, g, &req),
-        );
-    }
-    // A declared baseline degrades dense theorem2 frames too; the binary
-    // reply has no degraded flag, but the schedule and the cache key are
-    // the fault-aware ones.
-    let req = compose_baseline_route(
-        req,
-        baseline_fault_ids(&state.config, d, g),
-        &service.topology(),
-    );
-    match service.route(&req) {
-        Err(e) => {
-            trace.stage("plan");
-            one(error_response(route_error_kind(&e), e.to_string()))
-        }
-        Ok(reply) => {
-            trace.stage(if reply.cache_hit { "cache" } else { "plan" });
-            (
-                vec![Outgoing::Frame(frame::encode_route_reply(
-                    reply.cache_hit,
-                    reply.micros,
-                    reply.outcome.schedule(),
-                    route.want_schedule,
-                ))],
-                false,
-            )
-        }
-    }
-}
-
-/// Answers a `batch` op with one `batch-item` line per item **in input
-/// order**, then one `batch` summary line. Items are grouped by topology
-/// and each group rides [`RoutingService::route_batch`] — the in-process
-/// threads + no-artefacts fast path — so a mixed-shape batch costs one
-/// dispatch per distinct shape, not one per item. A batch larger than
-/// `max_batch_items` is refused whole with `too-large` (never silently
-/// truncated); per-item problems (bad permutation, unadmittable shape)
-/// get per-item error lines without poisoning their siblings.
-fn respond_batch(
-    items: &[crate::proto::BatchItemRequest],
-    want_schedule: bool,
-    state: &ServeState,
-    binary: bool,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> Vec<Outgoing> {
-    if items.len() > state.config.max_batch_items {
-        return vec![Outgoing::Json(error_response(
-            WireErrorKind::TooLarge,
-            format!(
-                "batch of {} items exceeds the {}-item cap",
-                items.len(),
-                state.config.max_batch_items
-            ),
-        ))];
-    }
-    // A whole batch spends one admission slot/token: its fan-out is
-    // bounded by max_batch_items, and charging per item would let one
-    // batch line starve every other client's quota.
-    let _admitted = match state.overload.try_admit(peer) {
-        Ok(guard) => guard,
-        Err(shed) => return vec![Outgoing::Json(shed_response(state, shed))],
-    };
-    trace.stage("admission");
+/// Answers a batch with one item reply per item **in input order**, then
+/// one summary. Healthy items are grouped by topology and each group
+/// rides [`RoutingService::route_batch`] — the in-process threads +
+/// no-artefacts fast path — so a mixed-shape batch costs one dispatch per
+/// distinct shape, not one per item. Items whose effective fault set
+/// (request faults ∪ the shape's declared baseline) is non-empty take the
+/// single-route path instead, so their plans live under fault-keyed cache
+/// entries and carry the degraded flag. Per-item problems (bad
+/// permutation, unadmittable shape) get per-item errors without poisoning
+/// their siblings.
+fn run_batch(state: &ServeState, items: Vec<BatchItemRequest>, want_schedule: bool) -> Vec<Reply> {
     let start = Instant::now();
-    let mut lines: Vec<Option<Outgoing>> = (0..items.len()).map(|_| None).collect();
+    let count = items.len();
+    let item_error = |index, kind, msg| Reply::Error {
+        kind,
+        msg,
+        index: Some(index),
+    };
+    let mut replies: Vec<(usize, Reply)> = Vec::with_capacity(count);
     let mut groups: BTreeMap<(usize, usize), Vec<(usize, Permutation)>> = BTreeMap::new();
-    // Items whose effective fault set (request faults ∪ the shape's
-    // declared baseline) is non-empty: they skip the no-artefacts fast
-    // path below and ride the cache-aware single-route path, so their
-    // plans live under fault-keyed cache entries and their responses
-    // carry the degraded flag.
-    let mut degraded_items: Vec<(usize, &BatchItemRequest, Permutation)> = Vec::new();
-    for (index, item) in items.iter().enumerate() {
-        match &item.perm {
-            Err(e) => {
-                // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                lines[index] = Some(Outgoing::Json(batch_item_error(
-                    index,
-                    WireErrorKind::BadRequest,
-                    e,
-                )))
+    let mut degraded = Vec::new();
+    for (index, item) in items.into_iter().enumerate() {
+        let BatchItemRequest { d, g, perm, faults } = item;
+        match perm {
+            Err(e) => replies.push((index, item_error(index, WireErrorKind::BadRequest, e))),
+            Ok(pi) if faults.is_empty() && baseline_fault_ids(&state.config, d, g).is_empty() => {
+                groups.entry((d, g)).or_default().push((index, pi));
             }
-            Ok(pi) => {
-                if item.faults.is_empty()
-                    && baseline_fault_ids(&state.config, item.d, item.g).is_empty()
-                {
-                    groups
-                        .entry((item.d, item.g))
-                        .or_default()
-                        .push((index, pi.clone()));
-                } else {
-                    degraded_items.push((index, item, pi.clone()));
-                }
-            }
+            Ok(pi) => degraded.push((
+                index,
+                d,
+                g,
+                RouteBody::Perm {
+                    kind: RequestKind::WithFaults,
+                    pi,
+                    faults,
+                },
+            )),
         }
     }
-    // Cap the distinct shapes BEFORE any lookup: admission can construct
-    // a warm service per shape, so a batch spraying novel shapes would
-    // otherwise amplify one request line into hundreds of builds (and
-    // churn every other client's warm topology out of the registry).
-    let mut shapes: BTreeSet<(usize, usize)> = groups.keys().copied().collect();
-    shapes.extend(degraded_items.iter().map(|(_, item, _)| (item.d, item.g)));
-    if shapes.len() > state.config.max_batch_topologies {
-        return vec![Outgoing::Json(error_response(
-            WireErrorKind::TooLarge,
-            format!(
-                "batch touches {} distinct topologies, exceeding the {}-topology cap",
-                shapes.len(),
-                state.config.max_batch_topologies
-            ),
-        ))];
-    }
-    let mut routed = 0usize;
-    let mut slots_total = 0usize;
-    let mut topologies: BTreeSet<(usize, usize)> = BTreeSet::new();
     for ((d, g), members) in groups {
+        let (indices, perms): (Vec<usize>, Vec<Permutation>) = members.into_iter().unzip();
         match select_service(state, d, g) {
-            Err((kind, msg)) => {
-                for (index, _) in members {
-                    // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                    lines[index] = Some(Outgoing::Json(batch_item_error(index, kind, msg.clone())));
-                }
-            }
+            Err((kind, msg)) => replies.extend(
+                indices
+                    .into_iter()
+                    .map(|index| (index, item_error(index, kind, msg.clone()))),
+            ),
             Ok(service) => {
-                let (indices, perms): (Vec<usize>, Vec<Permutation>) = members.into_iter().unzip();
                 let plans = service.route_batch(&perms, None, false);
-                topologies.insert((d, g));
-                for (&index, plan) in indices.iter().zip(&plans) {
-                    routed += 1;
-                    slots_total += plan.schedule.slot_count();
-                    // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                    lines[index] = Some(if binary {
-                        Outgoing::Frame(frame::encode_batch_item(
-                            index,
-                            d,
-                            g,
-                            &plan.schedule,
-                            want_schedule,
-                        ))
-                    } else {
-                        Outgoing::Json(batch_item_response(
-                            index,
-                            d,
-                            g,
-                            &plan.schedule,
-                            want_schedule,
-                            false,
-                        ))
-                    });
+                for (index, plan) in indices.into_iter().zip(plans) {
+                    let reply = Reply::Item {
+                        index,
+                        d,
+                        g,
+                        schedule: plan.schedule,
+                        want_schedule,
+                        degraded: false,
+                    };
+                    replies.push((index, reply));
                 }
             }
         }
     }
-    for (index, item, pi) in degraded_items {
-        match select_service(state, item.d, item.g) {
-            Err((kind, msg)) => {
-                // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                lines[index] = Some(Outgoing::Json(batch_item_error(index, kind, msg)));
-            }
-            Ok(service) => {
-                let topology = service.topology();
-                let mut faults = FaultSet::none(&topology);
-                // Item faults were validated in parsing and baseline ids
-                // at boot; the filter keeps this total regardless.
-                for &c in baseline_fault_ids(&state.config, item.d, item.g)
-                    .iter()
-                    .chain(&item.faults)
-                    .filter(|&&c| c < topology.coupler_count())
-                {
-                    faults.fail_coupler(c);
-                }
-                let req = ServiceRequest::WithFaults { pi, faults };
-                match service.route(&req) {
-                    Err(e) => {
-                        // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                        lines[index] = Some(Outgoing::Json(batch_item_error(
-                            index,
-                            route_error_kind(&e),
-                            e.to_string(),
-                        )));
-                    }
-                    Ok(reply) => {
-                        routed += 1;
-                        let schedule = reply.outcome.schedule();
-                        slots_total += schedule.slot_count();
-                        topologies.insert((item.d, item.g));
-                        // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                        lines[index] = Some(if binary {
-                            Outgoing::Frame(frame::encode_batch_item(
-                                index,
-                                item.d,
-                                item.g,
-                                schedule,
-                                want_schedule,
-                            ))
-                        } else {
-                            Outgoing::Json(batch_item_response(
-                                index,
-                                item.d,
-                                item.g,
-                                schedule,
-                                want_schedule,
-                                reply.degraded,
-                            ))
-                        });
-                    }
-                }
-            }
+    for (index, d, g, body) in degraded {
+        let route = RouteRequest {
+            d,
+            g,
+            body: Ok(body),
+        };
+        let reply = match resolve(state, route)
+            .and_then(|(service, req)| route_one(state, &service, req))
+        {
+            Ok((_, reply)) => Reply::Item {
+                index,
+                d,
+                g,
+                schedule: reply.outcome.schedule().clone(),
+                want_schedule,
+                degraded: reply.degraded,
+            },
+            Err((kind, msg)) => item_error(index, kind, msg),
+        };
+        replies.push((index, reply));
+    }
+    replies.sort_by_key(|(index, _)| *index);
+    let mut out: Vec<Reply> = replies.into_iter().map(|(_, reply)| reply).collect();
+    let (mut routed, mut slots) = (0, 0);
+    let mut topologies: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for reply in &out {
+        if let Reply::Item { d, g, schedule, .. } = reply {
+            routed += 1;
+            slots += schedule.slot_count();
+            topologies.insert((*d, *g));
         }
     }
-    trace.stage("plan");
-    let mut out: Vec<Outgoing> = lines
-        .into_iter()
-        .enumerate()
-        .map(|(index, line)| {
-            // Every index is assigned exactly once above (error or plan);
-            // answer with a structured error rather than panic if not.
-            line.unwrap_or_else(|| {
-                Outgoing::Json(batch_item_error(
-                    index,
-                    WireErrorKind::BadRequest,
-                    "internal: batch item was not answered",
-                ))
-            })
-        })
-        .collect();
     let topologies: Vec<(usize, usize)> = topologies.into_iter().collect();
-    out.push(Outgoing::Json(batch_summary_response(
-        items.len(),
+    out.push(Reply::Doc(batch_summary_response(
+        count,
         routed,
-        items.len() - routed,
-        slots_total,
+        count - routed,
+        slots,
         start.elapsed().as_micros() as u64,
         &topologies,
     )));
@@ -1820,21 +1477,21 @@ fn respond_batch(
 /// failure (`unavailable`); a load skips unmatchable files (wrong
 /// topology, corrupt) and reports how many, failing only if the
 /// directory itself cannot be listed.
-fn respond_cache(action: CacheAction, state: &ServeState) -> Json {
+fn respond_cache(action: CacheAction, state: &ServeState) -> Reply {
     let router = &state.router;
     match action {
         CacheAction::Stats => {
             let (aggregate, _) = aggregate_stats(state);
-            cache_stats_response(&aggregate)
+            Reply::Doc(cache_stats_response(&aggregate))
         }
         CacheAction::Save | CacheAction::Load => {
             let Some(dir) = &state.config.cache_dir else {
-                return error_response(
+                return Reply::error(
                     WireErrorKind::BadRequest,
                     "server started without --cache-dir; cache persistence is disabled",
                 );
             };
-            match action {
+            let done = match action {
                 CacheAction::Save => match router.save_all(dir) {
                     Ok(written) => cache_persist_response(
                         action,
@@ -1842,10 +1499,10 @@ fn respond_cache(action: CacheAction, state: &ServeState) -> Json {
                         written.iter().map(|(_, s)| s.l2_entries).sum(),
                         0,
                     ),
-                    Err(e) => error_response(
-                        WireErrorKind::Unavailable,
-                        format!("cache save failed: {e}"),
-                    ),
+                    Err(e) => {
+                        let msg = format!("cache save failed: {e}");
+                        return Reply::error(WireErrorKind::Unavailable, msg);
+                    }
                 },
                 CacheAction::Load => match router.load_dir(dir) {
                     Ok(report) => cache_persist_response(
@@ -1854,14 +1511,15 @@ fn respond_cache(action: CacheAction, state: &ServeState) -> Json {
                         report.l2_entries(),
                         report.skipped.len(),
                     ),
-                    Err(e) => error_response(
-                        WireErrorKind::Unavailable,
-                        format!("cache load failed: {e}"),
-                    ),
+                    Err(e) => {
+                        let msg = format!("cache load failed: {e}");
+                        return Reply::error(WireErrorKind::Unavailable, msg);
+                    }
                 },
                 // lint: allow(panic-freedom) -- the outer match answers `Stats` before this arm can be reached
                 CacheAction::Stats => unreachable!("handled above"),
-            }
+            };
+            Reply::Doc(done)
         }
     }
 }
@@ -2699,5 +2357,371 @@ mod tests {
         assert_eq!(binary.get("bytes_out").unwrap().as_u64(), Some(0));
         client.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    /// A server state with no socket behind it: POPS(4, 4) by default,
+    /// room for one more shape.
+    fn socket_free_state() -> ServeState {
+        let router = TopologyRouter::new(
+            PopsTopology::new(4, 4),
+            TopologyRouterConfig {
+                max_topologies: 2,
+                ..TopologyRouterConfig::default()
+            },
+        );
+        let addr = "127.0.0.1:9".parse().unwrap();
+        ServeState::new(Arc::new(router), ServerConfig::default(), addr).unwrap()
+    }
+
+    /// The three ways a request reaches the server.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Framing {
+        Line,
+        JsonFrame,
+        Dense,
+    }
+
+    /// One request in every framing: its JSON text, and its dense frame
+    /// payload where the binary format has one (else a binary client
+    /// sends the JSON text in a `TAG_JSON` frame).
+    struct Case {
+        name: &'static str,
+        json: String,
+        dense: Option<Vec<u8>>,
+    }
+
+    impl Case {
+        fn message(&self, framing: Framing) -> (WireFormat, Vec<u8>) {
+            let json_frame = [&[TAG_JSON][..], self.json.as_bytes()].concat();
+            match (framing, &self.dense) {
+                (Framing::Line, _) => (WireFormat::Json, self.json.clone().into_bytes()),
+                (Framing::Dense, Some(dense)) => (WireFormat::Binary, dense.clone()),
+                _ => (WireFormat::Binary, json_frame),
+            }
+        }
+    }
+
+    /// What a client can observe of one reply, whatever its encoding.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        ok: bool,
+        kind: Option<String>,
+        cache_hit: Option<bool>,
+        slots: Option<u64>,
+        schedule: Option<pops_network::Schedule>,
+    }
+
+    fn seen_json(doc: &Json) -> Seen {
+        Seen {
+            ok: doc.get("ok") == Some(&Json::Bool(true)),
+            kind: doc
+                .get("kind")
+                .filter(|_| doc.get("ok") == Some(&Json::Bool(false)))
+                .and_then(Json::as_str)
+                .map(str::to_owned),
+            cache_hit: doc.get("cache").and_then(Json::as_str).map(|c| c == "hit"),
+            slots: doc.get("slots").and_then(Json::as_u64),
+            schedule: doc
+                .get("schedule")
+                .map(|s| crate::proto::schedule_from_json(s).unwrap()),
+        }
+    }
+
+    /// Decodes the wire bytes one exchange wrote, in its framing.
+    fn decode_wire(framing: WireFormat, wire: &[u8]) -> Vec<Seen> {
+        if framing == WireFormat::Json {
+            let text = std::str::from_utf8(wire).unwrap();
+            return text
+                .lines()
+                .map(|line| seen_json(&Json::parse(line).unwrap()))
+                .collect();
+        }
+        let mut out = Vec::new();
+        let mut rest = wire;
+        while !rest.is_empty() {
+            let payload = frame::read_frame(&mut rest, usize::MAX).unwrap();
+            let (&tag, body) = payload.split_first().unwrap();
+            out.push(match tag {
+                TAG_JSON => seen_json(&Json::parse(std::str::from_utf8(body).unwrap()).unwrap()),
+                frame::TAG_ROUTE_REPLY => {
+                    let reply = frame::decode_route_reply(body).unwrap();
+                    Seen {
+                        ok: true,
+                        kind: None,
+                        cache_hit: Some(reply.cache_hit),
+                        slots: Some(reply.slots as u64),
+                        schedule: Some(reply.schedule),
+                    }
+                }
+                frame::TAG_BATCH_ITEM => {
+                    let item = frame::decode_batch_item(body).unwrap();
+                    Seen {
+                        ok: true,
+                        kind: None,
+                        cache_hit: None,
+                        slots: Some(item.slots as u64),
+                        schedule: Some(item.schedule),
+                    }
+                }
+                other => panic!("unexpected reply tag 0x{other:02x}"),
+            });
+        }
+        out
+    }
+
+    /// One socket-free exchange: the replies seen, the wire-error counter
+    /// deltas, and the trace stages marked.
+    fn observe(
+        state: &ServeState,
+        framing: WireFormat,
+        message: &[u8],
+    ) -> (
+        Vec<Seen>,
+        [u64; WireErrorKind::ALL.len()],
+        Vec<&'static str>,
+    ) {
+        let before = state.server_metrics.snapshot().wire_errors;
+        let mut trace = RequestTrace::start(0, 1);
+        let (wire, stop, _) = exchange(state, framing, message, None, &mut trace);
+        assert!(!stop);
+        let after = state.server_metrics.snapshot().wire_errors;
+        let mut delta = after;
+        for (d, b) in delta.iter_mut().zip(before) {
+            *d -= b;
+        }
+        let stages = trace.stages().iter().map(|(name, _)| *name).collect();
+        (decode_wire(framing, &wire), delta, stages)
+    }
+
+    fn perm_json(pi: &[usize]) -> String {
+        let cells: Vec<String> = pi.iter().map(usize::to_string).collect();
+        format!("[{}]", cells.join(","))
+    }
+
+    /// A dense route frame built by hand, so it can carry images the
+    /// encoder's `Permutation` argument cannot (non-bijections).
+    fn dense_route(kind: RequestKind, shape: (u32, u32), image: &[u32]) -> Vec<u8> {
+        let mut out = vec![
+            frame::TAG_ROUTE,
+            kind.index() as u8,
+            frame::FLAG_WANT_SCHEDULE,
+        ];
+        for v in [shape.0, shape.1, image.len() as u32].iter().chain(image) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    fn differential_cases() -> Vec<Case> {
+        let rev16 = vector_reversal(16);
+        let rev8 = vector_reversal(8);
+        let p16 = perm_json(rev16.as_slice());
+        let p8 = perm_json(rev8.as_slice());
+        let dense = |kind, shape| frame::encode_route_request(kind, true, shape, &rev16);
+        let mut cases = vec![
+            Case {
+                name: "theorem2, default shape",
+                json: format!(r#"{{"op":"route","perm":{p16}}}"#),
+                dense: Some(dense(RequestKind::Theorem2, None)),
+            },
+            Case {
+                name: "theorem2 again: a cache hit",
+                json: format!(r#"{{"op":"route","kind":"theorem2","perm":{p16}}}"#),
+                dense: Some(dense(RequestKind::Theorem2, None)),
+            },
+            Case {
+                name: "theorem2, explicit shape",
+                json: format!(r#"{{"op":"route","d":2,"g":8,"perm":{p16}}}"#),
+                dense: Some(dense(RequestKind::Theorem2, Some((2, 8)))),
+            },
+            Case {
+                name: "unknown shape",
+                json: format!(r#"{{"op":"route","d":0,"g":4,"perm":{p16}}}"#),
+                dense: Some(dense(RequestKind::Theorem2, Some((0, 4)))),
+            },
+            Case {
+                name: "bad permutation",
+                json: format!(r#"{{"op":"route","perm":{}}}"#, perm_json(&[0; 16])),
+                dense: Some(dense_route(RequestKind::Theorem2, (0, 0), &[0; 16])),
+            },
+            Case {
+                name: "wrong length",
+                json: format!(r#"{{"op":"route","perm":{p8}}}"#),
+                dense: Some(frame::encode_route_request(
+                    RequestKind::Theorem2,
+                    true,
+                    None,
+                    &rev8,
+                )),
+            },
+            Case {
+                name: "faults",
+                json: format!(r#"{{"op":"route","kind":"faults","perm":{p16},"faults":[1]}}"#),
+                dense: None,
+            },
+            Case {
+                name: "theorem2 with faults",
+                json: format!(r#"{{"op":"route","perm":{p16},"faults":[[0,1]]}}"#),
+                dense: None,
+            },
+            Case {
+                name: "h-relation",
+                json: r#"{"op":"route","kind":"h-relation","requests":[[0,5],[5,0],[1,5]]}"#.into(),
+                dense: None,
+            },
+            Case {
+                name: "healthy batch",
+                json: format!(
+                    r#"{{"op":"batch","want_schedule":true,"items":[{{"perm":{p16}}},{{"perm":{p16}}}]}}"#
+                ),
+                dense: Some(frame::encode_batch_request(
+                    true,
+                    [(None, rev16.clone()), (None, rev16.clone())],
+                )),
+            },
+            Case {
+                name: "mixed-shape batch",
+                json: format!(
+                    r#"{{"op":"batch","want_schedule":true,"items":[{{"perm":{p16}}},{{"d":2,"g":8,"perm":{p16}}}]}}"#
+                ),
+                dense: Some(frame::encode_batch_request(
+                    true,
+                    [(None, rev16.clone()), (Some((2, 8)), rev16.clone())],
+                )),
+            },
+            Case {
+                name: "bad-item batch",
+                json: format!(
+                    r#"{{"op":"batch","want_schedule":true,"items":[{{"perm":{p8}}},{{"perm":{p16}}}]}}"#
+                ),
+                dense: Some(frame::encode_batch_request(
+                    true,
+                    [(None, rev8.clone()), (None, rev16.clone())],
+                )),
+            },
+            Case {
+                name: "cache stats",
+                json: r#"{"op":"cache","action":"stats"}"#.into(),
+                dense: None,
+            },
+            Case {
+                name: "ping",
+                json: r#"{"op":"ping"}"#.into(),
+                dense: None,
+            },
+            Case {
+                name: "not JSON",
+                json: r#"{"op":"#.into(),
+                dense: None,
+            },
+            Case {
+                name: "unknown op",
+                json: r#"{"op":"warp"}"#.into(),
+                dense: None,
+            },
+        ];
+        for kind in [
+            RequestKind::SingleSlot,
+            RequestKind::Direct,
+            RequestKind::Structured,
+        ] {
+            cases.push(Case {
+                name: kind.name(),
+                json: format!(r#"{{"op":"route","kind":"{}","perm":{p16}}}"#, kind.name()),
+                dense: Some(dense(kind, None)),
+            });
+        }
+        cases
+    }
+
+    #[test]
+    fn every_framing_gives_the_same_answers_counters_and_stages() {
+        let cases = differential_cases();
+        let run = |framing: Framing| {
+            let state = socket_free_state();
+            cases
+                .iter()
+                .map(|case| {
+                    let (format, message) = case.message(framing);
+                    observe(&state, format, &message)
+                })
+                .collect::<Vec<_>>()
+        };
+        let line = run(Framing::Line);
+        for framing in [Framing::JsonFrame, Framing::Dense] {
+            for (case, (want, got)) in cases.iter().zip(line.iter().zip(run(framing))) {
+                assert_eq!(want.0, got.0, "{}: replies over {framing:?}", case.name);
+                assert_eq!(want.1, got.1, "{}: wire errors over {framing:?}", case.name);
+                assert_eq!(want.2, got.2, "{}: stages over {framing:?}", case.name);
+            }
+        }
+        // The cases exercise what they claim to.
+        let by_name = |name: &str| &line[cases.iter().position(|c| c.name == name).unwrap()];
+        assert_eq!(
+            by_name("theorem2 again: a cache hit").0[0].cache_hit,
+            Some(true)
+        );
+        assert_eq!(by_name("theorem2, explicit shape").0[0].slots, Some(2));
+        assert!(by_name("faults").0[0].ok);
+        let bad_item = &by_name("bad-item batch").0;
+        assert_eq!(bad_item[0].kind.as_deref(), Some("bad-request"));
+        assert!(bad_item[1].ok && bad_item[1].schedule.is_some());
+        for (name, stages) in [
+            (
+                "theorem2, default shape",
+                &["parse", "admission", "plan"][..],
+            ),
+            (
+                "theorem2 again: a cache hit",
+                &["parse", "admission", "cache"],
+            ),
+            ("healthy batch", &["parse", "admission", "plan"]),
+            ("wrong length", &["parse", "admission"]),
+            ("ping", &["parse"]),
+            ("not JSON", &["parse"]),
+        ] {
+            assert_eq!(by_name(name).2, stages, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_length_route_is_a_bad_request_in_every_framing() {
+        let want = "permutation has length 8, POPS(4, 4) needs 16";
+        let pi = vector_reversal(8);
+        let json = format!(r#"{{"op":"route","perm":{}}}"#, perm_json(pi.as_slice()));
+        let messages = [
+            (WireFormat::Json, json.clone().into_bytes()),
+            (
+                WireFormat::Binary,
+                [&[TAG_JSON][..], json.as_bytes()].concat(),
+            ),
+            (
+                WireFormat::Binary,
+                frame::encode_route_request(RequestKind::Theorem2, true, None, &pi),
+            ),
+        ];
+        let state = socket_free_state();
+        for (framing, message) in messages {
+            let mut trace = RequestTrace::start(0, 1);
+            let (wire, _, _) = exchange(&state, framing, &message, None, &mut trace);
+            let text = match framing {
+                WireFormat::Json => String::from_utf8(wire).unwrap(),
+                WireFormat::Binary => {
+                    let payload = frame::read_frame(&mut wire.as_slice(), usize::MAX).unwrap();
+                    assert_eq!(payload[0], TAG_JSON);
+                    String::from_utf8(payload[1..].to_vec()).unwrap()
+                }
+            };
+            let doc = Json::parse(text.trim()).unwrap();
+            assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{text}");
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some("bad-request"));
+            assert_eq!(doc.get("error").and_then(Json::as_str), Some(want));
+        }
+        // Refused before the engine: no request reached the service, so
+        // none counts as a request error either.
+        let (aggregate, _) = aggregate_stats(&state);
+        assert_eq!(aggregate.requests(), 0);
+        assert_eq!(aggregate.errors, 0);
+        assert_eq!(aggregate.wire_errors[WireErrorKind::BadRequest.index()], 3);
     }
 }
