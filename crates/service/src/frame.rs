@@ -51,7 +51,7 @@
 
 use std::io::{Read, Write};
 
-use pops_network::{Schedule, SlotFrame, Transmission};
+use pops_network::{Receivers, Schedule, SlotFrame, Transmission};
 use pops_permutation::Permutation;
 
 use crate::metrics::RequestKind;
@@ -102,59 +102,87 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> std::io::Result<Vec<u8
     Ok(payload)
 }
 
-/// A bounds-checked little-endian reader over one frame body.
-struct Reader<'a> {
+/// A bounds-checked little-endian reader over one frame body — or over a
+/// spill file, whose schedule records are the same bytes.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// What the bytes are, for error messages: `frame` or `spill`.
+    what: &'static str,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    /// A reader over `buf` whose errors call the bytes `what`.
+    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
+        Self { buf, pos: 0, what }
     }
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self.buf.get(self.pos).ok_or("frame truncated")?;
-        self.pos += 1;
-        Ok(b)
+    fn truncated(&self) -> String {
+        format!("{} truncated", self.what)
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or("frame truncated")?;
-        let bytes: [u8; 4] = self
-            .buf
-            .get(self.pos..end)
-            .and_then(|s| s.try_into().ok())
-            .ok_or("frame truncated")?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes))
+    /// The next `len` bytes.
+    pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], String> {
+        let end = self.pos.checked_add(len);
+        let bytes = end.and_then(|end| self.buf.get(self.pos..end));
+        let bytes = bytes.ok_or_else(|| self.truncated())?;
+        self.pos += len;
+        Ok(bytes)
+    }
+
+    /// The next `N` little-endian `u32`s, bounds-checked once.
+    fn words<const N: usize>(&mut self) -> Result<[u32; N], String> {
+        let mut words = [0u32; N];
+        for (w, chunk) in words.iter_mut().zip(self.bytes(4 * N)?.chunks_exact(4)) {
+            if let &[a, b, c, d] = chunk {
+                *w = u32::from_le_bytes([a, b, c, d]);
+            }
+        }
+        Ok(words)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        match self.bytes(1)? {
+            &[b] => Ok(b),
+            _ => Err(self.truncated()),
+        }
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+        let [w] = self.words()?;
+        Ok(w)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        let end = self.pos.checked_add(8).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or("frame truncated")?;
-        let bytes: [u8; 8] = self
-            .buf
-            .get(self.pos..end)
-            .and_then(|s| s.try_into().ok())
-            .ok_or("frame truncated")?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes))
+        let [lo, hi] = self.words()?;
+        Ok(u64::from(lo) | u64::from(hi) << 32)
     }
 
-    /// Reads a `count`-prefixed `u32` array, first proving the bytes for
-    /// `count` entries are actually present (a hostile count can never
-    /// force an allocation bigger than the frame itself).
-    fn u32_array(&mut self) -> Result<Vec<usize>, String> {
+    /// Reads a count of `item`s that take at least `min_bytes` each; see
+    /// [`Reader::guard`].
+    pub(crate) fn count(&mut self, min_bytes: usize, item: &str) -> Result<usize, String> {
         let count = self.u32()? as usize;
-        if self.remaining() / 4 < count {
-            return Err("frame truncated (array count exceeds frame bytes)".into());
+        self.guard(count, min_bytes, item)
+    }
+
+    /// Passes `count` `item`s of at least `min_bytes` each only when those
+    /// bytes are actually present: a hostile count can never force an
+    /// allocation bigger than the body itself.
+    fn guard(&self, count: usize, min_bytes: usize, item: &str) -> Result<usize, String> {
+        if self.remaining() / min_bytes < count {
+            let what = self.what;
+            let msg = format!("{what} truncated ({item} count exceeds {what} bytes)");
+            return Err(msg);
         }
+        Ok(count)
+    }
+
+    /// Reads `count` `u32`s, already proven present by [`Reader::guard`].
+    fn u32s(&mut self, count: usize) -> Result<Vec<usize>, String> {
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(self.u32()? as usize);
@@ -166,17 +194,19 @@ impl<'a> Reader<'a> {
     /// permutation, or why the image is not a bijection.
     fn shaped_perm(&mut self) -> Result<BatchFrameItem, String> {
         let shape = (self.u32()? as usize, self.u32()? as usize);
-        let perm = Permutation::new(self.u32_array()?).map_err(|e| e.to_string());
+        let n = self.count(4, "array")?;
+        let perm = Permutation::new(self.u32s(n)?).map_err(|e| e.to_string());
         Ok(BatchFrameItem { shape, perm })
     }
 
-    fn done(&self) -> Result<(), String> {
+    pub(crate) fn done(&self) -> Result<(), String> {
         if self.remaining() == 0 {
             Ok(())
         } else {
             Err(format!(
-                "{} trailing bytes after frame body",
-                self.remaining()
+                "{} trailing bytes after {} body",
+                self.remaining(),
+                self.what
             ))
         }
     }
@@ -200,7 +230,20 @@ fn push_shaped_perm(buf: &mut Vec<u8>, shape: Option<(usize, usize)>, pi: &Permu
     }
 }
 
-/// Appends the slot-prefixed flat schedule encoding to `buf`.
+/// Byte length of [`encode_schedule`]'s output, or 0 for a reply that
+/// carries no schedule body.
+// lint: hot-path
+fn schedule_len(schedule: &Schedule, want_schedule: bool) -> usize {
+    if !want_schedule {
+        return 0;
+    }
+    let tx_len = |tx: &Transmission| 16 + 4 * tx.receivers.len();
+    let slot_len = |slot: &SlotFrame| 4 + slot.transmissions.iter().map(tx_len).sum::<usize>();
+    4 + schedule.slots.iter().map(slot_len).sum::<usize>()
+}
+
+/// Appends the slot-prefixed flat schedule encoding to `buf`. The dense
+/// reply bodies and the spill file's schedule records are these bytes.
 // lint: hot-path
 pub fn encode_schedule(buf: &mut Vec<u8>, schedule: &Schedule) {
     push_u32(buf, schedule.slots.len());
@@ -218,37 +261,47 @@ pub fn encode_schedule(buf: &mut Vec<u8>, schedule: &Schedule) {
     }
 }
 
-fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
-    let slot_count = r.u32()? as usize;
+/// Decodes [`encode_schedule`]'s bytes. A unicast transmission — every
+/// one a permutation routes — decodes inline as [`Receivers::One`], so a
+/// schedule costs one allocation per slot, not one per transmission.
+pub(crate) fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
     // A slot needs at least its 4-byte transmission count.
-    if r.remaining() / 4 < slot_count {
-        return Err("frame truncated (slot count exceeds frame bytes)".into());
-    }
+    let slot_count = r.count(4, "slot")?;
     let mut schedule = Schedule::new();
     schedule.slots.reserve_exact(slot_count);
     for _ in 0..slot_count {
-        let tx_count = r.u32()? as usize;
         // A transmission is at least 16 bytes (4 fixed u32s).
-        if r.remaining() / 16 < tx_count {
-            return Err("frame truncated (transmission count exceeds frame bytes)".into());
-        }
+        let tx_count = r.count(16, "transmission")?;
         let mut frame = SlotFrame::new();
         frame.transmissions.reserve_exact(tx_count);
         for _ in 0..tx_count {
-            let sender = r.u32()? as usize;
-            let coupler = r.u32()? as usize;
-            let packet = r.u32()? as usize;
-            let receivers = r.u32_array()?;
+            let [sender, coupler, packet, count] = r.words()?.map(|w| w as usize);
+            let receivers = match r.guard(count, 4, "array")? {
+                1 => Receivers::One(r.u32()? as usize),
+                count => Receivers::Many(r.u32s(count)?.into_boxed_slice()),
+            };
             frame.transmissions.push(Transmission {
                 sender,
                 coupler,
                 packet,
-                receivers: receivers.into(),
+                receivers,
             });
         }
         schedule.slots.push(frame);
     }
     Ok(schedule)
+}
+
+/// Appends one frame to `wire`: the `u32 LE` length prefix, then the
+/// payload `write` appends, so the payload is encoded once, in place.
+pub(crate) fn push_frame(wire: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = wire.len();
+    wire.extend_from_slice(&[0; 4]);
+    write(wire);
+    let len = (wire.len() - start - 4) as u32;
+    if let Some(prefix) = wire.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// A decoded [`TAG_ROUTE`] request body.
@@ -282,7 +335,7 @@ pub fn encode_route_request(
 
 /// Decodes a [`TAG_ROUTE`] body (the tag byte already consumed).
 pub fn decode_route_request(body: &[u8]) -> Result<RouteFrame, String> {
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(body, "frame");
     let kind_index = r.u8()? as usize;
     let kind = *RequestKind::ALL
         .get(kind_index)
@@ -341,13 +394,10 @@ pub fn encode_batch_request(
 
 /// Decodes a [`TAG_BATCH`] body (the tag byte already consumed).
 pub fn decode_batch_request(body: &[u8]) -> Result<(Vec<BatchFrameItem>, bool), String> {
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(body, "frame");
     let want_schedule = r.u8()? & FLAG_WANT_SCHEDULE != 0;
-    let count = r.u32()? as usize;
     // Each item needs at least its 12 fixed bytes.
-    if r.remaining() / 12 < count {
-        return Err("frame truncated (item count exceeds frame bytes)".into());
-    }
+    let count = r.count(12, "item")?;
     if count == 0 {
         return Err("batch frame carries no items".into());
     }
@@ -360,13 +410,27 @@ pub fn decode_batch_request(body: &[u8]) -> Result<(Vec<BatchFrameItem>, bool), 
 }
 
 /// Encodes a [`TAG_ROUTE_REPLY`] payload.
-// lint: hot-path
 pub fn encode_route_reply(
     cache_hit: bool,
     micros: u64,
     schedule: &Schedule,
     want_schedule: bool,
 ) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_route_reply(&mut out, cache_hit, micros, schedule, want_schedule);
+    out
+}
+
+/// Appends a [`TAG_ROUTE_REPLY`] payload to `out`, reserving its exact
+/// length first.
+// lint: hot-path
+pub(crate) fn push_route_reply(
+    out: &mut Vec<u8>,
+    cache_hit: bool,
+    micros: u64,
+    schedule: &Schedule,
+    want_schedule: bool,
+) {
     let mut flags = 0u8;
     if cache_hit {
         flags |= FLAG_CACHE_HIT;
@@ -374,15 +438,14 @@ pub fn encode_route_reply(
     if want_schedule {
         flags |= FLAG_HAS_SCHEDULE;
     }
-    let mut out = Vec::with_capacity(14);
+    out.reserve(14 + schedule_len(schedule, want_schedule));
     out.push(TAG_ROUTE_REPLY);
     out.push(flags);
-    push_u32(&mut out, schedule.slot_count());
+    push_u32(out, schedule.slot_count());
     out.extend_from_slice(&micros.to_le_bytes());
     if want_schedule {
-        encode_schedule(&mut out, schedule);
+        encode_schedule(out, schedule);
     }
-    out
 }
 
 /// A decoded [`TAG_ROUTE_REPLY`] body.
@@ -400,7 +463,7 @@ pub struct RouteReplyFrame {
 
 /// Decodes a [`TAG_ROUTE_REPLY`] body (the tag byte already consumed).
 pub fn decode_route_reply(body: &[u8]) -> Result<RouteReplyFrame, String> {
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(body, "frame");
     let flags = r.u8()?;
     let slots = r.u32()? as usize;
     let micros = r.u64()?;
@@ -419,7 +482,6 @@ pub fn decode_route_reply(body: &[u8]) -> Result<RouteReplyFrame, String> {
 }
 
 /// Encodes a [`TAG_BATCH_ITEM`] payload for one successful item.
-// lint: hot-path
 pub fn encode_batch_item(
     index: usize,
     d: usize,
@@ -427,17 +489,32 @@ pub fn encode_batch_item(
     schedule: &Schedule,
     want_schedule: bool,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(18);
+    let mut out = Vec::new();
+    push_batch_item(&mut out, index, d, g, schedule, want_schedule);
+    out
+}
+
+/// Appends a [`TAG_BATCH_ITEM`] payload to `out`, reserving its exact
+/// length first.
+// lint: hot-path
+pub(crate) fn push_batch_item(
+    out: &mut Vec<u8>,
+    index: usize,
+    d: usize,
+    g: usize,
+    schedule: &Schedule,
+    want_schedule: bool,
+) {
+    out.reserve(18 + schedule_len(schedule, want_schedule));
     out.push(TAG_BATCH_ITEM);
-    push_u32(&mut out, index);
-    push_u32(&mut out, d);
-    push_u32(&mut out, g);
-    push_u32(&mut out, schedule.slot_count());
+    push_u32(out, index);
+    push_u32(out, d);
+    push_u32(out, g);
+    push_u32(out, schedule.slot_count());
     out.push(if want_schedule { 1 } else { 0 });
     if want_schedule {
-        encode_schedule(&mut out, schedule);
+        encode_schedule(out, schedule);
     }
-    out
 }
 
 /// A decoded [`TAG_BATCH_ITEM`] body.
@@ -457,7 +534,7 @@ pub struct BatchItemFrame {
 
 /// Decodes a [`TAG_BATCH_ITEM`] body (the tag byte already consumed).
 pub fn decode_batch_item(body: &[u8]) -> Result<BatchItemFrame, String> {
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(body, "frame");
     let index = r.u32()? as usize;
     let d = r.u32()? as usize;
     let g = r.u32()? as usize;
@@ -514,7 +591,7 @@ mod tests {
         let schedule = sample_schedule();
         let mut buf = Vec::new();
         encode_schedule(&mut buf, &schedule);
-        let mut r = Reader::new(&buf);
+        let mut r = Reader::new(&buf, "frame");
         let back = decode_schedule(&mut r).unwrap();
         r.done().unwrap();
         assert_eq!(back, schedule);
@@ -597,7 +674,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(1u32 << 31).to_le_bytes());
         buf.extend_from_slice(&[0u8; 8]);
-        let mut r = Reader::new(&buf);
+        let mut r = Reader::new(&buf, "frame");
         assert!(decode_schedule(&mut r).is_err());
 
         // Same for a batch item count.

@@ -13,13 +13,14 @@
 //! l1, l2  u32 each                    entry counts per cache level
 //! then l1 level-1 entries, then l2 level-2 entries, each:
 //!   key_len u32, key bytes            the stable canonical key
-//!   schedule:
-//!     slot_count u32
-//!     per slot:  tx_count u32
-//!     per tx:    sender u32, coupler u32, packet u32,
-//!                recv_count u32, receivers u32...
+//!   schedule                          the dense wire schedule body
 //! checksum u64                        FNV-1a of every preceding byte
 //! ```
+//!
+//! A schedule record is byte for byte the schedule body of a dense route
+//! reply, written and read by the same codec ([`frame::encode_schedule`]
+//! and its decoder): a unicast transmission comes back inline,
+//! so a restored plan costs the memory of a freshly routed one.
 //!
 //! Entries are written least-recently-used first **per shard** (shards
 //! concatenated), so a restore into the same shard layout reproduces
@@ -41,7 +42,9 @@
 use std::fmt;
 use std::path::Path;
 
-use pops_network::{Schedule, SlotFrame, Transmission};
+use pops_network::Schedule;
+
+use crate::frame::{self, Reader};
 
 /// The file magic, version included.
 pub const CACHE_MAGIC: &[u8; 11] = b"POPSCACHE1\n";
@@ -61,6 +64,12 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+impl From<String> for PersistError {
+    fn from(msg: String) -> Self {
+        PersistError(msg)
+    }
+}
+
 fn bail<T>(msg: impl Into<String>) -> Result<T, PersistError> {
     Err(PersistError(msg.into()))
 }
@@ -79,96 +88,6 @@ pub struct PersistSummary {
     pub l2_entries: usize,
 }
 
-/// Appends `schedule` to `out` in the format above.
-pub fn encode_schedule(schedule: &Schedule, out: &mut Vec<u8>) {
-    let push = |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&(v as u32).to_le_bytes());
-    push(out, schedule.slots.len());
-    for slot in &schedule.slots {
-        push(out, slot.transmissions.len());
-        for tx in &slot.transmissions {
-            push(out, tx.sender);
-            push(out, tx.coupler);
-            push(out, tx.packet);
-            push(out, tx.receivers.len());
-            for &r in &tx.receivers {
-                push(out, r);
-            }
-        }
-    }
-}
-
-/// A bounds-checked little-endian cursor over the file bytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let Some(chunk) = self
-            .bytes
-            .get(self.at..self.at + 4)
-            .and_then(|s| <[u8; 4]>::try_from(s).ok())
-        else {
-            return bail("truncated (expected a u32)");
-        };
-        self.at += 4;
-        Ok(u32::from_le_bytes(chunk))
-    }
-
-    /// A count field, validated against the bytes that must still follow
-    /// (`min_bytes_each` per counted item) so a corrupt count cannot
-    /// trigger a huge allocation.
-    fn count(&mut self, min_bytes_each: usize) -> Result<usize, PersistError> {
-        let n = self.u32()? as usize;
-        let remaining = self.bytes.len() - self.at;
-        if n.checked_mul(min_bytes_each)
-            .is_none_or(|need| need > remaining)
-        {
-            return bail(format!("count {n} exceeds the remaining {remaining} bytes"));
-        }
-        Ok(n)
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], PersistError> {
-        let Some(chunk) = self.bytes.get(self.at..self.at + len) else {
-            return bail(format!("truncated (expected {len} bytes)"));
-        };
-        self.at += len;
-        Ok(chunk)
-    }
-}
-
-/// Decodes one schedule at the cursor.
-fn decode_schedule(cur: &mut Cursor<'_>) -> Result<Schedule, PersistError> {
-    let slot_count = cur.count(4)?;
-    let mut schedule = Schedule::new();
-    schedule.slots.reserve(slot_count);
-    for _ in 0..slot_count {
-        let tx_count = cur.count(16)?;
-        let mut frame = SlotFrame::new();
-        frame.transmissions.reserve(tx_count);
-        for _ in 0..tx_count {
-            let sender = cur.u32()? as usize;
-            let coupler = cur.u32()? as usize;
-            let packet = cur.u32()? as usize;
-            let recv_count = cur.count(4)?;
-            let mut receivers = Vec::with_capacity(recv_count);
-            for _ in 0..recv_count {
-                receivers.push(cur.u32()? as usize);
-            }
-            frame.transmissions.push(Transmission {
-                sender,
-                coupler,
-                packet,
-                receivers: receivers.into(),
-            });
-        }
-        schedule.slots.push(frame);
-    }
-    Ok(schedule)
-}
-
 /// Serializes the two cache levels into the version-1 byte format.
 /// `l1`/`l2` yield `(key, schedule)` pairs least-recently-used first.
 pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry]) -> Vec<u8> {
@@ -181,7 +100,7 @@ pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry
     for (key, schedule) in l1.iter().chain(l2) {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key);
-        encode_schedule(schedule, &mut out);
+        frame::encode_schedule(&mut out, schedule);
     }
     let checksum = crate::cache::fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -219,35 +138,30 @@ pub fn decode_cache_file(
     if got != expect {
         return bail(format!("checksum mismatch ({got:#018x} != {expect:#018x})"));
     }
-    let bytes = body;
-    let mut cur = Cursor {
-        bytes,
-        at: CACHE_MAGIC.len(),
-    };
-    let (file_d, file_g) = (cur.u32()? as usize, cur.u32()? as usize);
+    let mut r = Reader::new(body, "spill");
+    r.bytes(CACHE_MAGIC.len())?;
+    let (file_d, file_g) = (r.u32()? as usize, r.u32()? as usize);
     if (file_d, file_g) != (d, g) {
         return bail(format!(
             "written for POPS({file_d}, {file_g}), serving POPS({d}, {g})"
         ));
     }
     // Each entry is at least key_len (4) + slot_count (4) bytes.
-    let l1_count = cur.count(8)?;
-    let l2_count = cur.count(8)?;
+    let l1_count = r.count(8, "entry")?;
+    let l2_count = r.count(8, "entry")?;
     let mut decode_entries = |count: usize| -> Result<Vec<CacheEntry>, PersistError> {
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let key_len = cur.count(1)?;
-            let key: Box<[u8]> = cur.take(key_len)?.into();
-            let schedule = decode_schedule(&mut cur)?;
+            let key_len = r.count(1, "key byte")?;
+            let key: Box<[u8]> = r.bytes(key_len)?.into();
+            let schedule = frame::decode_schedule(&mut r)?;
             entries.push((key, schedule));
         }
         Ok(entries)
     };
     let l1 = decode_entries(l1_count)?;
     let l2 = decode_entries(l2_count)?;
-    if cur.at != bytes.len() {
-        return bail(format!("{} trailing bytes", bytes.len() - cur.at));
-    }
+    r.done()?;
     Ok(DecodedCacheFile { l1, l2 })
 }
 
@@ -281,11 +195,8 @@ pub fn peek_topology(bytes: &[u8]) -> Result<(usize, usize), PersistError> {
     if bytes.len() < CACHE_MAGIC.len() + 8 || &bytes[..CACHE_MAGIC.len()] != CACHE_MAGIC {
         return bail("bad magic (not a POPSCACHE1 file)");
     }
-    let mut cur = Cursor {
-        bytes,
-        at: CACHE_MAGIC.len(),
-    };
-    Ok((cur.u32()? as usize, cur.u32()? as usize))
+    let mut r = Reader::new(&bytes[CACHE_MAGIC.len()..], "spill");
+    Ok((r.u32()? as usize, r.u32()? as usize))
 }
 
 /// Every `*.popscache` file in `dir` with the topology its header stamps,
@@ -324,6 +235,7 @@ pub fn scan_cache_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pops_network::{SlotFrame, Transmission};
 
     fn sample_schedule() -> Schedule {
         Schedule {
@@ -352,16 +264,14 @@ mod tests {
 
     #[test]
     fn schedule_codec_round_trips() {
+        // A spill record is the dense wire codec's schedule body.
         let schedule = sample_schedule();
         let mut bytes = Vec::new();
-        encode_schedule(&schedule, &mut bytes);
-        let mut cur = Cursor {
-            bytes: &bytes,
-            at: 0,
-        };
-        let decoded = decode_schedule(&mut cur).unwrap();
+        frame::encode_schedule(&mut bytes, &schedule);
+        let mut r = Reader::new(&bytes, "spill");
+        let decoded = frame::decode_schedule(&mut r).unwrap();
         assert_eq!(decoded, schedule);
-        assert_eq!(cur.at, bytes.len(), "codec must consume exactly");
+        r.done().expect("codec must consume exactly");
     }
 
     #[test]

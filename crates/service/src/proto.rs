@@ -48,7 +48,7 @@
 //! fabric is not fully routable is refused with kind `unroutable`.
 
 use pops_core::HRelation;
-use pops_network::{FaultSet, PopsTopology, Schedule, SlotFrame, Transmission};
+use pops_network::{FaultSet, PopsTopology, Receivers, Schedule, SlotFrame, Transmission};
 use pops_permutation::Permutation;
 
 use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
@@ -1254,22 +1254,22 @@ pub fn schedule_from_json(value: &Json) -> Result<Schedule, String> {
             .ok_or("slot must be an array of transmissions")?;
         let mut frame = SlotFrame::new();
         for tx in txs {
-            let cells = tx
-                .as_arr()
-                .filter(|c| c.len() >= 4)
-                .ok_or("transmission must be [sender, coupler, packet, receiver...]")?;
-            let nums = cells
-                .iter()
-                .map(|c| c.as_usize().ok_or("transmission cells must be integers"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let [sender, coupler, packet, receivers @ ..] = nums.as_slice() else {
+            let Some([sender, coupler, packet, receivers @ ..]) =
+                tx.as_arr().filter(|c| c.len() >= 4)
+            else {
                 return Err("transmission must be [sender, coupler, packet, receiver...]".into());
             };
+            let num = |c: &Json| c.as_usize().ok_or("transmission cells must be integers");
+            let (sender, coupler, packet) = (num(sender)?, num(coupler)?, num(packet)?);
+            let receivers = match receivers {
+                [one] => Receivers::One(num(one)?),
+                many => Receivers::Many(many.iter().map(num).collect::<Result<_, _>>()?),
+            };
             frame.transmissions.push(Transmission {
-                sender: *sender,
-                coupler: *coupler,
-                packet: *packet,
-                receivers: receivers.to_vec().into(),
+                sender,
+                coupler,
+                packet,
+                receivers,
             });
         }
         out.slots.push(frame);

@@ -878,13 +878,15 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
                 let mut trace = RequestTrace::start(conn_id, seq);
                 state.requests.fetch_add(1, Ordering::Relaxed);
                 let (wire, stop, negotiated) = exchange(state, framing, &message, peer, &mut trace);
+                // Counted before the write, so a client that has read the
+                // reply also sees it in the byte counters.
+                metrics.record_wire_bytes(binary, bytes_in, wire.len() as u64);
                 // The whole answer goes out in ONE write: per-response (or
                 // worse, per-fragment) writes on a raw socket without
                 // TCP_NODELAY let Nagle hold the tail segment until the
                 // peer's delayed ACK fires — a ~40 ms stall per reply.
                 writer.write_all(&wire)?;
                 writer.flush()?;
-                metrics.record_wire_bytes(binary, bytes_in, wire.len() as u64);
                 trace.stage("serialize");
                 if let Some(slow_log) = &state.slow_log {
                     match slow_log.observe(&trace) {
@@ -950,11 +952,10 @@ fn encode_replies(
         if let Some(kind) = reply.error_kind() {
             metrics.record_wire_error(kind);
         }
-        let payload = match (codec, reply) {
+        match (codec, reply) {
             (Codec::Line, reply) => {
                 wire.extend_from_slice(json(reply).to_string().as_bytes());
                 wire.push(b'\n');
-                continue;
             }
             (
                 Codec::Dense,
@@ -963,12 +964,15 @@ fn encode_replies(
                     want_schedule,
                     ..
                 },
-            ) => frame::encode_route_reply(
-                reply.cache_hit,
-                reply.micros,
-                reply.outcome.schedule(),
-                want_schedule,
-            ),
+            ) => frame::push_frame(&mut wire, |w| {
+                frame::push_route_reply(
+                    w,
+                    reply.cache_hit,
+                    reply.micros,
+                    reply.outcome.schedule(),
+                    want_schedule,
+                )
+            }),
             (
                 Codec::Dense,
                 Reply::Item {
@@ -979,13 +983,14 @@ fn encode_replies(
                     want_schedule,
                     ..
                 },
-            ) => frame::encode_batch_item(index, d, g, &schedule, want_schedule),
-            (_, reply) => std::iter::once(TAG_JSON)
-                .chain(json(reply).to_string().into_bytes())
-                .collect(),
-        };
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
+            ) => frame::push_frame(&mut wire, |w| {
+                frame::push_batch_item(w, index, d, g, &schedule, want_schedule)
+            }),
+            (_, reply) => frame::push_frame(&mut wire, |w| {
+                w.push(TAG_JSON);
+                w.extend_from_slice(json(reply).to_string().as_bytes());
+            }),
+        }
     }
     wire
 }

@@ -8,6 +8,10 @@
 //! schedule, the construction's intermediate map and one cache key, with
 //! the plan and the key shared by both cache levels.
 //!
+//! The schedule codec is held to the engine's own layout: decoding a dense
+//! route reply, or restoring a spill file, allocates per slot and per plan,
+//! never per transmission.
+//!
 //! The test binary installs a counting wrapper around the system allocator;
 //! the counters are thread-local, so the test harness's other threads cannot
 //! perturb the measurement.
@@ -21,7 +25,7 @@ use pops_core::RoutingOutcome;
 use pops_network::{PopsTopology, SlotFrame, Transmission};
 use pops_permutation::families::{random_permutation, vector_reversal};
 use pops_permutation::SplitMix64;
-use pops_service::{canonical_key, RoutingService, ServiceConfig, ServiceRequest};
+use pops_service::{canonical_key, frame, persist, RoutingService, ServiceConfig, ServiceRequest};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -206,5 +210,83 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
     assert!(
         beyond_plan < 2 * key,
         "a warm miss allocated {beyond_plan} bytes beyond its plan; one {key}-byte key fits"
+    );
+}
+
+/// `count` fresh POPS(32, 32) Theorem-2 schedules.
+fn plans_32x32(count: usize, seed: u64) -> Vec<pops_network::Schedule> {
+    let mut engine = RoutingEngine::new(PopsTopology::new(32, 32));
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|_| {
+            engine
+                .plan_theorem2(&random_permutation(1024, &mut rng))
+                .schedule
+        })
+        .collect()
+}
+
+#[test]
+fn decoding_a_dense_reply_allocates_per_slot_not_per_transmission() {
+    let schedule = plans_32x32(1, 45).remove(0);
+    let payload = frame::encode_route_reply(false, 0, &schedule, true);
+
+    let before = allocations();
+    let reply = frame::decode_route_reply(&payload[1..]).unwrap();
+    let allocated = allocations() - before;
+
+    assert_eq!(reply.schedule, schedule);
+    // The slot vector and one transmission vector per slot; the 2,048
+    // unicast receivers are stored inline.
+    let budget = 1 + schedule.slots.len() as u64;
+    assert!(
+        allocated <= budget,
+        "decoding a {}-slot POPS(32, 32) reply allocated {allocated} times; budget {budget}",
+        schedule.slots.len()
+    );
+}
+
+#[test]
+fn loading_a_spill_allocates_per_plan_and_slot_not_per_transmission() {
+    let (d, g) = (32usize, 32usize);
+    let plans = plans_32x32(8, 46);
+    let entries: Vec<persist::CacheEntry> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, schedule)| (i.to_le_bytes().into(), schedule.clone()))
+        .collect();
+    let bytes = persist::encode_cache_file(d, g, &entries, &[]);
+    let path = std::env::temp_dir().join(format!(
+        "pops-spill-allocations-{}.popscache",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    let service = RoutingService::with_config(
+        PopsTopology::new(d, g),
+        ServiceConfig {
+            shards: 1,
+            cache_capacity: 16,
+            phase_cache_capacity: 16,
+            cache_shards: 1,
+            max_in_flight: 1,
+            colorer: ColorerKind::AlternatingPath,
+        },
+    );
+
+    let before = allocations();
+    let summary = service.load_cache(&path).unwrap();
+    let allocated = allocations() - before;
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(summary.l1_entries, plans.len());
+    // Per plan: its key, its schedule's slot and transmission vectors, and
+    // a handful of cache bookkeeping blocks; plus a fixed cost for the
+    // file and the restore maps. A plan's 2,048 transmissions add nothing.
+    let slots = plans[0].slots.len() as u64;
+    let budget = 32 + plans.len() as u64 * (8 + slots);
+    assert!(
+        allocated <= budget,
+        "restoring {} POPS(32, 32) plans allocated {allocated} times; budget {budget}",
+        plans.len()
     );
 }
