@@ -641,7 +641,9 @@ fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
 /// Renders one log₂ histogram as cumulative `le` buckets plus `_sum` and
 /// `_count`. Latencies are recorded in integer microseconds, so bucket
 /// `i` (counting `2^(i-1) ≤ µs < 2^i`) has the **exact** inclusive upper
-/// bound `2^i - 1`; the rendered bounds are `0, 1, 3, 7, …`.
+/// bound `2^i - 1`; the rendered bounds are `0, 1, 3, 7, …`. The last
+/// bucket also holds every clamped observation above its range, so it
+/// has no finite bound: only `+Inf` counts it.
 fn histogram(
     out: &mut String,
     name: &str,
@@ -649,12 +651,14 @@ fn histogram(
     buckets: &[u64; HISTOGRAM_BUCKETS],
     sum_micros: u64,
 ) {
+    let (finite, overflow) = buckets.split_at(HISTOGRAM_BUCKETS - 1);
     let mut cumulative = 0u64;
-    for (i, count) in buckets.iter().enumerate() {
+    for (i, count) in finite.iter().enumerate() {
         cumulative += count;
         let le = (1u64 << i) - 1;
         bucket_line(out, name, labels, &le.to_string(), cumulative);
     }
+    cumulative += overflow.iter().sum::<u64>();
     bucket_line(out, name, labels, "+Inf", cumulative);
     out.push_str(name);
     out.push_str("_sum");
@@ -886,6 +890,21 @@ mod tests {
         assert!(text.contains("pops_uptime_seconds 42"), "{text}");
         assert!(text.contains("pops_router_evictions_total 1"), "{text}");
         assert!(text.contains("pops_router_topologies 2"), "{text}");
+    }
+
+    #[test]
+    fn the_overflow_bucket_has_no_finite_bound() {
+        let h = crate::metrics::LatencyHistogram::default();
+        h.record(u64::MAX);
+        let mut out = String::new();
+        histogram(&mut out, "h", &[], &h.snapshot(), 0);
+        for line in out.lines().filter(|l| l.starts_with("h_bucket")) {
+            let count = line.rsplit(' ').next().unwrap();
+            let expected = if line.contains("le=\"+Inf\"") { "1" } else { "0" };
+            assert_eq!(count, expected, "{line}");
+        }
+        assert!(!out.contains("le=\"8388607\""), "{out}");
+        assert!(out.contains("h_count 1"), "{out}");
     }
 
     #[test]
