@@ -1068,7 +1068,7 @@ fn experiment_bench_json() {
 /// and POPS(32, 32) over 64 random permutations each. Every schedule the
 /// service returns is first verified on the conflict-checking simulator.
 fn experiment_bench_service() {
-    use pops_service::{RoutingService, ServiceConfig, ServiceRequest};
+    use pops_service::{Counter, RoutingService, ServiceConfig, ServiceRequest};
 
     println!("## BENCH_SERVICE — routing-service throughput baseline (BENCH_service.json)\n");
 
@@ -1153,8 +1153,12 @@ fn experiment_bench_service() {
         }
         let hit_per_sec = hit_plans as f64 / start.elapsed().as_secs_f64();
         let snap = service.metrics();
-        assert_eq!(snap.misses, count as u64, "only the warm-up misses");
-        assert_eq!(snap.hits, hit_plans as u64);
+        assert_eq!(
+            snap.get(Counter::Misses),
+            count as u64,
+            "only the warm-up misses"
+        );
+        assert_eq!(snap.get(Counter::Hits), hit_plans as u64);
 
         let speedup = hit_per_sec / cold_per_sec;
         println!(

@@ -21,7 +21,7 @@ use pops_network::{viz, FaultSet, PopsTopology, Simulator};
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
 use pops_service::{
-    read_trace, record_proxy, run_replay, serve_router, synth_trace, BatchItem, Json,
+    read_trace, record_proxy, run_replay, serve_router, synth_trace, BatchItem, Counter, Json,
     ReplayOptions, ServerConfig, ServiceClient, ServiceConfig, SloGates, TopologyRouter,
     TopologyRouterConfig, TraceRecorder,
 };
@@ -872,9 +872,9 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
             out,
             "{topology}: {} request(s), {} hit(s), {} miss(es), {} error(s)",
             snap.requests(),
-            snap.hits,
-            snap.misses,
-            snap.errors
+            snap.get(Counter::Hits),
+            snap.get(Counter::Misses),
+            snap.get(Counter::Errors)
         );
     }
     let _ = write!(out, "{}", summary.metrics);

@@ -33,9 +33,10 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::{KindSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{Counter, Gauge, KindSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use crate::proto::WireErrorKind;
 use crate::router::RouterStats;
+use Value::{Counter as C, Derived, Gauge as G};
 
 /// The content type of the rendered exposition.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -80,33 +81,23 @@ pub fn render(x: &Exposition<'_>) -> String {
     );
     sample(&mut out, "pops_uptime_seconds", &[], x.uptime_secs);
 
-    family(
-        &mut out,
-        "pops_requests_total",
-        "counter",
-        "Single routing requests served, by request kind.",
-    );
-    for k in &snap.per_kind {
-        sample(
-            &mut out,
+    let per_kind: [(&str, &str, KindValue); 2] = [
+        (
             "pops_requests_total",
-            &[("kind", k.kind.name())],
-            k.requests,
-        );
-    }
-    family(
-        &mut out,
-        "pops_request_errors_total",
-        "counter",
-        "Routing requests that returned an error, by request kind.",
-    );
-    for k in &snap.per_kind {
-        sample(
-            &mut out,
+            "Single routing requests served, by request kind.",
+            |k| k.requests,
+        ),
+        (
             "pops_request_errors_total",
-            &[("kind", k.kind.name())],
-            k.errors,
-        );
+            "Routing requests that returned an error, by request kind.",
+            |k| k.errors,
+        ),
+    ];
+    for (name, help, value) in per_kind {
+        family(&mut out, name, "counter", help);
+        for k in &snap.per_kind {
+            sample(&mut out, name, &[("kind", k.kind.name())], value(k));
+        }
     }
     family(
         &mut out,
@@ -124,466 +115,89 @@ pub fn render(x: &Exposition<'_>) -> String {
         );
     }
 
-    family(
-        &mut out,
-        "pops_cache_hits_total",
-        "counter",
-        "Plan-cache hits: level l1 is whole plans, l2 is h-relation phases.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_hits_total",
-        &[("level", "l1")],
-        snap.hits,
-    );
-    sample(
-        &mut out,
-        "pops_cache_hits_total",
-        &[("level", "l2")],
-        snap.phase_hits,
-    );
-    family(
-        &mut out,
-        "pops_cache_misses_total",
-        "counter",
-        "Plan-cache misses, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_misses_total",
-        &[("level", "l1")],
-        snap.misses,
-    );
-    sample(
-        &mut out,
-        "pops_cache_misses_total",
-        &[("level", "l2")],
-        snap.phase_misses,
-    );
-    family(
-        &mut out,
-        "pops_cache_entries",
-        "gauge",
-        "Plans currently cached, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_entries",
-        &[("level", "l1")],
-        snap.cache_entries,
-    );
-    sample(
-        &mut out,
-        "pops_cache_entries",
-        &[("level", "l2")],
-        snap.phase_cache_entries,
-    );
-    family(
-        &mut out,
-        "pops_cache_capacity",
-        "gauge",
-        "Plan-cache capacity, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_capacity",
-        &[("level", "l1")],
-        snap.cache_capacity,
-    );
-    sample(
-        &mut out,
-        "pops_cache_capacity",
-        &[("level", "l2")],
-        snap.phase_cache_capacity,
-    );
-
-    family(
-        &mut out,
-        "pops_slots_emitted_total",
-        "counter",
-        "Total slots across every schedule the service emitted.",
-    );
-    sample(
-        &mut out,
-        "pops_slots_emitted_total",
-        &[],
-        snap.slots_emitted,
-    );
-    family(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        "counter",
-        "Engine-pool acquisitions, by outcome.",
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "fast")],
-        snap.pool_fast,
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "overflow")],
-        snap.pool_overflows,
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "blocked")],
-        snap.pool_blocked,
-    );
-    family(
-        &mut out,
-        "pops_admission_waits_total",
-        "counter",
-        "Requests that had to wait at the admission gate.",
-    );
-    sample(
-        &mut out,
-        "pops_admission_waits_total",
-        &[],
-        snap.admission_waits,
-    );
-    family(
-        &mut out,
-        "pops_batches_total",
-        "counter",
-        "Batch submissions.",
-    );
-    sample(&mut out, "pops_batches_total", &[], snap.batches);
-    family(
-        &mut out,
-        "pops_batch_plans_total",
-        "counter",
-        "Plans produced by batch submissions.",
-    );
-    sample(&mut out, "pops_batch_plans_total", &[], snap.batch_plans);
-
-    family(
-        &mut out,
-        "pops_connections_opened_total",
-        "counter",
-        "Connections accepted and handed to a handler.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_opened_total",
-        &[],
-        snap.conns_opened,
-    );
-    family(
-        &mut out,
-        "pops_connections_closed_total",
-        "counter",
-        "Connections whose handler has exited.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_closed_total",
-        &[],
-        snap.conns_closed,
-    );
-    family(
-        &mut out,
-        "pops_connections_rejected_total",
-        "counter",
-        "Connections refused at the capacity limit.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_rejected_total",
-        &[],
-        snap.conns_rejected,
-    );
-    family(
-        &mut out,
-        "pops_connections_active",
-        "gauge",
-        "Connections currently live.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_active",
-        &[],
-        snap.active_connections(),
-    );
-    family(
-        &mut out,
-        "pops_connections_format_total",
-        "counter",
-        "Connections by negotiated wire format (every connection starts \
-         as json; binary counts successful hello negotiations).",
-    );
-    sample(
-        &mut out,
-        "pops_connections_format_total",
-        &[("format", "json")],
-        snap.json_connections(),
-    );
-    sample(
-        &mut out,
-        "pops_connections_format_total",
-        &[("format", "binary")],
-        snap.conns_binary,
-    );
-    family(
-        &mut out,
-        "pops_wire_bytes_total",
-        "counter",
-        "Wire traffic in bytes, by format and direction.",
-    );
-    for (format, bytes_in, bytes_out) in [
-        ("json", snap.json_bytes_in, snap.json_bytes_out),
-        ("binary", snap.binary_bytes_in, snap.binary_bytes_out),
-    ] {
-        sample(
-            &mut out,
-            "pops_wire_bytes_total",
-            &[("format", format), ("direction", "in")],
-            bytes_in,
-        );
-        sample(
-            &mut out,
-            "pops_wire_bytes_total",
-            &[("format", format), ("direction", "out")],
-            bytes_out,
-        );
-    }
-    family(
-        &mut out,
-        "pops_oversized_lines_total",
-        "counter",
-        "Request lines rejected for exceeding the length cap.",
-    );
-    sample(
-        &mut out,
-        "pops_oversized_lines_total",
-        &[],
-        snap.oversized_lines,
-    );
-    family(
-        &mut out,
-        "pops_read_timeouts_total",
-        "counter",
-        "Connections dropped because a complete request never arrived in time.",
-    );
-    sample(
-        &mut out,
-        "pops_read_timeouts_total",
-        &[],
-        snap.read_timeouts,
-    );
-
-    family(
-        &mut out,
-        "pops_sheds_total",
-        "counter",
-        "Requests shed by overload control, by cause.",
-    );
-    sample(
-        &mut out,
-        "pops_sheds_total",
-        &[("cause", "watermark")],
-        snap.sheds_watermark,
-    );
-    sample(
-        &mut out,
-        "pops_sheds_total",
-        &[("cause", "quota")],
-        snap.sheds_quota,
-    );
-    family(
-        &mut out,
-        "pops_slow_traces_total",
-        "counter",
-        "Slow-request trace lines, by whether the rate limiter let them through.",
-    );
-    sample(
-        &mut out,
-        "pops_slow_traces_total",
-        &[("outcome", "emitted")],
-        snap.slow_traces,
-    );
-    sample(
-        &mut out,
-        "pops_slow_traces_total",
-        &[("outcome", "suppressed")],
-        snap.slow_traces_suppressed,
-    );
-    family(
-        &mut out,
-        "pops_wire_errors_total",
-        "counter",
-        "Typed error responses written on the wire, by error kind.",
-    );
-    for (kind, count) in WireErrorKind::ALL.into_iter().zip(snap.wire_errors) {
-        sample(
-            &mut out,
-            "pops_wire_errors_total",
-            &[("error_kind", kind.name())],
-            count,
-        );
+    for f in FAMILIES {
+        family(&mut out, f.name, scalar_type(f.name), f.help);
+        match f.samples {
+            Samples::Fixed(samples) => {
+                for (labels, value) in samples {
+                    sample(&mut out, f.name, labels, value.read(snap));
+                }
+            }
+            Samples::WireErrors => {
+                for (kind, count) in WireErrorKind::ALL.into_iter().zip(snap.wire_errors) {
+                    sample(&mut out, f.name, &[("error_kind", kind.name())], count);
+                }
+            }
+        }
     }
 
-    family(
-        &mut out,
-        "pops_degraded_plans_total",
-        "counter",
-        "Plans computed by the greedy fault router under a non-empty fault set.",
-    );
-    sample(
-        &mut out,
-        "pops_degraded_plans_total",
-        &[],
-        snap.degraded_plans,
-    );
-    family(
-        &mut out,
-        "pops_degraded_hits_total",
-        "counter",
-        "Plan-cache hits answered from a degraded (fault-keyed) cache entry.",
-    );
-    sample(
-        &mut out,
-        "pops_degraded_hits_total",
-        &[],
-        snap.degraded_hits,
-    );
-    family(
-        &mut out,
-        "pops_unroutable_refusals_total",
-        "counter",
-        "Requests refused before planning because the fault set left the fabric not fully routable.",
-    );
-    sample(
-        &mut out,
-        "pops_unroutable_refusals_total",
-        &[],
-        snap.unroutable_refusals,
-    );
-
-    family(
-        &mut out,
-        "pops_arena_bytes",
-        "gauge",
-        "Engine-arena bytes across every resident topology's pool.",
-    );
-    sample(&mut out, "pops_arena_bytes", &[], snap.arena_bytes);
-
-    family(
-        &mut out,
-        "pops_router_topologies",
-        "gauge",
-        "Topologies currently resident in the registry.",
-    );
-    sample(
-        &mut out,
-        "pops_router_topologies",
-        &[],
-        x.topologies.len() as u64,
-    );
-    family(
-        &mut out,
-        "pops_router_hits_total",
-        "counter",
-        "Registry lookups answered by an already-resident service.",
-    );
-    sample(&mut out, "pops_router_hits_total", &[], x.router.hits);
-    family(
-        &mut out,
-        "pops_router_built_total",
-        "counter",
-        "Services constructed on demand.",
-    );
-    sample(&mut out, "pops_router_built_total", &[], x.router.built);
-    family(
-        &mut out,
-        "pops_router_evictions_total",
-        "counter",
-        "Unpinned topologies evicted to make room.",
-    );
-    sample(
-        &mut out,
-        "pops_router_evictions_total",
-        &[],
-        x.router.evictions,
-    );
-    family(
-        &mut out,
-        "pops_router_rejections_total",
-        "counter",
-        "Registry lookups refused at capacity.",
-    );
-    sample(
-        &mut out,
-        "pops_router_rejections_total",
-        &[],
-        x.router.rejections,
-    );
+    let router = [
+        (
+            "pops_router_topologies",
+            "Topologies currently resident in the registry.",
+            x.topologies.len() as u64,
+        ),
+        (
+            "pops_router_hits_total",
+            "Registry lookups answered by an already-resident service.",
+            x.router.hits,
+        ),
+        (
+            "pops_router_built_total",
+            "Services constructed on demand.",
+            x.router.built,
+        ),
+        (
+            "pops_router_evictions_total",
+            "Unpinned topologies evicted to make room.",
+            x.router.evictions,
+        ),
+        (
+            "pops_router_rejections_total",
+            "Registry lookups refused at capacity.",
+            x.router.rejections,
+        ),
+    ];
+    for (name, help, value) in router {
+        family(&mut out, name, scalar_type(name), help);
+        sample(&mut out, name, &[], value);
+    }
 
     // Per-topology families. These cover *resident* shapes only — series
     // vanish on eviction, which is why fleet totals live in the separate
     // (monotonic) families above.
-    family(
-        &mut out,
-        "pops_topology_requests_total",
-        "counter",
-        "Single requests served by a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
+    let labels: Vec<String> = x
+        .topologies
+        .iter()
+        .map(|(d, g, _)| topology_label(*d, *g))
+        .collect();
+    let per_topology = [
+        (
             "pops_topology_requests_total",
-            &[("topology", &label)],
-            s.requests(),
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_errors_total",
-        "counter",
-        "Routing errors on a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
+            "Single requests served by a resident topology.",
+            Derived(MetricsSnapshot::requests),
+        ),
+        (
             "pops_topology_errors_total",
-            &[("topology", &label)],
-            s.errors,
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_cache_hits_total",
-        "counter",
-        "Level-1 plan-cache hits on a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
+            "Routing errors on a resident topology.",
+            C(Counter::Errors),
+        ),
+        (
             "pops_topology_cache_hits_total",
-            &[("topology", &label)],
-            s.hits,
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_arena_bytes",
-        "gauge",
-        "Engine-arena bytes held by a resident topology's pool.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
+            "Level-1 plan-cache hits on a resident topology.",
+            C(Counter::Hits),
+        ),
+        (
             "pops_topology_arena_bytes",
-            &[("topology", &label)],
-            s.arena_bytes,
-        );
+            "Engine-arena bytes held by a resident topology's pool.",
+            G(Gauge::ArenaBytes),
+        ),
+    ];
+    for (name, help, value) in per_topology {
+        family(&mut out, name, scalar_type(name), help);
+        for ((_, _, s), label) in x.topologies.iter().zip(&labels) {
+            sample(&mut out, name, &[("topology", label)], value.read(s));
+        }
     }
     family(
         &mut out,
@@ -591,38 +205,239 @@ pub fn render(x: &Exposition<'_>) -> String {
         "histogram",
         "Service latency on a resident topology, all request kinds merged.",
     );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        let (buckets, total_micros) = merge_kind_histograms(&s.per_kind);
+    for ((_, _, s), label) in x.topologies.iter().zip(&labels) {
+        let mut merged = s.per_kind[0].clone();
+        for k in &s.per_kind[1..] {
+            merged.absorb(k);
+        }
         histogram(
             &mut out,
             "pops_topology_request_duration_microseconds",
-            &[("topology", &label)],
-            &buckets,
-            total_micros,
+            &[("topology", label)],
+            &merged.latency,
+            merged.total_micros,
         );
     }
 
     out
 }
 
+/// Reads one per-kind value.
+type KindValue = fn(&KindSnapshot) -> u64;
+
+/// Where a table sample's value comes from.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    /// One counter of the snapshot.
+    Counter(Counter),
+    /// One gauge of the snapshot.
+    Gauge(Gauge),
+    /// A value computed from several counters.
+    Derived(fn(&MetricsSnapshot) -> u64),
+}
+
+impl Value {
+    fn read(self, snap: &MetricsSnapshot) -> u64 {
+        match self {
+            Value::Counter(counter) => snap.get(counter),
+            Value::Gauge(gauge) => snap.gauge(gauge),
+            Value::Derived(derive) => derive(snap),
+        }
+    }
+}
+
+/// Sample labels: `(key, value)` pairs.
+type Labels = &'static [(&'static str, &'static str)];
+
+/// The samples of one table family.
+#[derive(Debug)]
+enum Samples {
+    /// A fixed list of samples, each with its labels and value.
+    Fixed(&'static [(Labels, Value)]),
+    /// One sample per [`WireErrorKind`], labelled `error_kind`.
+    WireErrors,
+}
+
+/// One row of the family table: a fleet-wide family whose every sample
+/// reads the aggregate snapshot.
+#[derive(Debug)]
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    samples: Samples,
+}
+
+/// The fleet-wide scalar families, in exposition order. Every [`Counter`]
+/// and [`Gauge`] is the value of exactly one sample here, except
+/// [`Counter::Errors`]: the page carries it per kind and per topology.
+static FAMILIES: &[Family] = &[
+    Family {
+        name: "pops_cache_hits_total",
+        help: "Plan-cache hits: level l1 is whole plans, l2 is h-relation phases.",
+        samples: Samples::Fixed(&[
+            (&[("level", "l1")], C(Counter::Hits)),
+            (&[("level", "l2")], C(Counter::PhaseHits)),
+        ]),
+    },
+    Family {
+        name: "pops_cache_misses_total",
+        help: "Plan-cache misses, by cache level.",
+        samples: Samples::Fixed(&[
+            (&[("level", "l1")], C(Counter::Misses)),
+            (&[("level", "l2")], C(Counter::PhaseMisses)),
+        ]),
+    },
+    Family {
+        name: "pops_cache_entries",
+        help: "Plans currently cached, by cache level.",
+        samples: Samples::Fixed(&[
+            (&[("level", "l1")], G(Gauge::CacheEntries)),
+            (&[("level", "l2")], G(Gauge::PhaseCacheEntries)),
+        ]),
+    },
+    Family {
+        name: "pops_cache_capacity",
+        help: "Plan-cache capacity, by cache level.",
+        samples: Samples::Fixed(&[
+            (&[("level", "l1")], G(Gauge::CacheCapacity)),
+            (&[("level", "l2")], G(Gauge::PhaseCacheCapacity)),
+        ]),
+    },
+    Family {
+        name: "pops_slots_emitted_total",
+        help: "Total slots across every schedule the service emitted.",
+        samples: Samples::Fixed(&[(&[], C(Counter::SlotsEmitted))]),
+    },
+    Family {
+        name: "pops_pool_acquisitions_total",
+        help: "Engine-pool acquisitions, by outcome.",
+        samples: Samples::Fixed(&[
+            (&[("outcome", "fast")], C(Counter::PoolFast)),
+            (&[("outcome", "overflow")], C(Counter::PoolOverflows)),
+            (&[("outcome", "blocked")], C(Counter::PoolBlocked)),
+        ]),
+    },
+    Family {
+        name: "pops_admission_waits_total",
+        help: "Requests that had to wait at the admission gate.",
+        samples: Samples::Fixed(&[(&[], C(Counter::AdmissionWaits))]),
+    },
+    Family {
+        name: "pops_batches_total",
+        help: "Batch submissions.",
+        samples: Samples::Fixed(&[(&[], C(Counter::Batches))]),
+    },
+    Family {
+        name: "pops_batch_plans_total",
+        help: "Plans produced by batch submissions.",
+        samples: Samples::Fixed(&[(&[], C(Counter::BatchPlans))]),
+    },
+    Family {
+        name: "pops_connections_opened_total",
+        help: "Connections accepted and handed to a handler.",
+        samples: Samples::Fixed(&[(&[], C(Counter::ConnsOpened))]),
+    },
+    Family {
+        name: "pops_connections_closed_total",
+        help: "Connections whose handler has exited.",
+        samples: Samples::Fixed(&[(&[], C(Counter::ConnsClosed))]),
+    },
+    Family {
+        name: "pops_connections_rejected_total",
+        help: "Connections refused at the capacity limit.",
+        samples: Samples::Fixed(&[(&[], C(Counter::ConnsRejected))]),
+    },
+    Family {
+        name: "pops_connections_active",
+        help: "Connections currently live.",
+        samples: Samples::Fixed(&[(&[], Derived(MetricsSnapshot::active_connections))]),
+    },
+    Family {
+        name: "pops_connections_format_total",
+        help: "Connections by negotiated wire format (every connection starts \
+               as json; binary counts successful hello negotiations).",
+        samples: Samples::Fixed(&[
+            (&[("format", "json")], Derived(MetricsSnapshot::json_connections)),
+            (&[("format", "binary")], C(Counter::ConnsBinary)),
+        ]),
+    },
+    Family {
+        name: "pops_wire_bytes_total",
+        help: "Wire traffic in bytes, by format and direction.",
+        samples: Samples::Fixed(&[
+            (&[("format", "json"), ("direction", "in")], C(Counter::JsonBytesIn)),
+            (&[("format", "json"), ("direction", "out")], C(Counter::JsonBytesOut)),
+            (&[("format", "binary"), ("direction", "in")], C(Counter::BinaryBytesIn)),
+            (&[("format", "binary"), ("direction", "out")], C(Counter::BinaryBytesOut)),
+        ]),
+    },
+    Family {
+        name: "pops_oversized_lines_total",
+        help: "Request lines rejected for exceeding the length cap.",
+        samples: Samples::Fixed(&[(&[], C(Counter::OversizedLines))]),
+    },
+    Family {
+        name: "pops_read_timeouts_total",
+        help: "Connections dropped because a complete request never arrived in time.",
+        samples: Samples::Fixed(&[(&[], C(Counter::ReadTimeouts))]),
+    },
+    Family {
+        name: "pops_sheds_total",
+        help: "Requests shed by overload control, by cause.",
+        samples: Samples::Fixed(&[
+            (&[("cause", "watermark")], C(Counter::ShedsWatermark)),
+            (&[("cause", "quota")], C(Counter::ShedsQuota)),
+        ]),
+    },
+    Family {
+        name: "pops_slow_traces_total",
+        help: "Slow-request trace lines, by whether the rate limiter let them through.",
+        samples: Samples::Fixed(&[
+            (&[("outcome", "emitted")], C(Counter::SlowTraces)),
+            (&[("outcome", "suppressed")], C(Counter::SlowTracesSuppressed)),
+        ]),
+    },
+    Family {
+        name: "pops_wire_errors_total",
+        help: "Typed error responses written on the wire, by error kind.",
+        samples: Samples::WireErrors,
+    },
+    Family {
+        name: "pops_degraded_plans_total",
+        help: "Plans computed by the greedy fault router under a non-empty fault set.",
+        samples: Samples::Fixed(&[(&[], C(Counter::DegradedPlans))]),
+    },
+    Family {
+        name: "pops_degraded_hits_total",
+        help: "Plan-cache hits answered from a degraded (fault-keyed) cache entry.",
+        samples: Samples::Fixed(&[(&[], C(Counter::DegradedHits))]),
+    },
+    Family {
+        name: "pops_unroutable_refusals_total",
+        help: "Requests refused before planning because the fault set left the fabric not fully routable.",
+        samples: Samples::Fixed(&[(&[], C(Counter::UnroutableRefusals))]),
+    },
+    Family {
+        name: "pops_arena_bytes",
+        help: "Engine-arena bytes across every resident topology's pool.",
+        samples: Samples::Fixed(&[(&[], G(Gauge::ArenaBytes))]),
+    },
+];
+
 /// The `topology` label value for a `(d, g)` shape: `"4x4"`.
 pub fn topology_label(d: usize, g: usize) -> String {
     format!("{d}x{g}")
 }
 
-/// Sums the per-kind latency histograms into one bucket array, returning
-/// `(buckets, total_micros)`.
-fn merge_kind_histograms(kinds: &[KindSnapshot]) -> ([u64; HISTOGRAM_BUCKETS], u64) {
-    let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-    let mut total_micros = 0u64;
-    for k in kinds {
-        for (slot, add) in buckets.iter_mut().zip(&k.latency) {
-            *slot += add;
-        }
-        total_micros += k.total_micros;
+/// The Prometheus type of a scalar family, from the naming convention
+/// the table follows: a counter's name ends in `_total`, and every other
+/// scalar family is a gauge.
+fn scalar_type(name: &str) -> &'static str {
+    if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
     }
-    (buckets, total_micros)
 }
 
 /// Writes the `# HELP` / `# TYPE` header for one family.
@@ -651,32 +466,23 @@ fn histogram(
     buckets: &[u64; HISTOGRAM_BUCKETS],
     sum_micros: u64,
 ) {
+    let bucket = format!("{name}_bucket");
+    let bucket_line = |out: &mut String, le: &str, cumulative| {
+        let mut with_le = labels.to_vec();
+        with_le.push(("le", le));
+        sample(out, &bucket, &with_le, cumulative);
+    };
     let (finite, overflow) = buckets.split_at(HISTOGRAM_BUCKETS - 1);
     let mut cumulative = 0u64;
     for (i, count) in finite.iter().enumerate() {
         cumulative += count;
         let le = (1u64 << i) - 1;
-        bucket_line(out, name, labels, &le.to_string(), cumulative);
+        bucket_line(out, &le.to_string(), cumulative);
     }
     cumulative += overflow.iter().sum::<u64>();
-    bucket_line(out, name, labels, "+Inf", cumulative);
-    out.push_str(name);
-    out.push_str("_sum");
-    write_labels(out, labels);
-    let _ = writeln!(out, " {sum_micros}");
-    out.push_str(name);
-    out.push_str("_count");
-    write_labels(out, labels);
-    let _ = writeln!(out, " {cumulative}");
-}
-
-fn bucket_line(out: &mut String, name: &str, labels: &[(&str, &str)], le: &str, value: u64) {
-    out.push_str(name);
-    out.push_str("_bucket{");
-    for (k, v) in labels {
-        let _ = write!(out, "{k}=\"{}\",", escape_label(v));
-    }
-    let _ = writeln!(out, "le=\"{le}\"}} {value}");
+    bucket_line(out, "+Inf", cumulative);
+    sample(out, &format!("{name}_sum"), labels, sum_micros);
+    sample(out, &format!("{name}_count"), labels, cumulative);
 }
 
 fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
@@ -696,16 +502,9 @@ fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
 /// Escapes a label value per the exposition format: backslash, double
 /// quote, and newline.
 fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// If `line` is an HTTP GET request line (`GET <path> HTTP/1.x`, or a
@@ -749,6 +548,8 @@ pub fn http_not_found() -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
     use super::*;
     use crate::metrics::ServiceMetrics;
     use crate::RequestKind;
@@ -759,14 +560,14 @@ mod tests {
         m.record_hit(RequestKind::Theorem2, 3);
         m.record_hit(RequestKind::HRelation, 900);
         m.record_error(RequestKind::SingleSlot);
-        m.record_shed(false);
-        m.record_shed(true);
+        m.add(Counter::ShedsWatermark, 1);
+        m.add(Counter::ShedsQuota, 1);
         m.record_wire_error(WireErrorKind::Overloaded);
         m.record_wire_bytes(true, 10, 20);
-        m.record_degraded_plan();
-        m.record_degraded_hit();
-        m.record_degraded_hit();
-        m.record_unroutable();
+        m.add(Counter::DegradedPlans, 1);
+        m.add(Counter::DegradedHits, 1);
+        m.add(Counter::DegradedHits, 1);
+        m.add(Counter::UnroutableRefusals, 1);
         let aggregate = m.snapshot();
         let per_topology = vec![
             (4, 4, m.snapshot()),
@@ -812,6 +613,122 @@ mod tests {
             }
         }
         assert!(declared.len() > 20, "expected a rich exposition");
+    }
+
+    #[test]
+    fn every_counter_and_gauge_is_exactly_one_sample() {
+        // Each counter and gauge holds its own power of 3. No sum or
+        // difference of two powers of 3 is a power of 3, so a derived
+        // sample cannot pose as one of them.
+        let value = |i: usize| 3u64.pow(i as u32 + 1);
+        let m = ServiceMetrics::new();
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            m.add(counter, value(i));
+        }
+        let mut snap = m.snapshot();
+        for (i, gauge) in Gauge::ALL.into_iter().enumerate() {
+            snap.set_gauge(gauge, value(Counter::COUNT + i));
+        }
+        let text = render(&Exposition {
+            aggregate: &snap,
+            topologies: &[(1, 1, snap.clone())],
+            router: &RouterStats::default(),
+            version: "1.2.3",
+            uptime_secs: 0,
+        });
+        let (topology, fleet): (Vec<&str>, Vec<&str>) = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .partition(|line| line.starts_with("pops_topology_"));
+        let count = |lines: &[&str], v: u64| {
+            let is_v = |line: &&&str| line.rsplit(' ').next() == Some(v.to_string().as_str());
+            lines.iter().filter(is_v).count()
+        };
+        let names = Counter::ALL
+            .map(|c| format!("{c:?}"))
+            .into_iter()
+            .chain(Gauge::ALL.map(|g| format!("Gauge::{g:?}")));
+        for (i, name) in names.enumerate() {
+            let samples = (count(&fleet, value(i)), count(&topology, value(i)));
+            // The fleet-wide error count is on the page per kind
+            // (`pops_request_errors_total`, fed by the same
+            // `record_error`) and per topology, not as a family of its own.
+            let expected = if name == "Errors" {
+                (0, 1)
+            } else {
+                (1, samples.1)
+            };
+            assert_eq!(samples, expected, "{name}: (fleet, topology) samples");
+        }
+    }
+
+    /// The backticked names in `cell` outside parentheses, each cut at
+    /// its first `=`: the label keys of an OPERATIONS.md table row.
+    fn documented_label_keys(cell: &str) -> BTreeSet<String> {
+        let mut depth = 0;
+        let outside: String = cell
+            .chars()
+            .filter(|&c| {
+                match c {
+                    '(' => depth += 1,
+                    ')' => depth -= 1,
+                    _ => {}
+                }
+                depth == 0 && c != ')'
+            })
+            .collect();
+        outside
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .map(|name| name.split('=').next().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn operations_md_rows_match_rendered_types_and_labels() {
+        let text = demo_exposition();
+        let mut rendered: HashMap<&str, (&str, BTreeSet<String>)> = HashMap::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').unwrap();
+                rendered.insert(name, (kind, BTreeSet::new()));
+            } else if !line.starts_with('#') {
+                let name_end = line.find(['{', ' ']).unwrap();
+                let keys = &mut rendered.get_mut(family_of(&line[..name_end])).unwrap().1;
+                if let Some(labels) = line[name_end..].strip_prefix('{') {
+                    let labels = &labels[..labels.find('}').unwrap()];
+                    for pair in labels.split(',') {
+                        let key = pair.split('=').next().unwrap();
+                        if key != "le" {
+                            keys.insert(key.to_string());
+                        }
+                    }
+                }
+            }
+        }
+        let doc = include_str!("../../../docs/OPERATIONS.md");
+        let mut rows = 0;
+        for row in doc.lines().filter(|l| l.starts_with("| `pops_")) {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let name = cells[1].trim_matches('`');
+            let kind = cells[2].split([' ', ',']).next().unwrap();
+            let (rendered_kind, rendered_keys) = rendered
+                .get(name)
+                .unwrap_or_else(|| panic!("{name} is documented but not rendered"));
+            assert_eq!(kind, *rendered_kind, "type of {name}");
+            assert_eq!(
+                documented_label_keys(cells[3]),
+                *rendered_keys,
+                "label keys of {name}"
+            );
+            rows += 1;
+        }
+        assert_eq!(
+            rows,
+            rendered.len(),
+            "one OPERATIONS.md row per rendered family"
+        );
     }
 
     #[test]
@@ -900,7 +817,11 @@ mod tests {
         histogram(&mut out, "h", &[], &h.snapshot(), 0);
         for line in out.lines().filter(|l| l.starts_with("h_bucket")) {
             let count = line.rsplit(' ').next().unwrap();
-            let expected = if line.contains("le=\"+Inf\"") { "1" } else { "0" };
+            let expected = if line.contains("le=\"+Inf\"") {
+                "1"
+            } else {
+                "0"
+            };
             assert_eq!(count, expected, "{line}");
         }
         assert!(!out.contains("le=\"8388607\""), "{out}");

@@ -69,7 +69,7 @@ pub use client::{
     ServerInfo, ServiceClient,
 };
 pub use json::{Json, JsonError, MAX_DEPTH};
-pub use metrics::{MetricsSnapshot, PoolAcquisition, RequestKind, ServiceMetrics};
+pub use metrics::{Counter, Gauge, MetricsSnapshot, RequestKind, ServiceMetrics};
 pub use persist::{PersistError, PersistSummary};
 pub use pool::EnginePool;
 pub use proto::{WireErrorKind, WireFormat};

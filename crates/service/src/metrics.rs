@@ -4,6 +4,12 @@
 //! Everything is a relaxed atomic — metrics never serialize the request
 //! path. A [`MetricsSnapshot`] is a plain-data copy taken at one instant;
 //! the server's `stats` op and the CLI's exit summary both render from it.
+//!
+//! Each scalar metric is declared once, as a [`Counter`] or [`Gauge`]
+//! variant. The variant indexes the registry's atomic array and the
+//! snapshot's plain array, so recording, snapshotting and aggregating
+//! need no per-metric code; the Prometheus family table in
+//! [`crate::exposition`] names each variant's sample.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,51 +18,146 @@ use crate::proto::WireErrorKind;
 
 /// Number of latency buckets: bucket `i` counts requests whose latency in
 /// microseconds `µs` satisfies `2^(i-1) ≤ µs < 2^i` (bucket 0 is `< 1 µs`).
+/// The last bucket also holds every slower observation (it is clamped).
 pub const HISTOGRAM_BUCKETS: usize = 24;
 
 /// Number of wire-error kinds tracked by the per-kind error counters
 /// (one slot per [`WireErrorKind`], indexed by [`WireErrorKind::index`]).
 pub const WIRE_ERROR_KINDS: usize = WireErrorKind::ALL.len();
 
-/// The request kinds the service distinguishes in its per-kind metrics —
-/// one per [`pops_core::RoutingRequest`] variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// General Theorem-2 permutation routing.
-    Theorem2,
-    /// Single-slot routing (Gravenstreter–Melhem condition).
-    SingleSlot,
-    /// h-relation routing by König decomposition.
-    HRelation,
-    /// Fault-tolerant routing around failed couplers.
-    WithFaults,
-    /// The direct single-hop baseline.
-    Direct,
-    /// The structured (Sahni-style) baseline.
-    Structured,
+/// Declares a fieldless enum whose variants index a metric array, with
+/// `COUNT` (the array length) and `ALL` (every variant, in index order).
+macro_rules! metric_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[doc = $doc:literal])* $variant:ident,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant, in index order.
+            pub const ALL: [$name; $name::COUNT] = [$($name::$variant),*];
+            /// Number of variants: the length of the arrays they index.
+            pub const COUNT: usize = [$($name::$variant),*].len();
+        }
+    };
+}
+
+metric_enum! {
+    /// A monotonic scalar counter of the registry. Recording one is a
+    /// single relaxed `fetch_add` ([`ServiceMetrics::add`]); snapshots
+    /// read it with [`MetricsSnapshot::get`].
+    Counter {
+        /// Level-1 (whole-request) plan-cache hits.
+        Hits,
+        /// Level-1 plan-cache misses (each one computed or assembled a plan).
+        Misses,
+        /// Level-2 (per-phase) cache hits: h-relation phases answered from
+        /// the phase cache instead of the engine pool.
+        PhaseHits,
+        /// Level-2 misses: phases that had to be planned on an engine.
+        PhaseMisses,
+        /// Total slots across every schedule the service emitted.
+        SlotsEmitted,
+        /// Requests that returned a routing error.
+        Errors,
+        /// Engine-pool acquisitions that found their home shard free.
+        PoolFast,
+        /// Acquisitions that overflowed to another idle shard.
+        PoolOverflows,
+        /// Acquisitions that found every shard busy and had to block.
+        PoolBlocked,
+        /// Requests that had to wait at the admission gate.
+        AdmissionWaits,
+        /// Batch submissions.
+        Batches,
+        /// Plans produced by batch submissions.
+        BatchPlans,
+        /// Connections the server accepted and handed to a handler.
+        ConnsOpened,
+        /// Handler threads that have exited (their connection is done).
+        ConnsClosed,
+        /// Connections refused because the server was at capacity.
+        ConnsRejected,
+        /// Request lines rejected for exceeding the line-length cap.
+        OversizedLines,
+        /// Connections dropped because a complete line never arrived in time.
+        ReadTimeouts,
+        /// Requests shed at the global in-flight watermark (answered with
+        /// an `overloaded` error instead of queueing).
+        ShedsWatermark,
+        /// Requests shed by a per-client token-bucket quota.
+        ShedsQuota,
+        /// Slow-request trace lines actually emitted to the log.
+        SlowTraces,
+        /// Slow-request trace lines suppressed by the rate limiter.
+        SlowTracesSuppressed,
+        /// Connections that negotiated the binary framing (every connection
+        /// starts as JSON; `ConnsOpened - ConnsBinary` is the JSON count).
+        ConnsBinary,
+        /// Request bytes received on JSON-lines connections.
+        JsonBytesIn,
+        /// Response bytes written on JSON-lines connections.
+        JsonBytesOut,
+        /// Request bytes received on binary-framed connections (frames read
+        /// after negotiation; the negotiation line itself counts as JSON).
+        BinaryBytesIn,
+        /// Response bytes written on binary-framed connections.
+        BinaryBytesOut,
+        /// Degraded plans computed: level-1 misses planned by the greedy
+        /// fault router under a non-empty fault set (the fallback to the
+        /// Theorem-2 construction).
+        DegradedPlans,
+        /// Level-1 hits answered from a degraded (fault-keyed) cache entry.
+        DegradedHits,
+        /// Requests refused because their effective fault set left the
+        /// fabric not fully routable.
+        UnroutableRefusals,
+    }
+}
+
+metric_enum! {
+    /// A gauge of service state the registry cannot see: filled into a
+    /// snapshot by [`crate::RoutingService::metrics`] (0 from a bare
+    /// registry) and read with [`MetricsSnapshot::gauge`].
+    Gauge {
+        /// Engine-arena bytes across the pool.
+        ArenaBytes,
+        /// Level-1 plans currently cached.
+        CacheEntries,
+        /// Level-1 plan-cache capacity.
+        CacheCapacity,
+        /// Level-2 phase plans currently cached.
+        PhaseCacheEntries,
+        /// Level-2 phase-cache capacity.
+        PhaseCacheCapacity,
+    }
+}
+
+metric_enum! {
+    /// The request kinds the service distinguishes in its per-kind metrics —
+    /// one per [`pops_core::RoutingRequest`] variant, in wire-name order.
+    RequestKind {
+        /// General Theorem-2 permutation routing.
+        Theorem2,
+        /// Single-slot routing (Gravenstreter–Melhem condition).
+        SingleSlot,
+        /// h-relation routing by König decomposition.
+        HRelation,
+        /// Fault-tolerant routing around failed couplers.
+        WithFaults,
+        /// The direct single-hop baseline.
+        Direct,
+        /// The structured (Sahni-style) baseline.
+        Structured,
+    }
 }
 
 impl RequestKind {
-    /// All kinds, in wire-name order.
-    pub const ALL: [RequestKind; 6] = [
-        RequestKind::Theorem2,
-        RequestKind::SingleSlot,
-        RequestKind::HRelation,
-        RequestKind::WithFaults,
-        RequestKind::Direct,
-        RequestKind::Structured,
-    ];
-
-    /// The kind's index into per-kind metric arrays.
+    /// The kind's index into per-kind metric arrays (and its wire byte).
     pub fn index(self) -> usize {
-        match self {
-            RequestKind::Theorem2 => 0,
-            RequestKind::SingleSlot => 1,
-            RequestKind::HRelation => 2,
-            RequestKind::WithFaults => 3,
-            RequestKind::Direct => 4,
-            RequestKind::Structured => 5,
-        }
+        self as usize
     }
 
     /// The kind's wire name (used by the JSON protocol and reports).
@@ -93,11 +194,7 @@ impl LatencyHistogram {
 
     /// Plain-data copy of the bucket counts.
     pub fn snapshot(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for (slot, bucket) in out.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
     }
 }
 
@@ -114,74 +211,11 @@ struct KindMetrics {
 /// pools and the admission gate update it directly.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    /// Level-1 (whole-request) plan-cache hits.
-    hits: AtomicU64,
-    /// Level-1 plan-cache misses (each one computed or assembled a plan).
-    misses: AtomicU64,
-    /// Level-2 (per-phase) cache hits: h-relation phases answered from the
-    /// phase cache instead of the engine pool.
-    phase_hits: AtomicU64,
-    /// Level-2 misses: phases that had to be planned on an engine.
-    phase_misses: AtomicU64,
-    /// Total slots across every schedule the service emitted.
-    slots_emitted: AtomicU64,
-    /// Requests that returned a routing error.
-    errors: AtomicU64,
-    /// Engine-pool acquisitions that found their home shard free.
-    pool_fast: AtomicU64,
-    /// Acquisitions that overflowed to another idle shard.
-    pool_overflows: AtomicU64,
-    /// Acquisitions that found every shard busy and had to block.
-    pool_blocked: AtomicU64,
-    /// Requests that had to wait at the admission gate.
-    admission_waits: AtomicU64,
-    /// Batch submissions.
-    batches: AtomicU64,
-    /// Plans produced by batch submissions.
-    batch_plans: AtomicU64,
-    /// Connections the server accepted and handed to a handler.
-    conns_opened: AtomicU64,
-    /// Handler threads that have exited (their connection is done).
-    conns_closed: AtomicU64,
-    /// Connections refused because the server was at capacity.
-    conns_rejected: AtomicU64,
-    /// Request lines rejected for exceeding the line-length cap.
-    oversized_lines: AtomicU64,
-    /// Connections dropped because a complete line never arrived in time.
-    read_timeouts: AtomicU64,
-    /// Requests shed at the global in-flight watermark (answered with an
-    /// `overloaded` error instead of queueing).
-    sheds_watermark: AtomicU64,
-    /// Requests shed by a per-client token-bucket quota.
-    sheds_quota: AtomicU64,
-    /// Slow-request trace lines actually emitted to the log.
-    slow_traces: AtomicU64,
-    /// Slow-request trace lines suppressed by the rate limiter.
-    slow_traces_suppressed: AtomicU64,
+    /// Every scalar counter, indexed by [`Counter`].
+    counters: [AtomicU64; Counter::COUNT],
     /// Wire-level error responses written, by [`WireErrorKind`] index.
     wire_errors: [AtomicU64; WIRE_ERROR_KINDS],
-    /// Connections that negotiated the binary framing (every connection
-    /// starts as JSON; `conns_opened - conns_binary` is the JSON count).
-    conns_binary: AtomicU64,
-    /// Request bytes received on JSON-lines connections.
-    json_bytes_in: AtomicU64,
-    /// Response bytes written on JSON-lines connections.
-    json_bytes_out: AtomicU64,
-    /// Request bytes received on binary-framed connections (frames read
-    /// after negotiation; the negotiation line itself counts as JSON).
-    binary_bytes_in: AtomicU64,
-    /// Response bytes written on binary-framed connections.
-    binary_bytes_out: AtomicU64,
-    /// Degraded plans computed: level-1 misses planned by the greedy
-    /// fault router under a non-empty fault set (the fallback to the
-    /// Theorem-2 construction).
-    degraded_plans: AtomicU64,
-    /// Level-1 hits answered from a degraded (fault-keyed) cache entry.
-    degraded_hits: AtomicU64,
-    /// Requests refused because their effective fault set left the
-    /// fabric not fully routable.
-    unroutable_refusals: AtomicU64,
-    per_kind: [KindMetrics; 6],
+    per_kind: [KindMetrics; RequestKind::COUNT],
 }
 
 impl ServiceMetrics {
@@ -190,35 +224,29 @@ impl ServiceMetrics {
         Self::default()
     }
 
+    /// Adds `n` to one counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records a cache hit for `kind`, `micros` in service.
     pub fn record_hit(&self, kind: RequestKind, micros: u64) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Hits, 1);
         self.record_kind(kind, micros);
     }
 
     /// Records a computed (cache-miss) plan for `kind` that emitted
     /// `slots` slots, `micros` in service.
     pub fn record_miss(&self, kind: RequestKind, slots: usize, micros: u64) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.slots_emitted
-            .fetch_add(slots as u64, Ordering::Relaxed);
+        self.add(Counter::Misses, 1);
+        self.add(Counter::SlotsEmitted, slots as u64);
         self.record_kind(kind, micros);
-    }
-
-    /// Records a level-2 hit: one h-relation phase served from the phase
-    /// cache.
-    pub fn record_phase_hit(&self) {
-        self.phase_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a level-2 miss: one phase planned on the engine pool.
-    pub fn record_phase_miss(&self) {
-        self.phase_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a failed request.
     pub fn record_error(&self, kind: RequestKind) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Errors, 1);
         self.per_kind[kind.index()]
             .errors
             .fetch_add(1, Ordering::Relaxed);
@@ -231,74 +259,11 @@ impl ServiceMetrics {
         k.latency.record(micros);
     }
 
-    /// Records an engine-pool acquisition outcome.
-    pub fn record_pool(&self, outcome: PoolAcquisition) {
-        let counter = match outcome {
-            PoolAcquisition::Fast => &self.pool_fast,
-            PoolAcquisition::Overflow => &self.pool_overflows,
-            PoolAcquisition::Blocked => &self.pool_blocked,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a wait at the admission gate.
-    pub fn record_admission_wait(&self) {
-        self.admission_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a batch submission of `plans` plans totalling `slots` slots.
     pub fn record_batch(&self, plans: usize, slots: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_plans.fetch_add(plans as u64, Ordering::Relaxed);
-        self.slots_emitted
-            .fetch_add(slots as u64, Ordering::Relaxed);
-    }
-
-    /// Records a connection accepted and handed to a handler thread.
-    pub fn record_connection_opened(&self) {
-        self.conns_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a handler thread exiting (its connection is finished).
-    pub fn record_connection_closed(&self) {
-        self.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection refused at the server's capacity limit.
-    pub fn record_connection_rejected(&self) {
-        self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request line rejected for exceeding the length cap.
-    pub fn record_oversized_line(&self) {
-        self.oversized_lines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection dropped on a read timeout.
-    pub fn record_read_timeout(&self) {
-        self.read_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request shed by overload control: at the global in-flight
-    /// watermark (`quota = false`) or by a per-client quota (`quota = true`).
-    pub fn record_shed(&self, quota: bool) {
-        let counter = if quota {
-            &self.sheds_quota
-        } else {
-            &self.sheds_watermark
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a slow-request trace line: emitted to the log, or suppressed
-    /// by the rate limiter (`emitted = false`).
-    pub fn record_slow_trace(&self, emitted: bool) {
-        let counter = if emitted {
-            &self.slow_traces
-        } else {
-            &self.slow_traces_suppressed
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Batches, 1);
+        self.add(Counter::BatchPlans, plans as u64);
+        self.add(Counter::SlotsEmitted, slots as u64);
     }
 
     /// Records one wire-level error response of the given kind (the typed
@@ -307,103 +272,38 @@ impl ServiceMetrics {
         self.wire_errors[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a degraded plan: a miss planned by the greedy fault router
-    /// under a non-empty fault set.
-    pub fn record_degraded_plan(&self) {
-        self.degraded_plans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a level-1 hit on a degraded (fault-keyed) entry.
-    pub fn record_degraded_hit(&self) {
-        self.degraded_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request refused because its fault set left the fabric
-    /// not fully routable.
-    pub fn record_unroutable(&self) {
-        self.unroutable_refusals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection upgrading to the binary framing (a successful
-    /// `hello` negotiation).
-    pub fn record_binary_negotiated(&self) {
-        self.conns_binary.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records wire traffic: `bytes_in` request bytes received and
     /// `bytes_out` response bytes written, attributed to the connection's
     /// negotiated format.
     pub fn record_wire_bytes(&self, binary: bool, bytes_in: u64, bytes_out: u64) {
-        let (in_counter, out_counter) = if binary {
-            (&self.binary_bytes_in, &self.binary_bytes_out)
+        let (bytes_in_counter, bytes_out_counter) = if binary {
+            (Counter::BinaryBytesIn, Counter::BinaryBytesOut)
         } else {
-            (&self.json_bytes_in, &self.json_bytes_out)
+            (Counter::JsonBytesIn, Counter::JsonBytesOut)
         };
-        in_counter.fetch_add(bytes_in, Ordering::Relaxed);
-        out_counter.fetch_add(bytes_out, Ordering::Relaxed);
+        self.add(bytes_in_counter, bytes_in);
+        self.add(bytes_out_counter, bytes_out);
     }
 
-    /// A plain-data copy of every counter at this instant.
+    /// A plain-data copy of every counter at this instant (gauges 0).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         MetricsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            phase_hits: self.phase_hits.load(Ordering::Relaxed),
-            phase_misses: self.phase_misses.load(Ordering::Relaxed),
-            slots_emitted: self.slots_emitted.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            pool_fast: self.pool_fast.load(Ordering::Relaxed),
-            pool_overflows: self.pool_overflows.load(Ordering::Relaxed),
-            pool_blocked: self.pool_blocked.load(Ordering::Relaxed),
-            admission_waits: self.admission_waits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_plans: self.batch_plans.load(Ordering::Relaxed),
-            conns_opened: self.conns_opened.load(Ordering::Relaxed),
-            conns_closed: self.conns_closed.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            oversized_lines: self.oversized_lines.load(Ordering::Relaxed),
-            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
-            sheds_watermark: self.sheds_watermark.load(Ordering::Relaxed),
-            sheds_quota: self.sheds_quota.load(Ordering::Relaxed),
-            slow_traces: self.slow_traces.load(Ordering::Relaxed),
-            slow_traces_suppressed: self.slow_traces_suppressed.load(Ordering::Relaxed),
-            wire_errors: std::array::from_fn(|i| self.wire_errors[i].load(Ordering::Relaxed)),
-            conns_binary: self.conns_binary.load(Ordering::Relaxed),
-            json_bytes_in: self.json_bytes_in.load(Ordering::Relaxed),
-            json_bytes_out: self.json_bytes_out.load(Ordering::Relaxed),
-            binary_bytes_in: self.binary_bytes_in.load(Ordering::Relaxed),
-            binary_bytes_out: self.binary_bytes_out.load(Ordering::Relaxed),
-            degraded_plans: self.degraded_plans.load(Ordering::Relaxed),
-            degraded_hits: self.degraded_hits.load(Ordering::Relaxed),
-            unroutable_refusals: self.unroutable_refusals.load(Ordering::Relaxed),
-            arena_bytes: 0,
-            cache_entries: 0,
-            cache_capacity: 0,
-            phase_cache_entries: 0,
-            phase_cache_capacity: 0,
+            counters: self.counters.each_ref().map(load),
+            gauges: [0; Gauge::COUNT],
+            wire_errors: self.wire_errors.each_ref().map(load),
             per_kind: RequestKind::ALL.map(|kind| {
                 let k = &self.per_kind[kind.index()];
                 KindSnapshot {
                     kind,
-                    requests: k.requests.load(Ordering::Relaxed),
-                    errors: k.errors.load(Ordering::Relaxed),
-                    total_micros: k.total_micros.load(Ordering::Relaxed),
+                    requests: load(&k.requests),
+                    errors: load(&k.errors),
+                    total_micros: load(&k.total_micros),
                     latency: k.latency.snapshot(),
                 }
             }),
         }
     }
-}
-
-/// How an engine-pool acquisition went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolAcquisition {
-    /// The round-robin home shard was free.
-    Fast,
-    /// The home shard was busy; the request overflowed to an idle shard.
-    Overflow,
-    /// Every shard was busy; the request blocked on its home shard.
-    Blocked,
 }
 
 /// Plain-data copy of one request kind's counters.
@@ -422,6 +322,15 @@ pub struct KindSnapshot {
 }
 
 impl KindSnapshot {
+    /// Adds `other`'s requests, errors, latency total and histogram into
+    /// `self` (its kind is kept).
+    pub fn absorb(&mut self, other: &KindSnapshot) {
+        self.requests += other.requests;
+        self.errors += other.errors;
+        self.total_micros += other.total_micros;
+        add_slots(&mut self.latency, &other.latency);
+    }
+
     /// Mean service latency in microseconds (0 when idle).
     pub fn avg_micros(&self) -> u64 {
         self.total_micros.checked_div(self.requests).unwrap_or(0)
@@ -449,87 +358,54 @@ impl KindSnapshot {
 /// Plain-data copy of the whole registry.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Level-1 (whole-request) plan-cache hits.
-    pub hits: u64,
-    /// Level-1 plan-cache misses.
-    pub misses: u64,
-    /// Level-2 (per-phase) cache hits.
-    pub phase_hits: u64,
-    /// Level-2 (per-phase) cache misses.
-    pub phase_misses: u64,
-    /// Total slots across emitted schedules.
-    pub slots_emitted: u64,
-    /// Requests that returned an error.
-    pub errors: u64,
-    /// Pool acquisitions with a free home shard.
-    pub pool_fast: u64,
-    /// Pool acquisitions that overflowed to another shard.
-    pub pool_overflows: u64,
-    /// Pool acquisitions that blocked.
-    pub pool_blocked: u64,
-    /// Waits at the admission gate.
-    pub admission_waits: u64,
-    /// Batch submissions.
-    pub batches: u64,
-    /// Plans produced by batches.
-    pub batch_plans: u64,
-    /// Connections accepted by the server.
-    pub conns_opened: u64,
-    /// Connections whose handler has exited.
-    pub conns_closed: u64,
-    /// Connections refused at the capacity limit.
-    pub conns_rejected: u64,
-    /// Request lines rejected for exceeding the length cap.
-    pub oversized_lines: u64,
-    /// Connections dropped on a read timeout.
-    pub read_timeouts: u64,
-    /// Requests shed at the global in-flight watermark.
-    pub sheds_watermark: u64,
-    /// Requests shed by a per-client token-bucket quota.
-    pub sheds_quota: u64,
-    /// Slow-request trace lines emitted to the log.
-    pub slow_traces: u64,
-    /// Slow-request trace lines suppressed by the rate limiter.
-    pub slow_traces_suppressed: u64,
+    /// Every scalar counter, indexed by [`Counter`]; read with
+    /// [`MetricsSnapshot::get`].
+    counters: [u64; Counter::COUNT],
+    /// Every gauge, indexed by [`Gauge`]; read with
+    /// [`MetricsSnapshot::gauge`].
+    gauges: [u64; Gauge::COUNT],
     /// Wire-level error responses written, indexed by
     /// [`WireErrorKind::index`].
     pub wire_errors: [u64; WIRE_ERROR_KINDS],
-    /// Connections that negotiated the binary framing.
-    pub conns_binary: u64,
-    /// Request bytes received on JSON-lines connections.
-    pub json_bytes_in: u64,
-    /// Response bytes written on JSON-lines connections.
-    pub json_bytes_out: u64,
-    /// Request bytes received on binary-framed connections.
-    pub binary_bytes_in: u64,
-    /// Response bytes written on binary-framed connections.
-    pub binary_bytes_out: u64,
-    /// Degraded plans computed under a non-empty fault set.
-    pub degraded_plans: u64,
-    /// Level-1 hits answered from degraded (fault-keyed) entries.
-    pub degraded_hits: u64,
-    /// Requests refused because the fault set was not fully routable.
-    pub unroutable_refusals: u64,
-    /// Engine-arena bytes across the pool (gauge; filled by
-    /// [`crate::RoutingService::metrics`], 0 from a bare registry).
-    pub arena_bytes: u64,
-    /// Level-1 plans currently cached (gauge; filled like `arena_bytes`).
-    pub cache_entries: u64,
-    /// Level-1 plan-cache capacity (gauge; filled like `arena_bytes`).
-    pub cache_capacity: u64,
-    /// Level-2 phase plans currently cached (gauge; filled like
-    /// `arena_bytes`).
-    pub phase_cache_entries: u64,
-    /// Level-2 phase-cache capacity (gauge; filled like `arena_bytes`).
-    pub phase_cache_capacity: u64,
     /// Per-kind counters.
-    pub per_kind: [KindSnapshot; 6],
+    pub per_kind: [KindSnapshot; RequestKind::COUNT],
+}
+
+/// Adds `theirs` into `mine`, slot by slot.
+fn add_slots(mine: &mut [u64], theirs: &[u64]) {
+    for (slot, add) in mine.iter_mut().zip(theirs) {
+        *slot += add;
+    }
+}
+
+/// `part / whole`, or 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
 }
 
 impl MetricsSnapshot {
     /// A zeroed snapshot — the identity of [`MetricsSnapshot::absorb`].
     pub fn zero() -> Self {
         ServiceMetrics::new().snapshot()
+    }
+
+    /// One counter's value.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
+    }
+
+    /// One gauge's value.
+    pub fn gauge(&self, gauge: Gauge) -> u64 {
+        self.gauges[gauge as usize]
+    }
+
+    /// Sets one gauge.
+    pub fn set_gauge(&mut self, gauge: Gauge, value: u64) {
+        self.gauges[gauge as usize] = value;
     }
 
     /// Adds every counter (and gauge) of `other` into `self`.
@@ -541,7 +417,7 @@ impl MetricsSnapshot {
     /// and capacity) sum too, so the aggregate reads as fleet totals.
     ///
     /// ```
-    /// use pops_service::{MetricsSnapshot, RequestKind, ServiceMetrics};
+    /// use pops_service::{Counter, MetricsSnapshot, RequestKind, ServiceMetrics};
     ///
     /// let a = ServiceMetrics::new();
     /// a.record_miss(RequestKind::Theorem2, 2, 10);
@@ -551,102 +427,51 @@ impl MetricsSnapshot {
     /// let mut total = MetricsSnapshot::zero();
     /// total.absorb(&a.snapshot());
     /// total.absorb(&b.snapshot());
-    /// assert_eq!((total.hits, total.misses), (1, 1));
+    /// assert_eq!((total.get(Counter::Hits), total.get(Counter::Misses)), (1, 1));
     /// assert_eq!(total.per_kind[0].requests, 2);
     /// ```
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.phase_hits += other.phase_hits;
-        self.phase_misses += other.phase_misses;
-        self.slots_emitted += other.slots_emitted;
-        self.errors += other.errors;
-        self.pool_fast += other.pool_fast;
-        self.pool_overflows += other.pool_overflows;
-        self.pool_blocked += other.pool_blocked;
-        self.admission_waits += other.admission_waits;
-        self.batches += other.batches;
-        self.batch_plans += other.batch_plans;
-        self.conns_opened += other.conns_opened;
-        self.conns_closed += other.conns_closed;
-        self.conns_rejected += other.conns_rejected;
-        self.oversized_lines += other.oversized_lines;
-        self.read_timeouts += other.read_timeouts;
-        self.sheds_watermark += other.sheds_watermark;
-        self.sheds_quota += other.sheds_quota;
-        self.slow_traces += other.slow_traces;
-        self.slow_traces_suppressed += other.slow_traces_suppressed;
-        for (mine, theirs) in self.wire_errors.iter_mut().zip(&other.wire_errors) {
-            *mine += theirs;
-        }
-        self.conns_binary += other.conns_binary;
-        self.json_bytes_in += other.json_bytes_in;
-        self.json_bytes_out += other.json_bytes_out;
-        self.binary_bytes_in += other.binary_bytes_in;
-        self.binary_bytes_out += other.binary_bytes_out;
-        self.degraded_plans += other.degraded_plans;
-        self.degraded_hits += other.degraded_hits;
-        self.unroutable_refusals += other.unroutable_refusals;
-        self.arena_bytes += other.arena_bytes;
-        self.cache_entries += other.cache_entries;
-        self.cache_capacity += other.cache_capacity;
-        self.phase_cache_entries += other.phase_cache_entries;
-        self.phase_cache_capacity += other.phase_cache_capacity;
+        add_slots(&mut self.counters, &other.counters);
+        add_slots(&mut self.gauges, &other.gauges);
+        add_slots(&mut self.wire_errors, &other.wire_errors);
         for (mine, theirs) in self.per_kind.iter_mut().zip(&other.per_kind) {
             debug_assert_eq!(mine.kind, theirs.kind);
-            mine.requests += theirs.requests;
-            mine.errors += theirs.errors;
-            mine.total_micros += theirs.total_micros;
-            for (bucket, add) in mine.latency.iter_mut().zip(&theirs.latency) {
-                *bucket += add;
-            }
+            mine.absorb(theirs);
         }
     }
 
     /// Level-1 cache hit rate over single-request traffic (0 when idle).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.get(Counter::Hits), self.requests())
     }
 
     /// Level-2 (phase) cache hit rate over routed phases (0 when idle).
     pub fn phase_hit_rate(&self) -> f64 {
-        let total = self.phase_hits + self.phase_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.phase_hits as f64 / total as f64
-        }
+        let hits = self.get(Counter::PhaseHits);
+        ratio(hits, hits + self.get(Counter::PhaseMisses))
     }
 
     /// Single requests served (hits + misses).
     pub fn requests(&self) -> u64 {
-        self.hits + self.misses
+        self.get(Counter::Hits) + self.get(Counter::Misses)
     }
 
     /// Connections currently live (opened minus closed).
     pub fn active_connections(&self) -> u64 {
-        self.conns_opened.saturating_sub(self.conns_closed)
+        self.get(Counter::ConnsOpened)
+            .saturating_sub(self.get(Counter::ConnsClosed))
     }
 
     /// Connections that stayed on the default JSON-lines framing (opened
     /// minus binary-negotiated).
     pub fn json_connections(&self) -> u64 {
-        self.conns_opened.saturating_sub(self.conns_binary)
+        self.get(Counter::ConnsOpened)
+            .saturating_sub(self.get(Counter::ConnsBinary))
     }
 
     /// Requests shed by overload control, all causes combined.
     pub fn sheds(&self) -> u64 {
-        self.sheds_watermark + self.sheds_quota
-    }
-
-    /// Degraded requests served (fault-keyed hits + degraded plans).
-    pub fn degraded_requests(&self) -> u64 {
-        self.degraded_plans + self.degraded_hits
+        self.get(Counter::ShedsWatermark) + self.get(Counter::ShedsQuota)
     }
 
     /// Wire-level error responses written, all kinds combined.
@@ -657,57 +482,67 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use Counter as C;
+        let c = |counter| self.get(counter);
+        let g = |gauge| self.gauge(gauge);
         writeln!(
             f,
             "requests: {} ({} L1 hits, {} L1 misses, hit rate {:.1}%), {} errors",
             self.requests(),
-            self.hits,
-            self.misses,
+            c(C::Hits),
+            c(C::Misses),
             100.0 * self.hit_rate(),
-            self.errors,
+            c(C::Errors),
         )?;
         writeln!(
             f,
             "phases (L2): {} hits, {} misses, hit rate {:.1}%",
-            self.phase_hits,
-            self.phase_misses,
+            c(C::PhaseHits),
+            c(C::PhaseMisses),
             100.0 * self.phase_hit_rate(),
         )?;
         writeln!(
             f,
             "slots emitted: {}   batches: {} ({} plans)",
-            self.slots_emitted, self.batches, self.batch_plans
+            c(C::SlotsEmitted),
+            c(C::Batches),
+            c(C::BatchPlans)
         )?;
         writeln!(
             f,
             "degraded: {} plans, {} hits   unroutable refusals: {}",
-            self.degraded_plans, self.degraded_hits, self.unroutable_refusals
+            c(C::DegradedPlans),
+            c(C::DegradedHits),
+            c(C::UnroutableRefusals)
         )?;
         writeln!(
             f,
             "pool: {} fast, {} overflowed, {} blocked   admission waits: {}",
-            self.pool_fast, self.pool_overflows, self.pool_blocked, self.admission_waits
+            c(C::PoolFast),
+            c(C::PoolOverflows),
+            c(C::PoolBlocked),
+            c(C::AdmissionWaits)
         )?;
         writeln!(
             f,
             "connections: {} active ({} opened, {} closed, {} rejected)   \
              oversized lines: {}   read timeouts: {}",
             self.active_connections(),
-            self.conns_opened,
-            self.conns_closed,
-            self.conns_rejected,
-            self.oversized_lines,
-            self.read_timeouts,
+            c(C::ConnsOpened),
+            c(C::ConnsClosed),
+            c(C::ConnsRejected),
+            c(C::OversizedLines),
+            c(C::ReadTimeouts),
         )?;
         writeln!(
             f,
             "sheds: {} ({} watermark, {} quota)   slow traces: {} emitted, \
              {} suppressed   wire errors: {}",
             self.sheds(),
-            self.sheds_watermark,
-            self.sheds_quota,
-            self.slow_traces,
-            self.slow_traces_suppressed,
+            c(C::ShedsWatermark),
+            c(C::ShedsQuota),
+            c(C::SlowTraces),
+            c(C::SlowTracesSuppressed),
             self.wire_errors_total(),
         )?;
         writeln!(
@@ -715,21 +550,21 @@ impl fmt::Display for MetricsSnapshot {
             "wire: {} json conn(s) ({} B in, {} B out), {} binary conn(s) \
              ({} B in, {} B out)",
             self.json_connections(),
-            self.json_bytes_in,
-            self.json_bytes_out,
-            self.conns_binary,
-            self.binary_bytes_in,
-            self.binary_bytes_out,
+            c(C::JsonBytesIn),
+            c(C::JsonBytesOut),
+            c(C::ConnsBinary),
+            c(C::BinaryBytesIn),
+            c(C::BinaryBytesOut),
         )?;
         writeln!(
             f,
             "arena footprint: {} bytes   plan cache: {}/{} entries   \
              phase cache: {}/{} entries",
-            self.arena_bytes,
-            self.cache_entries,
-            self.cache_capacity,
-            self.phase_cache_entries,
-            self.phase_cache_capacity,
+            g(Gauge::ArenaBytes),
+            g(Gauge::CacheEntries),
+            g(Gauge::CacheCapacity),
+            g(Gauge::PhaseCacheEntries),
+            g(Gauge::PhaseCacheCapacity),
         )?;
         writeln!(
             f,
@@ -782,17 +617,17 @@ mod tests {
         m.record_miss(RequestKind::Theorem2, 2, 100);
         m.record_hit(RequestKind::Theorem2, 1);
         m.record_error(RequestKind::SingleSlot);
-        m.record_pool(PoolAcquisition::Fast);
-        m.record_pool(PoolAcquisition::Overflow);
+        m.add(Counter::PoolFast, 1);
+        m.add(Counter::PoolOverflows, 1);
         m.record_batch(8, 16);
         let s = m.snapshot();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.slots_emitted, 2 + 16);
-        assert_eq!(s.errors, 1);
-        assert_eq!(s.pool_fast, 1);
-        assert_eq!(s.pool_overflows, 1);
-        assert_eq!(s.batch_plans, 8);
+        assert_eq!(s.get(Counter::Hits), 1);
+        assert_eq!(s.get(Counter::Misses), 1);
+        assert_eq!(s.get(Counter::SlotsEmitted), 2 + 16);
+        assert_eq!(s.get(Counter::Errors), 1);
+        assert_eq!(s.get(Counter::PoolFast), 1);
+        assert_eq!(s.get(Counter::PoolOverflows), 1);
+        assert_eq!(s.get(Counter::BatchPlans), 8);
         assert_eq!(s.per_kind[0].requests, 2);
         assert_eq!(s.per_kind[1].errors, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
@@ -805,13 +640,21 @@ mod tests {
     fn phase_counters_are_reported_separately_from_l1() {
         let m = ServiceMetrics::new();
         m.record_miss(RequestKind::HRelation, 8, 120);
-        m.record_phase_miss();
-        m.record_phase_hit();
-        m.record_phase_hit();
-        m.record_phase_hit();
+        m.add(Counter::PhaseMisses, 1);
+        m.add(Counter::PhaseHits, 1);
+        m.add(Counter::PhaseHits, 1);
+        m.add(Counter::PhaseHits, 1);
         let s = m.snapshot();
-        assert_eq!((s.hits, s.misses), (0, 1), "L1 view");
-        assert_eq!((s.phase_hits, s.phase_misses), (3, 1), "L2 view");
+        assert_eq!(
+            (s.get(Counter::Hits), s.get(Counter::Misses)),
+            (0, 1),
+            "L1 view"
+        );
+        assert_eq!(
+            (s.get(Counter::PhaseHits), s.get(Counter::PhaseMisses)),
+            (3, 1),
+            "L2 view"
+        );
         assert!((s.phase_hit_rate() - 0.75).abs() < 1e-9);
         let rendered = s.to_string();
         assert!(rendered.contains("L1 hits"), "{rendered}");
@@ -825,17 +668,23 @@ mod tests {
     fn connection_and_limit_counters_round_trip() {
         let m = ServiceMetrics::new();
         for _ in 0..3 {
-            m.record_connection_opened();
+            m.add(Counter::ConnsOpened, 1);
         }
-        m.record_connection_closed();
-        m.record_connection_rejected();
-        m.record_oversized_line();
-        m.record_read_timeout();
+        m.add(Counter::ConnsClosed, 1);
+        m.add(Counter::ConnsRejected, 1);
+        m.add(Counter::OversizedLines, 1);
+        m.add(Counter::ReadTimeouts, 1);
         let s = m.snapshot();
-        assert_eq!((s.conns_opened, s.conns_closed), (3, 1));
+        assert_eq!(
+            (s.get(Counter::ConnsOpened), s.get(Counter::ConnsClosed)),
+            (3, 1)
+        );
         assert_eq!(s.active_connections(), 2);
-        assert_eq!(s.conns_rejected, 1);
-        assert_eq!((s.oversized_lines, s.read_timeouts), (1, 1));
+        assert_eq!(s.get(Counter::ConnsRejected), 1);
+        assert_eq!(
+            (s.get(Counter::OversizedLines), s.get(Counter::ReadTimeouts)),
+            (1, 1)
+        );
         let rendered = s.to_string();
         assert!(rendered.contains("2 active"), "{rendered}");
         assert!(rendered.contains("read timeouts: 1"), "{rendered}");
@@ -846,17 +695,26 @@ mod tests {
     fn per_format_wire_counters_round_trip() {
         let m = ServiceMetrics::new();
         for _ in 0..3 {
-            m.record_connection_opened();
+            m.add(Counter::ConnsOpened, 1);
         }
-        m.record_binary_negotiated();
+        m.add(Counter::ConnsBinary, 1);
         m.record_wire_bytes(false, 100, 900);
         m.record_wire_bytes(false, 20, 80);
         m.record_wire_bytes(true, 50, 200);
         let s = m.snapshot();
-        assert_eq!(s.conns_binary, 1);
+        assert_eq!(s.get(Counter::ConnsBinary), 1);
         assert_eq!(s.json_connections(), 2);
-        assert_eq!((s.json_bytes_in, s.json_bytes_out), (120, 980));
-        assert_eq!((s.binary_bytes_in, s.binary_bytes_out), (50, 200));
+        assert_eq!(
+            (s.get(Counter::JsonBytesIn), s.get(Counter::JsonBytesOut)),
+            (120, 980)
+        );
+        assert_eq!(
+            (
+                s.get(Counter::BinaryBytesIn),
+                s.get(Counter::BinaryBytesOut)
+            ),
+            (50, 200)
+        );
         let rendered = s.to_string();
         assert!(
             rendered.contains("2 json conn(s) (120 B in, 980 B out)"),
@@ -870,12 +728,18 @@ mod tests {
         // Aggregation across registries sums the per-format views too.
         let other = ServiceMetrics::new();
         other.record_wire_bytes(true, 1, 2);
-        other.record_binary_negotiated();
+        other.add(Counter::ConnsBinary, 1);
         let mut total = MetricsSnapshot::zero();
         total.absorb(&s);
         total.absorb(&other.snapshot());
-        assert_eq!(total.conns_binary, 2);
-        assert_eq!((total.binary_bytes_in, total.binary_bytes_out), (51, 202));
+        assert_eq!(total.get(Counter::ConnsBinary), 2);
+        assert_eq!(
+            (
+                total.get(Counter::BinaryBytesIn),
+                total.get(Counter::BinaryBytesOut)
+            ),
+            (51, 202)
+        );
     }
 
     #[test]
@@ -898,20 +762,29 @@ mod tests {
     fn absorb_sums_counters_and_histograms() {
         let a = ServiceMetrics::new();
         a.record_miss(RequestKind::Theorem2, 2, 100);
-        a.record_phase_miss();
-        a.record_connection_opened();
+        a.add(Counter::PhaseMisses, 1);
+        a.add(Counter::ConnsOpened, 1);
         let b = ServiceMetrics::new();
         b.record_hit(RequestKind::Theorem2, 100);
         b.record_error(RequestKind::HRelation);
-        b.record_phase_hit();
+        b.add(Counter::PhaseHits, 1);
 
         let mut total = MetricsSnapshot::zero();
         total.absorb(&a.snapshot());
         total.absorb(&b.snapshot());
-        assert_eq!((total.hits, total.misses), (1, 1));
-        assert_eq!((total.phase_hits, total.phase_misses), (1, 1));
-        assert_eq!(total.errors, 1);
-        assert_eq!(total.conns_opened, 1);
+        assert_eq!(
+            (total.get(Counter::Hits), total.get(Counter::Misses)),
+            (1, 1)
+        );
+        assert_eq!(
+            (
+                total.get(Counter::PhaseHits),
+                total.get(Counter::PhaseMisses)
+            ),
+            (1, 1)
+        );
+        assert_eq!(total.get(Counter::Errors), 1);
+        assert_eq!(total.get(Counter::ConnsOpened), 1);
         assert_eq!(total.per_kind[0].requests, 2);
         assert_eq!(total.per_kind[2].errors, 1);
         // Both 100 µs observations land in the same histogram bucket.
@@ -922,16 +795,25 @@ mod tests {
     #[test]
     fn shed_and_slow_trace_counters_round_trip() {
         let m = ServiceMetrics::new();
-        m.record_shed(false);
-        m.record_shed(false);
-        m.record_shed(true);
-        m.record_slow_trace(true);
-        m.record_slow_trace(false);
-        m.record_slow_trace(false);
+        m.add(Counter::ShedsWatermark, 1);
+        m.add(Counter::ShedsWatermark, 1);
+        m.add(Counter::ShedsQuota, 1);
+        m.add(Counter::SlowTraces, 1);
+        m.add(Counter::SlowTracesSuppressed, 1);
+        m.add(Counter::SlowTracesSuppressed, 1);
         let s = m.snapshot();
-        assert_eq!((s.sheds_watermark, s.sheds_quota), (2, 1));
+        assert_eq!(
+            (s.get(Counter::ShedsWatermark), s.get(Counter::ShedsQuota)),
+            (2, 1)
+        );
         assert_eq!(s.sheds(), 3);
-        assert_eq!((s.slow_traces, s.slow_traces_suppressed), (1, 2));
+        assert_eq!(
+            (
+                s.get(Counter::SlowTraces),
+                s.get(Counter::SlowTracesSuppressed)
+            ),
+            (1, 2)
+        );
         let rendered = s.to_string();
         assert!(
             rendered.contains("sheds: 3 (2 watermark, 1 quota)"),
@@ -943,7 +825,7 @@ mod tests {
         total.absorb(&s);
         total.absorb(&s);
         assert_eq!(total.sheds(), 6);
-        assert_eq!(total.slow_traces_suppressed, 4);
+        assert_eq!(total.get(Counter::SlowTracesSuppressed), 4);
     }
 
     #[test]
@@ -963,6 +845,25 @@ mod tests {
         total.absorb(&s);
         assert_eq!(total.wire_errors[WireErrorKind::Parse.index()], 4);
         assert_eq!(total.wire_errors_total(), 6);
+    }
+
+    #[test]
+    fn kind_indices_are_the_wire_order() {
+        // `index()` is the declaration position, and it is the kind byte
+        // of cache keys and dense frames: reordering the enum must fail.
+        let names = RequestKind::ALL.map(RequestKind::name);
+        let wire = [
+            "theorem2",
+            "single-slot",
+            "h-relation",
+            "faults",
+            "direct",
+            "structured",
+        ];
+        assert_eq!(names, wire);
+        for (i, kind) in RequestKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     #[test]

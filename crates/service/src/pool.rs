@@ -17,7 +17,7 @@ use pops_bipartite::ColorerKind;
 use pops_core::RoutingEngine;
 use pops_network::PopsTopology;
 
-use crate::metrics::{PoolAcquisition, ServiceMetrics};
+use crate::metrics::{Counter, ServiceMetrics};
 
 /// A pool of warm routing engines for one topology.
 #[derive(Debug)]
@@ -69,16 +69,16 @@ impl EnginePool {
         let count = self.shards.len();
         let home = self.cursor.fetch_add(1, Ordering::Relaxed) % count;
         if let Ok(mut engine) = self.shards[home].try_lock() {
-            self.metrics.record_pool(PoolAcquisition::Fast);
+            self.metrics.add(Counter::PoolFast, 1);
             return f(&mut engine);
         }
         for offset in 1..count {
             if let Ok(mut engine) = self.shards[(home + offset) % count].try_lock() {
-                self.metrics.record_pool(PoolAcquisition::Overflow);
+                self.metrics.add(Counter::PoolOverflows, 1);
                 return f(&mut engine);
             }
         }
-        self.metrics.record_pool(PoolAcquisition::Blocked);
+        self.metrics.add(Counter::PoolBlocked, 1);
         let mut engine = self.shards[home]
             .lock()
             .expect("engine shard poisoned: a routing plan panicked");
@@ -176,7 +176,9 @@ mod tests {
         });
         let snap = metrics.snapshot();
         assert_eq!(
-            snap.pool_fast + snap.pool_overflows + snap.pool_blocked,
+            snap.get(Counter::PoolFast)
+                + snap.get(Counter::PoolOverflows)
+                + snap.get(Counter::PoolBlocked),
             8 * 50
         );
     }

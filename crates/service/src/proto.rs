@@ -53,7 +53,7 @@ use pops_permutation::Permutation;
 
 use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
 use crate::json::Json;
-use crate::metrics::{MetricsSnapshot, RequestKind};
+use crate::metrics::{Counter, Gauge, MetricsSnapshot, RequestKind};
 use crate::router::RouterStats;
 use crate::service::{ServiceReply, ServiceRequest};
 
@@ -880,54 +880,57 @@ pub fn stats_response(
     let per_topology = topologies
         .iter()
         .map(|(d, g, topo)| {
+            let c = |counter| Json::Num(topo.get(counter) as f64);
             Json::Obj(vec![
                 ("d".into(), Json::num(*d)),
                 ("g".into(), Json::num(*g)),
                 ("requests".into(), Json::Num(topo.requests() as f64)),
-                ("hits".into(), Json::Num(topo.hits as f64)),
-                ("misses".into(), Json::Num(topo.misses as f64)),
+                ("hits".into(), c(Counter::Hits)),
+                ("misses".into(), c(Counter::Misses)),
                 ("hit_rate".into(), Json::Num(topo.hit_rate())),
-                ("errors".into(), Json::Num(topo.errors as f64)),
-                ("batches".into(), Json::Num(topo.batches as f64)),
-                ("batch_plans".into(), Json::Num(topo.batch_plans as f64)),
-                ("arena_bytes".into(), Json::Num(topo.arena_bytes as f64)),
+                ("errors".into(), c(Counter::Errors)),
+                ("batches".into(), c(Counter::Batches)),
+                ("batch_plans".into(), c(Counter::BatchPlans)),
+                (
+                    "arena_bytes".into(),
+                    Json::Num(topo.gauge(Gauge::ArenaBytes) as f64),
+                ),
                 ("cache".into(), cache_levels_json(topo)),
                 ("kinds".into(), kinds_json(topo)),
             ])
         })
         .collect();
+    let c = |counter| Json::Num(snap.get(counter) as f64);
+    let g = |gauge| Json::Num(snap.gauge(gauge) as f64);
     Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         ("op".into(), Json::str("stats")),
-        ("hits".into(), Json::Num(snap.hits as f64)),
-        ("misses".into(), Json::Num(snap.misses as f64)),
+        ("hits".into(), c(Counter::Hits)),
+        ("misses".into(), c(Counter::Misses)),
         ("hit_rate".into(), Json::Num(snap.hit_rate())),
         ("cache".into(), cache_levels_json(snap)),
-        ("slots_emitted".into(), Json::Num(snap.slots_emitted as f64)),
-        ("errors".into(), Json::Num(snap.errors as f64)),
+        ("slots_emitted".into(), c(Counter::SlotsEmitted)),
+        ("errors".into(), c(Counter::Errors)),
         (
             "pool".into(),
             Json::Obj(vec![
-                ("fast".into(), Json::Num(snap.pool_fast as f64)),
-                ("overflows".into(), Json::Num(snap.pool_overflows as f64)),
-                ("blocked".into(), Json::Num(snap.pool_blocked as f64)),
+                ("fast".into(), c(Counter::PoolFast)),
+                ("overflows".into(), c(Counter::PoolOverflows)),
+                ("blocked".into(), c(Counter::PoolBlocked)),
             ]),
         ),
-        (
-            "admission_waits".into(),
-            Json::Num(snap.admission_waits as f64),
-        ),
-        ("batches".into(), Json::Num(snap.batches as f64)),
-        ("batch_plans".into(), Json::Num(snap.batch_plans as f64)),
+        ("admission_waits".into(), c(Counter::AdmissionWaits)),
+        ("batches".into(), c(Counter::Batches)),
+        ("batch_plans".into(), c(Counter::BatchPlans)),
         (
             "connections".into(),
             Json::Obj(vec![
                 ("active".into(), Json::Num(snap.active_connections() as f64)),
-                ("opened".into(), Json::Num(snap.conns_opened as f64)),
-                ("closed".into(), Json::Num(snap.conns_closed as f64)),
-                ("rejected".into(), Json::Num(snap.conns_rejected as f64)),
+                ("opened".into(), c(Counter::ConnsOpened)),
+                ("closed".into(), c(Counter::ConnsClosed)),
+                ("rejected".into(), c(Counter::ConnsRejected)),
                 ("json".into(), Json::Num(snap.json_connections() as f64)),
-                ("binary".into(), Json::Num(snap.conns_binary as f64)),
+                ("binary".into(), c(Counter::ConnsBinary)),
             ]),
         ),
         (
@@ -936,51 +939,42 @@ pub fn stats_response(
                 (
                     "json".into(),
                     Json::Obj(vec![
-                        ("bytes_in".into(), Json::Num(snap.json_bytes_in as f64)),
-                        ("bytes_out".into(), Json::Num(snap.json_bytes_out as f64)),
+                        ("bytes_in".into(), c(Counter::JsonBytesIn)),
+                        ("bytes_out".into(), c(Counter::JsonBytesOut)),
                     ]),
                 ),
                 (
                     "binary".into(),
                     Json::Obj(vec![
-                        ("bytes_in".into(), Json::Num(snap.binary_bytes_in as f64)),
-                        ("bytes_out".into(), Json::Num(snap.binary_bytes_out as f64)),
+                        ("bytes_in".into(), c(Counter::BinaryBytesIn)),
+                        ("bytes_out".into(), c(Counter::BinaryBytesOut)),
                     ]),
                 ),
             ]),
         ),
-        (
-            "oversized_lines".into(),
-            Json::Num(snap.oversized_lines as f64),
-        ),
-        ("read_timeouts".into(), Json::Num(snap.read_timeouts as f64)),
+        ("oversized_lines".into(), c(Counter::OversizedLines)),
+        ("read_timeouts".into(), c(Counter::ReadTimeouts)),
         (
             "sheds".into(),
             Json::Obj(vec![
                 ("total".into(), Json::Num(snap.sheds() as f64)),
-                ("watermark".into(), Json::Num(snap.sheds_watermark as f64)),
-                ("quota".into(), Json::Num(snap.sheds_quota as f64)),
+                ("watermark".into(), c(Counter::ShedsWatermark)),
+                ("quota".into(), c(Counter::ShedsQuota)),
             ]),
         ),
         (
             "slow_traces".into(),
             Json::Obj(vec![
-                ("emitted".into(), Json::Num(snap.slow_traces as f64)),
-                (
-                    "suppressed".into(),
-                    Json::Num(snap.slow_traces_suppressed as f64),
-                ),
+                ("emitted".into(), c(Counter::SlowTraces)),
+                ("suppressed".into(), c(Counter::SlowTracesSuppressed)),
             ]),
         ),
         (
             "degraded".into(),
             Json::Obj(vec![
-                ("plans".into(), Json::Num(snap.degraded_plans as f64)),
-                ("hits".into(), Json::Num(snap.degraded_hits as f64)),
-                (
-                    "unroutable_refusals".into(),
-                    Json::Num(snap.unroutable_refusals as f64),
-                ),
+                ("plans".into(), c(Counter::DegradedPlans)),
+                ("hits".into(), c(Counter::DegradedHits)),
+                ("unroutable_refusals".into(), c(Counter::UnroutableRefusals)),
             ]),
         ),
         (
@@ -993,12 +987,9 @@ pub fn stats_response(
                     .collect(),
             ),
         ),
-        ("arena_bytes".into(), Json::Num(snap.arena_bytes as f64)),
-        ("cache_entries".into(), Json::Num(snap.cache_entries as f64)),
-        (
-            "cache_capacity".into(),
-            Json::Num(snap.cache_capacity as f64),
-        ),
+        ("arena_bytes".into(), g(Gauge::ArenaBytes)),
+        ("cache_entries".into(), g(Gauge::CacheEntries)),
+        ("cache_capacity".into(), g(Gauge::CacheCapacity)),
         ("kinds".into(), kinds_json(snap)),
         ("topologies".into(), Json::Arr(per_topology)),
         (
@@ -1019,28 +1010,27 @@ pub fn stats_response(
 /// counts whole-request lookups, level 2 counts h-relation phases, so the
 /// phase cache's effectiveness is directly observable.
 pub fn cache_levels_json(snap: &MetricsSnapshot) -> Json {
+    let c = |counter| Json::Num(snap.get(counter) as f64);
+    let g = |gauge| Json::Num(snap.gauge(gauge) as f64);
     Json::Obj(vec![
         (
             "l1".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::Num(snap.hits as f64)),
-                ("misses".into(), Json::Num(snap.misses as f64)),
+                ("hits".into(), c(Counter::Hits)),
+                ("misses".into(), c(Counter::Misses)),
                 ("hit_rate".into(), Json::Num(snap.hit_rate())),
-                ("entries".into(), Json::Num(snap.cache_entries as f64)),
-                ("capacity".into(), Json::Num(snap.cache_capacity as f64)),
+                ("entries".into(), g(Gauge::CacheEntries)),
+                ("capacity".into(), g(Gauge::CacheCapacity)),
             ]),
         ),
         (
             "l2".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::Num(snap.phase_hits as f64)),
-                ("misses".into(), Json::Num(snap.phase_misses as f64)),
+                ("hits".into(), c(Counter::PhaseHits)),
+                ("misses".into(), c(Counter::PhaseMisses)),
                 ("hit_rate".into(), Json::Num(snap.phase_hit_rate())),
-                ("entries".into(), Json::Num(snap.phase_cache_entries as f64)),
-                (
-                    "capacity".into(),
-                    Json::Num(snap.phase_cache_capacity as f64),
-                ),
+                ("entries".into(), g(Gauge::PhaseCacheEntries)),
+                ("capacity".into(), g(Gauge::PhaseCacheCapacity)),
             ]),
         ),
     ])

@@ -414,15 +414,11 @@ impl TopologyRouter {
     /// Folds an evicted service's request counters into the retired
     /// ledger so fleet-wide stats stay monotonic across evictions (a
     /// metrics poll must never see totals go *down* because a cold shape
-    /// was dropped). Gauges are zeroed first — the evicted arenas and
-    /// cache entries are genuinely gone.
+    /// was dropped). Gauges are not carried over — the evicted arenas and
+    /// cache entries are genuinely gone — so this reads the bare registry,
+    /// whose snapshot has every gauge at 0.
     fn retire(&self, service: &RoutingService) {
-        let mut snap = service.metrics();
-        snap.arena_bytes = 0;
-        snap.cache_entries = 0;
-        snap.cache_capacity = 0;
-        snap.phase_cache_entries = 0;
-        snap.phase_cache_capacity = 0;
+        let snap = service.metrics_registry().snapshot();
         self.retired
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -530,6 +526,7 @@ impl DirLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Counter, Gauge};
     use crate::service::ServiceRequest;
     use pops_bipartite::ColorerKind;
     use pops_permutation::families::vector_reversal;
@@ -686,9 +683,17 @@ mod tests {
         );
         router.get(8, 2).unwrap(); // evicts 2x8
         let retired = router.retired_metrics();
-        assert_eq!((retired.hits, retired.misses), (1, 1), "history preserved");
-        assert_eq!(retired.arena_bytes, 0, "gauges are zeroed: arenas are gone");
-        assert_eq!(retired.cache_entries, 0);
+        assert_eq!(
+            (retired.get(Counter::Hits), retired.get(Counter::Misses)),
+            (1, 1),
+            "history preserved"
+        );
+        assert_eq!(
+            retired.gauge(Gauge::ArenaBytes),
+            0,
+            "gauges are zeroed: arenas are gone"
+        );
+        assert_eq!(retired.gauge(Gauge::CacheEntries), 0);
     }
 
     #[test]

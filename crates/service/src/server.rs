@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 use crate::exposition::{self, Exposition};
 use crate::frame::{self, TAG_JSON};
 use crate::json::Json;
-use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
+use crate::metrics::{Counter, MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::proto::{
     attach_trace, batch_summary_response, cache_persist_response, cache_stats_response,
     decode_message, error_response, hello_response, info_response, pong_response,
@@ -515,12 +515,12 @@ pub fn serve_router(
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .len();
         if active >= state.config.max_connections {
-            metrics.record_connection_rejected();
+            metrics.add(Counter::ConnsRejected, 1);
             reject_at_capacity(stream, &state);
             continue;
         }
         connections += 1;
-        metrics.record_connection_opened();
+        metrics.add(Counter::ConnsOpened, 1);
         let id = next_id;
         next_id += 1;
         let handler_state = state.clone();
@@ -528,7 +528,7 @@ pub fn serve_router(
             .name(format!("pops-conn-{id}"))
             .spawn(move || {
                 let _ = handle_connection(stream, &handler_state, id);
-                handler_state.server_metrics.record_connection_closed();
+                handler_state.server_metrics.add(Counter::ConnsClosed, 1);
                 handler_state
                     .finished
                     .lock()
@@ -544,7 +544,7 @@ pub fn serve_router(
                     .insert(id, ConnHandle { join: Some(join) });
             }
             Err(_) => {
-                metrics.record_connection_closed();
+                metrics.add(Counter::ConnsClosed, 1);
             }
         }
     }
@@ -843,14 +843,14 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
         let (kind, msg, bytes_in) = match outcome {
             ReadOutcome::Eof | ReadOutcome::ShuttingDown => break,
             ReadOutcome::TimedOut { consumed } => {
-                metrics.record_read_timeout();
+                metrics.add(Counter::ReadTimeouts, 1);
                 let unit = if binary { "frame" } else { "request line" };
                 let budget = config.read_timeout.unwrap_or_default();
                 let msg = format!("no complete {unit} within {budget:?}");
                 (WireErrorKind::Timeout, msg, consumed)
             }
             ReadOutcome::TooLong { consumed } => {
-                metrics.record_oversized_line();
+                metrics.add(Counter::OversizedLines, 1);
                 let cap = config.max_line_bytes;
                 let msg = if binary {
                     format!("frame exceeds the {cap}-byte payload cap")
@@ -892,15 +892,15 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
                     match slow_log.observe(&trace) {
                         SlowVerdict::Fast => {}
                         SlowVerdict::Emit(line) => {
-                            metrics.record_slow_trace(true);
+                            metrics.add(Counter::SlowTraces, 1);
                             eprintln!("{line}");
                         }
-                        SlowVerdict::Suppressed => metrics.record_slow_trace(false),
+                        SlowVerdict::Suppressed => metrics.add(Counter::SlowTracesSuppressed, 1),
                     }
                 }
                 if let Some(new_framing) = negotiated {
                     if new_framing == WireFormat::Binary && !binary {
-                        metrics.record_binary_negotiated();
+                        metrics.add(Counter::ConnsBinary, 1);
                     }
                     framing = new_framing;
                 }
@@ -1059,7 +1059,12 @@ fn dispatch(
                     Some(guard)
                 }
                 Err(shed) => {
-                    state.server_metrics.record_shed(shed.quota);
+                    let cause = if shed.quota {
+                        Counter::ShedsQuota
+                    } else {
+                        Counter::ShedsWatermark
+                    };
+                    state.server_metrics.add(cause, 1);
                     return one(Reply::Overloaded {
                         msg: shed.msg,
                         retry_after_ms: shed.retry_after_ms,
@@ -2726,7 +2731,7 @@ mod tests {
         // none counts as a request error either.
         let (aggregate, _) = aggregate_stats(&state);
         assert_eq!(aggregate.requests(), 0);
-        assert_eq!(aggregate.errors, 0);
+        assert_eq!(aggregate.get(Counter::Errors), 0);
         assert_eq!(aggregate.wire_errors[WireErrorKind::BadRequest.index()], 3);
     }
 }

@@ -45,7 +45,7 @@ use pops_network::{FaultSet, PopsTopology, Schedule, UNREACHABLE};
 use pops_permutation::Permutation;
 
 use crate::cache::{canonical_key, phase_key, CacheKey, CachedOutcome, ShardedPlanCache};
-use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
+use crate::metrics::{Counter, Gauge, MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::persist::{self, PersistSummary};
 use crate::pool::EnginePool;
 
@@ -194,7 +194,7 @@ impl Admission {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if *count >= self.max {
-            metrics.record_admission_wait();
+            metrics.add(Counter::AdmissionWaits, 1);
             while *count >= self.max {
                 count = self
                     .freed
@@ -323,11 +323,14 @@ impl RoutingService {
     /// raw registry cannot see the pool or the caches.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        snap.arena_bytes = self.arena_footprint() as u64;
-        snap.cache_entries = self.cache.len() as u64;
-        snap.cache_capacity = self.cache.capacity() as u64;
-        snap.phase_cache_entries = self.phase_cache.len() as u64;
-        snap.phase_cache_capacity = self.phase_cache.capacity() as u64;
+        snap.set_gauge(Gauge::ArenaBytes, self.arena_footprint() as u64);
+        snap.set_gauge(Gauge::CacheEntries, self.cache.len() as u64);
+        snap.set_gauge(Gauge::CacheCapacity, self.cache.capacity() as u64);
+        snap.set_gauge(Gauge::PhaseCacheEntries, self.phase_cache.len() as u64);
+        snap.set_gauge(
+            Gauge::PhaseCacheCapacity,
+            self.phase_cache.capacity() as u64,
+        );
         snap
     }
 
@@ -370,7 +373,7 @@ impl RoutingService {
             let micros = start.elapsed().as_micros() as u64;
             self.metrics.record_hit(kind, micros);
             if degraded {
-                self.metrics.record_degraded_hit();
+                self.metrics.add(Counter::DegradedHits, 1);
             }
             return Ok(ServiceReply {
                 outcome,
@@ -390,7 +393,7 @@ impl RoutingService {
             if let ServiceRequest::WithFaults { faults, .. } = req {
                 if let Some((src_group, dst_group)) = disconnected_pair(faults, &self.topology) {
                     self.metrics.record_error(kind);
-                    self.metrics.record_unroutable();
+                    self.metrics.add(Counter::UnroutableRefusals, 1);
                     return Err(RoutingError::Fault(FaultRoutingError::Disconnected {
                         src_group,
                         dst_group,
@@ -421,7 +424,7 @@ impl RoutingService {
                 let micros = start.elapsed().as_micros() as u64;
                 self.metrics.record_miss(kind, slots, micros);
                 if degraded {
-                    self.metrics.record_degraded_plan();
+                    self.metrics.add(Counter::DegradedPlans, 1);
                 }
                 Ok(ServiceReply {
                     outcome,
@@ -465,7 +468,7 @@ impl RoutingService {
             let completed = phase.complete();
             let pkey = phase_key(t.d(), t.g(), &completed);
             if let Some(cached) = self.phase_cache.get(&pkey) {
-                self.metrics.record_phase_hit();
+                self.metrics.add(Counter::PhaseHits, 1);
                 phase_hits += 1;
                 blocks.push(Schedule {
                     slots: cached.schedule().slots.clone(),
@@ -474,7 +477,7 @@ impl RoutingService {
                 let plan = self
                     .pool
                     .with_engine(|engine| engine.plan_theorem2(&completed));
-                self.metrics.record_phase_miss();
+                self.metrics.add(Counter::PhaseMisses, 1);
                 // Level 2 keeps its own copy of the schedule, since the
                 // block moves into the assembled one; skip it when level 2
                 // is off.
@@ -677,8 +680,12 @@ mod tests {
         assert!(b.cache_hit);
         assert!(Arc::ptr_eq(&a.outcome, &b.outcome), "hits share one Arc");
         let snap = service.metrics();
-        assert_eq!((snap.hits, snap.misses), (1, 1));
-        assert_eq!(snap.slots_emitted, 2, "only the miss emits slots");
+        assert_eq!((snap.get(Counter::Hits), snap.get(Counter::Misses)), (1, 1));
+        assert_eq!(
+            snap.get(Counter::SlotsEmitted),
+            2,
+            "only the miss emits slots"
+        );
     }
 
     #[test]
@@ -744,7 +751,10 @@ mod tests {
         assert_eq!(cold.phase_hits, 0);
         verify_phases(&service, &cold);
         let snap = service.metrics();
-        assert_eq!((snap.phase_hits, snap.phase_misses), (0, 3));
+        assert_eq!(
+            (snap.get(Counter::PhaseHits), snap.get(Counter::PhaseMisses)),
+            (0, 3)
+        );
         assert_eq!(service.cached_phases(), 3);
 
         // The identical relation (requests reshuffled) is a level-1 hit.
@@ -1001,7 +1011,7 @@ mod tests {
             Err(RoutingError::NotSingleSlotRoutable)
         ));
         let snap = service.metrics();
-        assert_eq!(snap.errors, 2);
+        assert_eq!(snap.get(Counter::Errors), 2);
         assert_eq!(service.cached_plans(), 0);
     }
 
@@ -1046,8 +1056,8 @@ mod tests {
             assert_eq!(reply.outcome.schedule(), &plan.schedule);
         }
         let snap = service.metrics();
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batch_plans, 10);
+        assert_eq!(snap.get(Counter::Batches), 1);
+        assert_eq!(snap.get(Counter::BatchPlans), 10);
     }
 
     #[test]
@@ -1076,16 +1086,19 @@ mod tests {
     fn metrics_snapshot_carries_memory_gauges() {
         let service = small_service();
         let before = service.metrics();
-        assert_eq!(before.cache_entries, 0);
-        assert_eq!(before.cache_capacity, 8);
+        assert_eq!(before.gauge(Gauge::CacheEntries), 0);
+        assert_eq!(before.gauge(Gauge::CacheCapacity), 8);
         service
             .route(&ServiceRequest::Theorem2 {
                 pi: vector_reversal(16),
             })
             .unwrap();
         let after = service.metrics();
-        assert!(after.arena_bytes > 0, "warm engines hold arena memory");
-        assert_eq!(after.cache_entries, 1);
+        assert!(
+            after.gauge(Gauge::ArenaBytes) > 0,
+            "warm engines hold arena memory"
+        );
+        assert_eq!(after.gauge(Gauge::CacheEntries), 1);
         let rendered = after.to_string();
         assert!(rendered.contains("plan cache: 1/8 entries"), "{rendered}");
     }
@@ -1162,8 +1175,8 @@ mod tests {
         assert!(!empty.degraded);
 
         let snap = service.metrics();
-        assert_eq!(snap.degraded_plans, 1);
-        assert_eq!(snap.degraded_hits, 1);
+        assert_eq!(snap.get(Counter::DegradedPlans), 1);
+        assert_eq!(snap.get(Counter::DegradedHits), 1);
     }
 
     #[test]
@@ -1196,7 +1209,7 @@ mod tests {
             RoutingError::Fault(FaultRoutingError::Disconnected { dst_group: 1, .. })
         ));
         assert_eq!(service.cached_plans(), 0, "refusals are never cached");
-        assert_eq!(service.metrics().unroutable_refusals, 1);
+        assert_eq!(service.metrics().get(Counter::UnroutableRefusals), 1);
         // The service still serves healthy traffic afterwards.
         assert!(service
             .route(&ServiceRequest::Theorem2 {

@@ -9,8 +9,10 @@
 
 use std::path::PathBuf;
 
-use pops_service::metrics::MetricsSnapshot;
-use pops_service::{exposition, proto, RequestKind, RouterStats, ServiceMetrics, WireErrorKind};
+use pops_service::{
+    exposition, proto, Counter, Gauge, MetricsSnapshot, RequestKind, RouterStats, ServiceMetrics,
+    WireErrorKind,
+};
 
 fn times(n: u64, mut record: impl FnMut()) {
     for _ in 0..n {
@@ -25,44 +27,46 @@ fn snapshot(base: u64) -> MetricsSnapshot {
     for (k, kind) in (0u64..).zip(RequestKind::ALL) {
         // Hits land in low buckets, misses in high ones; the misses of
         // the last kinds overflow the top finite bucket.
-        times(base * (k + 1), || m.record_hit(kind, 4u64.pow(k as u32) * base));
+        times(base * (k + 1), || {
+            m.record_hit(kind, 4u64.pow(k as u32) * base)
+        });
         times(base * (k + 1) + 1, || {
             m.record_miss(kind, 2, 1000 * 8u64.pow(k as u32) * base)
         });
         times(k + 3, || m.record_error(kind));
     }
     let v = |i: u64| 100 * base + i;
-    times(v(2), || m.record_phase_hit());
-    times(v(3), || m.record_phase_miss());
-    times(v(6), || m.record_pool(pops_service::PoolAcquisition::Fast));
-    times(v(7), || m.record_pool(pops_service::PoolAcquisition::Overflow));
-    times(v(8), || m.record_pool(pops_service::PoolAcquisition::Blocked));
-    times(v(9), || m.record_admission_wait());
+    m.add(Counter::PhaseHits, v(2));
+    m.add(Counter::PhaseMisses, v(3));
+    m.add(Counter::PoolFast, v(6));
+    m.add(Counter::PoolOverflows, v(7));
+    m.add(Counter::PoolBlocked, v(8));
+    m.add(Counter::AdmissionWaits, v(9));
     times(v(10), || m.record_batch(2, 3));
-    times(v(12) + 400, || m.record_connection_opened());
-    times(v(13), || m.record_connection_closed());
-    times(v(14), || m.record_connection_rejected());
-    times(v(15), || m.record_oversized_line());
-    times(v(16), || m.record_read_timeout());
-    times(v(17), || m.record_shed(false));
-    times(v(18), || m.record_shed(true));
-    times(v(19), || m.record_slow_trace(true));
-    times(v(20), || m.record_slow_trace(false));
-    times(v(21), || m.record_binary_negotiated());
+    m.add(Counter::ConnsOpened, v(12) + 400);
+    m.add(Counter::ConnsClosed, v(13));
+    m.add(Counter::ConnsRejected, v(14));
+    m.add(Counter::OversizedLines, v(15));
+    m.add(Counter::ReadTimeouts, v(16));
+    m.add(Counter::ShedsWatermark, v(17));
+    m.add(Counter::ShedsQuota, v(18));
+    m.add(Counter::SlowTraces, v(19));
+    m.add(Counter::SlowTracesSuppressed, v(20));
+    m.add(Counter::ConnsBinary, v(21));
     m.record_wire_bytes(false, v(22), v(23));
     m.record_wire_bytes(true, v(24), v(25));
-    times(v(26), || m.record_degraded_plan());
-    times(v(27), || m.record_degraded_hit());
-    times(v(28), || m.record_unroutable());
+    m.add(Counter::DegradedPlans, v(26));
+    m.add(Counter::DegradedHits, v(27));
+    m.add(Counter::UnroutableRefusals, v(28));
     for (j, kind) in (1u64..).zip(WireErrorKind::ALL) {
         times(10 * base + j, || m.record_wire_error(kind));
     }
     let mut snap = m.snapshot();
-    snap.arena_bytes = 10_000 * base + 29;
-    snap.cache_entries = v(30);
-    snap.cache_capacity = 1000 * base + 31;
-    snap.phase_cache_entries = v(32);
-    snap.phase_cache_capacity = 1000 * base + 33;
+    snap.set_gauge(Gauge::ArenaBytes, 10_000 * base + 29);
+    snap.set_gauge(Gauge::CacheEntries, v(30));
+    snap.set_gauge(Gauge::CacheCapacity, 1000 * base + 31);
+    snap.set_gauge(Gauge::PhaseCacheEntries, v(32));
+    snap.set_gauge(Gauge::PhaseCacheCapacity, 1000 * base + 33);
     snap
 }
 
@@ -88,7 +92,9 @@ fn fixture() -> Fixture {
 /// Compares `actual` with the golden file `name`, or rewrites the file
 /// when `BLESS_GOLDEN` is set.
 fn check_golden(name: &str, actual: &str) {
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "golden", name].iter().collect();
+    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "golden", name]
+        .iter()
+        .collect();
     if std::env::var_os("BLESS_GOLDEN").is_some() {
         std::fs::write(&path, actual).unwrap();
         return;

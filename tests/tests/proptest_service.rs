@@ -9,8 +9,8 @@ use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
 use pops_service::{
-    canonical_key, MetricsSnapshot, RoutingService, ServiceConfig, ServiceRequest, TopologyRouter,
-    TopologyRouterConfig,
+    canonical_key, Counter, Gauge, MetricsSnapshot, RoutingService, ServiceConfig, ServiceRequest,
+    TopologyRouter, TopologyRouterConfig,
 };
 
 /// Strategy: plausible (d, g) shapes with n = d·g ≤ 144.
@@ -145,12 +145,12 @@ proptest! {
         let mut folded = MetricsSnapshot::zero();
         folded.absorb(&snap);
         prop_assert_eq!(folded.requests(), snap.requests());
-        prop_assert_eq!(folded.hits, snap.hits);
-        prop_assert_eq!(folded.misses, snap.misses);
-        prop_assert_eq!(folded.errors, snap.errors);
-        prop_assert_eq!(folded.slots_emitted, snap.slots_emitted);
+        prop_assert_eq!(folded.get(Counter::Hits), snap.get(Counter::Hits));
+        prop_assert_eq!(folded.get(Counter::Misses), snap.get(Counter::Misses));
+        prop_assert_eq!(folded.get(Counter::Errors), snap.get(Counter::Errors));
+        prop_assert_eq!(folded.get(Counter::SlotsEmitted), snap.get(Counter::SlotsEmitted));
         prop_assert_eq!(folded.wire_errors_total(), snap.wire_errors_total());
-        prop_assert_eq!(folded.arena_bytes, snap.arena_bytes);
+        prop_assert_eq!(folded.gauge(Gauge::ArenaBytes), snap.gauge(Gauge::ArenaBytes));
     }
 
     /// Fleet totals — the retired-topology ledger plus every resident
@@ -193,11 +193,11 @@ proptest! {
             service.route(&ServiceRequest::Theorem2 { pi }).unwrap();
             let cur = fleet(&router);
             prop_assert!(cur.requests() > prev.requests(), "each step routes");
-            prop_assert!(cur.hits >= prev.hits);
-            prop_assert!(cur.misses >= prev.misses);
-            prop_assert!(cur.errors >= prev.errors);
-            prop_assert!(cur.slots_emitted >= prev.slots_emitted);
-            prop_assert!(cur.batches >= prev.batches);
+            prop_assert!(cur.get(Counter::Hits) >= prev.get(Counter::Hits));
+            prop_assert!(cur.get(Counter::Misses) >= prev.get(Counter::Misses));
+            prop_assert!(cur.get(Counter::Errors) >= prev.get(Counter::Errors));
+            prop_assert!(cur.get(Counter::SlotsEmitted) >= prev.get(Counter::SlotsEmitted));
+            prop_assert!(cur.get(Counter::Batches) >= prev.get(Counter::Batches));
             prev = cur;
         }
     }

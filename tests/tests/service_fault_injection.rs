@@ -17,8 +17,8 @@ use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
 use pops_service::{
-    serve_with_config, BatchItem, ClientError, Json, RoutingService, ServerConfig, ServerSummary,
-    ServiceClient, ServiceConfig, ServiceRequest,
+    serve_with_config, BatchItem, ClientError, Counter, Json, RoutingService, ServerConfig,
+    ServerSummary, ServiceClient, ServiceConfig, ServiceRequest,
 };
 
 fn spawn_server(
@@ -106,9 +106,15 @@ fn concurrent_mixed_traffic_with_midflight_fault_flips() {
         "every schedule must pass the referee"
     );
     let snap = service.metrics();
-    assert!(snap.degraded_plans > 0, "degraded misses must be counted");
-    assert!(snap.degraded_hits > 0, "degraded hits must be counted");
-    assert_eq!(snap.errors, 0);
+    assert!(
+        snap.get(Counter::DegradedPlans) > 0,
+        "degraded misses must be counted"
+    );
+    assert!(
+        snap.get(Counter::DegradedHits) > 0,
+        "degraded hits must be counted"
+    );
+    assert_eq!(snap.get(Counter::Errors), 0);
     shutdown(addr, handle);
 }
 
@@ -205,7 +211,7 @@ fn an_unroutable_fault_set_is_refused_and_the_connection_survives() {
         ClientError::Remote { ref kind, .. } => assert_eq!(kind, "unroutable", "{e}"),
         other => panic!("expected a typed remote error, got {other}"),
     }
-    assert!(service.metrics().unroutable_refusals >= 1);
+    assert!(service.metrics().get(Counter::UnroutableRefusals) >= 1);
 
     // The refusal is a typed error, not a panic: the same connection
     // keeps serving, healthy and (routable) degraded alike.

@@ -13,7 +13,7 @@ use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
 use pops_service::{
-    serve_with_config, ClientError, Json, RoutingService, ServerConfig, ServerSummary,
+    serve_with_config, ClientError, Counter, Json, RoutingService, ServerConfig, ServerSummary,
     ServiceClient, ServiceConfig,
 };
 
@@ -75,8 +75,8 @@ fn assert_all_handlers_drained(summary: &ServerSummary) {
         snap.active_connections(),
         0,
         "handlers leaked: {} opened, {} closed",
-        snap.conns_opened,
-        snap.conns_closed
+        snap.get(Counter::ConnsOpened),
+        snap.get(Counter::ConnsClosed)
     );
 }
 
@@ -119,7 +119,7 @@ fn slow_loris_writer_is_timed_out_within_budget() {
     client.ping().unwrap();
     client.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    assert_eq!(summary.metrics.read_timeouts, 1);
+    assert_eq!(summary.metrics.get(Counter::ReadTimeouts), 1);
     assert_all_handlers_drained(&summary);
 }
 
@@ -161,7 +161,7 @@ fn unterminated_line_is_rejected_at_the_cap_not_buffered() {
     client.ping().unwrap();
     client.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    assert_eq!(summary.metrics.oversized_lines, 1);
+    assert_eq!(summary.metrics.get(Counter::OversizedLines), 1);
     assert_all_handlers_drained(&summary);
 }
 
@@ -293,7 +293,7 @@ fn connection_cap_rejects_excess_clients_with_unavailable() {
     first.ping().unwrap();
     first.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    assert_eq!(summary.metrics.conns_rejected, 1);
+    assert_eq!(summary.metrics.get(Counter::ConnsRejected), 1);
     assert_all_handlers_drained(&summary);
 }
 
@@ -361,10 +361,11 @@ fn shutdown_under_load_drains_every_in_flight_response() {
     let summary = handle.join().unwrap();
     let snap = service.metrics();
     assert_eq!(
-        snap.misses, CLIENTS as u64,
+        snap.get(Counter::Misses),
+        CLIENTS as u64,
         "shutdown returned before all in-flight requests were served"
     );
-    assert_eq!(snap.errors, 0);
+    assert_eq!(snap.get(Counter::Errors), 0);
     assert_all_handlers_drained(&summary);
 
     for worker in workers {

@@ -14,7 +14,8 @@ use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
 use pops_service::persist::cache_file_path;
 use pops_service::{
-    serve_with_config, RoutingService, ServerConfig, ServiceClient, ServiceConfig, ServiceRequest,
+    serve_with_config, Counter, RoutingService, ServerConfig, ServiceClient, ServiceConfig,
+    ServiceRequest,
 };
 
 /// Concurrent clients route h-relations sharing a phase pool; every
@@ -64,18 +65,21 @@ fn concurrent_phase_reuse_with_l1_disabled() {
     });
 
     let snap = service.metrics();
-    let total_phases = snap.phase_hits + snap.phase_misses;
+    let total_phases = snap.get(Counter::PhaseHits) + snap.get(Counter::PhaseMisses);
     assert_eq!(total_phases, (THREADS * ROUNDS * 3) as u64);
     // 4 relations × 3 phases = 12 distinct phase keys. The cache does not
     // coalesce in-flight duplicates, so concurrent first encounters can
     // race into the miss window — but misses stay bounded by
     // threads × keys, and reuse must dominate.
     assert!(
-        (12..=(THREADS as u64 * 12)).contains(&snap.phase_misses),
+        (12..=(THREADS as u64 * 12)).contains(&snap.get(Counter::PhaseMisses)),
         "misses {} out of range",
-        snap.phase_misses
+        snap.get(Counter::PhaseMisses)
     );
-    assert!(snap.phase_hits > snap.phase_misses, "reuse must dominate");
+    assert!(
+        snap.get(Counter::PhaseHits) > snap.get(Counter::PhaseMisses),
+        "reuse must dominate"
+    );
     assert_eq!(service.cached_phases(), 12);
     assert_eq!(service.cached_plans(), 0, "L1 stayed off");
 }

@@ -15,7 +15,7 @@ use pops_core::{theorem2_slots, HRelation};
 use pops_network::PopsTopology;
 use pops_permutation::families::{random_group_uniform, random_permutation};
 use pops_permutation::{Permutation, SplitMix64};
-use pops_service::{RoutingService, ServiceConfig, ServiceRequest};
+use pops_service::{Counter, RoutingService, ServiceConfig, ServiceRequest};
 
 #[test]
 fn eight_threads_hammer_one_service() {
@@ -86,19 +86,21 @@ fn eight_threads_hammer_one_service() {
         (THREADS * ROUNDS) as u64,
         "every request must be ledgered as a hit or a miss"
     );
-    assert_eq!(snap.errors, 0);
+    assert_eq!(snap.get(Counter::Errors), 0);
     assert!(
-        snap.hits > snap.misses,
+        snap.get(Counter::Hits) > snap.get(Counter::Misses),
         "shared keys must mostly hit (hits {}, misses {})",
-        snap.hits,
-        snap.misses
+        snap.get(Counter::Hits),
+        snap.get(Counter::Misses)
     );
     assert_eq!(
-        snap.pool_fast + snap.pool_overflows + snap.pool_blocked,
-        snap.misses,
+        snap.get(Counter::PoolFast)
+            + snap.get(Counter::PoolOverflows)
+            + snap.get(Counter::PoolBlocked),
+        snap.get(Counter::Misses),
         "exactly the misses acquire an engine"
     );
-    assert!(snap.slots_emitted > 0);
+    assert!(snap.get(Counter::SlotsEmitted) > 0);
 }
 
 #[test]
@@ -153,12 +155,12 @@ fn concurrent_h_relations_verify_per_phase() {
     // threads racing the same fresh key can both miss — but never more
     // than once per (relation, worker) first round.
     assert!(
-        (4..=8).contains(&snap.misses),
+        (4..=8).contains(&snap.get(Counter::Misses)),
         "hits {} misses {}",
-        snap.hits,
-        snap.misses
+        snap.get(Counter::Hits),
+        snap.get(Counter::Misses)
     );
-    assert_eq!(snap.hits + snap.misses, 32);
+    assert_eq!(snap.get(Counter::Hits) + snap.get(Counter::Misses), 32);
 }
 
 #[test]
@@ -210,7 +212,7 @@ fn mixed_single_and_batch_traffic() {
 
     let snap = service.metrics();
     assert_eq!(snap.requests(), 40);
-    assert_eq!(snap.batches, 4);
-    assert_eq!(snap.batch_plans, 24);
-    assert_eq!(snap.errors, 0);
+    assert_eq!(snap.get(Counter::Batches), 4);
+    assert_eq!(snap.get(Counter::BatchPlans), 24);
+    assert_eq!(snap.get(Counter::Errors), 0);
 }
