@@ -1,15 +1,15 @@
-//! Colouring-kernel comparison: the greedy baseline, the scalar
-//! alternating-path walk, and the word-parallel u64-bitset kernel, on the
-//! group-transition multigraphs POPS routing actually colours — and the
-//! same comparison end to end through [`RoutingEngine::plan_theorem2`]
-//! across POPS(8,8) … POPS(64,64).
+//! Colouring-kernel comparison: the greedy baseline, the two-pass
+//! alternating-path oracle, and the word-parallel u64-bitset kernel, on
+//! the group-transition multigraphs POPS routing actually colours — and
+//! the engine's end-to-end [`RoutingEngine::plan_theorem2`] across
+//! POPS(8,8) … POPS(64,64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pops_bipartite::coloring::{alternating, bitset, greedy};
 use pops_bipartite::BipartiteMultigraph;
-use pops_core::engine::{ColoringKernel, RoutingEngine};
+use pops_core::engine::RoutingEngine;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
@@ -54,25 +54,22 @@ fn bench_raw_colorers(c: &mut Criterion) {
 }
 
 fn bench_engine_kernels(c: &mut Criterion) {
-    // End to end: a warm engine planning Theorem-2 routes, scalar vs
-    // bitset free-colour queries. Same algorithm, byte-identical output
-    // (pinned by the equivalence proptests) — this group measures only
-    // the kernel's share of the full construction.
+    // End to end: a warm engine planning Theorem-2 routes, one series per
+    // shape, so the colouring kernel's share of the full construction
+    // shows against the `kernels/color` group above.
     let mut group = c.benchmark_group("kernels/theorem2");
     group.sample_size(15);
     let mut rng = SplitMix64::new(42);
     for (d, g) in SHAPES {
         let pi = random_permutation(d * g, &mut rng);
-        for kernel in ColoringKernel::ALL {
-            let mut engine = RoutingEngine::new(PopsTopology::new(d, g)).coloring_kernel(kernel);
-            group.bench_with_input(
-                BenchmarkId::new(kernel.name(), format!("pops_{d}x{g}")),
-                &pi,
-                |b, pi| {
-                    b.iter(|| engine.plan_theorem2(black_box(pi)));
-                },
-            );
-        }
+        let mut engine = RoutingEngine::new(PopsTopology::new(d, g));
+        group.bench_with_input(
+            BenchmarkId::new("bitset", format!("pops_{d}x{g}")),
+            &pi,
+            |b, pi| {
+                b.iter(|| engine.plan_theorem2(black_box(pi)));
+            },
+        );
     }
     group.finish();
 }

@@ -38,11 +38,11 @@
 //! colouring, fair distribution — runs in the engine's arenas: after the
 //! first (warming) call, [`RoutingEngine::fair_distribution_targets`]
 //! performs **zero** heap allocations (asserted by the allocation-counting
-//! integration test `engine_allocations.rs`). The alternating-path
-//! colourer is an allocation-free port of
-//! [`pops_bipartite::coloring::alternating`] and produces byte-identical
-//! colourings; the Koenig/Euler-split engines fall back to the allocating
-//! legacy pipeline (identical output to the pre-engine free functions).
+//! integration test `engine_allocations.rs`). The edge colouring is
+//! [`pops_bipartite::coloring::bitset::color_into`] run on the engine's
+//! arenas, byte-identical to [`pops_bipartite::coloring::alternating`];
+//! the Koenig/Euler-split engines fall back to the allocating legacy
+//! pipeline (identical output to the pre-engine free functions).
 //! Schedule emission necessarily allocates its *output* (the
 //! [`Schedule`] handed to the caller); the construction state does not.
 //!
@@ -64,7 +64,7 @@
 //! the `engine_equivalence.rs` integration suite sweeps `(d, g)` shapes and
 //! permutation families asserting exactly that, warm engine included.
 
-use pops_bipartite::coloring::bitset;
+use pops_bipartite::coloring::bitset::{self, Side};
 use pops_bipartite::BipartiteMultigraph;
 use pops_bipartite::ColorerKind;
 use pops_network::fault::FaultSet;
@@ -233,8 +233,6 @@ struct Scratch {
     right_table: Vec<usize>,
     /// Colour per padded edge.
     colors: Vec<usize>,
-    /// Alternating-chain workspace.
-    chain: Vec<usize>,
     /// The fair distribution, flat: `f(h, i)` at `h·d + i`.
     fd_targets: Vec<usize>,
     /// `inv[h·d + j] = i` with `f(h, i) = j` (the `d > g` bijection).
@@ -298,51 +296,12 @@ fn ensure<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
-/// Selects the inner-loop implementation of the alternating-path edge
-/// colourer — the routine under every Theorem-1 fair distribution and
-/// every h-relation phase decomposition.
-///
-/// Both kernels run the *same algorithm* (identical insertion order,
-/// chain walks, and flips) and produce **byte-identical** colourings —
-/// and therefore byte-identical schedules — on every input; the
-/// engine-equivalence proptests pin this. They differ only in how "the
-/// lowest colour free at this node" is answered:
-///
-/// * [`ColoringKernel::Scalar`] walks the colour table linearly — up to
-///   `Δ = max(d, g)` slots per query.
-/// * [`ColoringKernel::Bitset`] mirrors the table into u64 used-colour
-///   masks and answers with one `trailing_zeros` per 64 colours — the
-///   word-parallel kernel, **default** now that the equivalence suite
-///   proves the outputs identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ColoringKernel {
-    /// Linear table scan per free-colour query.
-    Scalar,
-    /// u64 used-colour masks; free-colour queries are word-parallel.
-    #[default]
-    Bitset,
-}
-
-impl ColoringKernel {
-    /// Both kernels, for comparison sweeps and equivalence tests.
-    pub const ALL: [ColoringKernel; 2] = [ColoringKernel::Scalar, ColoringKernel::Bitset];
-
-    /// Human-readable kernel name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ColoringKernel::Scalar => "scalar",
-            ColoringKernel::Bitset => "bitset",
-        }
-    }
-}
-
 /// The unified routing engine: one topology, one colourer choice, reusable
 /// scratch arenas for every routing path. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct RoutingEngine {
     topology: PopsTopology,
     colorer: ColorerKind,
-    kernel: ColoringKernel,
     emit_artefacts: bool,
     scratch: Scratch,
 }
@@ -362,27 +321,9 @@ impl RoutingEngine {
         Self {
             topology,
             colorer,
-            kernel: ColoringKernel::default(),
             emit_artefacts: false,
             scratch: Scratch::default(),
         }
-    }
-
-    /// Selects the alternating-path colouring kernel (see
-    /// [`ColoringKernel`]); output is byte-identical either way.
-    pub fn coloring_kernel(mut self, kernel: ColoringKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Non-consuming form of [`RoutingEngine::coloring_kernel`].
-    pub fn set_coloring_kernel(&mut self, kernel: ColoringKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The engine's active colouring kernel.
-    pub fn kernel(&self) -> ColoringKernel {
-        self.kernel
     }
 
     /// Whether Theorem-2 plans carry their construction artefacts (the
@@ -458,7 +399,6 @@ impl RoutingEngine {
             + s.left_table.capacity()
             + s.right_table.capacity()
             + s.colors.capacity()
-            + s.chain.capacity()
             + s.fd_targets.capacity()
             + s.inv.capacity()
             + s.bucket_cursor.capacity()
@@ -735,9 +675,9 @@ impl RoutingEngine {
         }
         // The bitset kernel is a byte-identical drop-in for the
         // alternating-path colourer, so the request multigraph gets the
-        // word-parallel path too; other colourers are untouched.
-        let coloring = match (self.colorer, self.kernel) {
-            (ColorerKind::AlternatingPath, ColoringKernel::Bitset) => bitset::color(graph),
+        // engine's kernel too; other colourers are untouched.
+        let coloring = match self.colorer {
+            ColorerKind::AlternatingPath => bitset::color(graph),
             _ => self.colorer.color(graph),
         };
         let (offsets, flat) = coloring.classes_flat();
@@ -953,11 +893,9 @@ impl RoutingEngine {
         ensure(&mut scratch.right_table, nodes * n2);
         ensure(&mut scratch.colors, m_total);
         ensure(&mut scratch.fd_targets, m_real);
-        // An alternating chain visits each node at most once, so 2·nodes
-        // bounds its length; cleared first so `reserve` is relative to an
-        // empty vector and becomes a no-op once the capacity is in place.
-        scratch.chain.clear();
-        scratch.chain.reserve(2 * nodes + 2);
+        let words = bitset::words_per_node(n2);
+        ensure(&mut scratch.left_used, nodes * words);
+        ensure(&mut scratch.right_used, nodes * words);
 
         // The routing list system: L(h, i) = group(π(h·d + i)), with the
         // per-processor division replaced by the engine's group table.
@@ -986,188 +924,38 @@ impl RoutingEngine {
             }
         }
 
-        self.color_alternating(nodes, n2, m_total);
-
-        let scratch = &mut self.scratch;
+        // The padded graph is n₂-regular, so the shared bitset kernel
+        // colours it with exactly n₂ colours, byte-identically to
+        // `pops_bipartite::coloring::alternating`.
+        let Scratch {
+            edge_u,
+            edge_v,
+            left_table,
+            right_table,
+            colors,
+            left_used,
+            right_used,
+            fd_targets,
+            ..
+        } = scratch;
+        bitset::color_into(
+            n2,
+            |e| (edge_u[e] as usize, edge_v[e] as usize),
+            &mut colors[..m_total],
+            Side {
+                table: &mut left_table[..nodes * n2],
+                used: &mut left_used[..nodes * words],
+            },
+            Side {
+                table: &mut right_table[..nodes * n2],
+                used: &mut right_used[..nodes * words],
+            },
+        );
         // The colour of real edge h·d + i *is* f(h, i).
-        let (fd_targets, colors) = (&mut scratch.fd_targets, &scratch.colors);
         fd_targets[..m_real].copy_from_slice(&colors[..m_real]);
 
         #[cfg(debug_assertions)]
         self.debug_verify_fair_distribution();
-    }
-
-    /// Allocation-free port of the alternating-chain edge colourer
-    /// ([`pops_bipartite::coloring::alternating`]): identical insertion
-    /// order, chain walk, and flip — hence byte-identical colours — but
-    /// working on the engine's flat arenas. Dispatches on the engine's
-    /// [`ColoringKernel`]; both branches produce the same bytes.
-    fn color_alternating(&mut self, nodes: usize, n2: usize, m_total: usize) {
-        match self.kernel {
-            ColoringKernel::Scalar => self.color_alternating_scalar(nodes, n2, m_total),
-            ColoringKernel::Bitset => self.color_alternating_bitset(nodes, n2, m_total),
-        }
-    }
-
-    /// The scalar kernel: free-colour queries walk the colour table.
-    fn color_alternating_scalar(&mut self, nodes: usize, n2: usize, m_total: usize) {
-        let Scratch {
-            edge_u,
-            edge_v,
-            left_table,
-            right_table,
-            colors,
-            chain,
-            ..
-        } = &mut self.scratch;
-        left_table[..nodes * n2].fill(NONE);
-        right_table[..nodes * n2].fill(NONE);
-        colors[..m_total].fill(NONE);
-
-        let first_free = |table: &[usize], node: usize| -> usize {
-            (0..n2)
-                .find(|&c| table[node * n2 + c] == NONE)
-                .expect("a colour below Δ is always free")
-        };
-
-        for e in 0..m_total {
-            let u = edge_u[e] as usize;
-            let v = edge_v[e] as usize;
-            let a = first_free(left_table, u);
-            let b = first_free(right_table, v);
-            if a == b {
-                colors[e] = a;
-                left_table[u * n2 + a] = e;
-                right_table[v * n2 + a] = e;
-                continue;
-            }
-            // Flip the (a, b)-alternating chain starting at v.
-            let mut want = a;
-            let mut at_right = true;
-            let mut node = v;
-            chain.clear();
-            loop {
-                let table: &[usize] = if at_right { right_table } else { left_table };
-                let next = table[node * n2 + want];
-                if next == NONE {
-                    break;
-                }
-                chain.push(next);
-                node = if at_right {
-                    edge_u[next] as usize
-                } else {
-                    edge_v[next] as usize
-                };
-                at_right = !at_right;
-                want = if want == a { b } else { a };
-            }
-            debug_assert!(at_right || node != u, "alternating chain reached u");
-            for &ce in chain.iter() {
-                let old = colors[ce];
-                left_table[edge_u[ce] as usize * n2 + old] = NONE;
-                right_table[edge_v[ce] as usize * n2 + old] = NONE;
-            }
-            for &ce in chain.iter() {
-                let new = if colors[ce] == a { b } else { a };
-                colors[ce] = new;
-                left_table[edge_u[ce] as usize * n2 + new] = ce;
-                right_table[edge_v[ce] as usize * n2 + new] = ce;
-            }
-            debug_assert_eq!(left_table[u * n2 + a], NONE);
-            debug_assert_eq!(right_table[v * n2 + a], NONE);
-            colors[e] = a;
-            left_table[u * n2 + a] = e;
-            right_table[v * n2 + a] = e;
-        }
-    }
-
-    /// The word-parallel kernel: per-node u64 used-colour masks mirror
-    /// the colour tables, so a free-colour query is `trailing_zeros` of
-    /// the complement word ([`bitset::first_free_in`]) instead of a scan
-    /// over up to `n₂` table slots. Every table write pairs with a mask
-    /// update, keeping the mirror exact through chain flips; the chain
-    /// walk itself still follows the tables. Byte-identical output to
-    /// [`RoutingEngine::color_alternating_scalar`].
-    fn color_alternating_bitset(&mut self, nodes: usize, n2: usize, m_total: usize) {
-        let words = bitset::words_per_node(n2);
-        ensure(&mut self.scratch.left_used, nodes * words);
-        ensure(&mut self.scratch.right_used, nodes * words);
-        let Scratch {
-            edge_u,
-            edge_v,
-            left_table,
-            right_table,
-            colors,
-            chain,
-            left_used,
-            right_used,
-            ..
-        } = &mut self.scratch;
-        left_table[..nodes * n2].fill(NONE);
-        right_table[..nodes * n2].fill(NONE);
-        colors[..m_total].fill(NONE);
-        left_used[..nodes * words].fill(0);
-        right_used[..nodes * words].fill(0);
-
-        for e in 0..m_total {
-            let u = edge_u[e] as usize;
-            let v = edge_v[e] as usize;
-            let a = bitset::first_free_in(&left_used[u * words..(u + 1) * words], n2);
-            let b = bitset::first_free_in(&right_used[v * words..(v + 1) * words], n2);
-            if a == b {
-                colors[e] = a;
-                left_table[u * n2 + a] = e;
-                right_table[v * n2 + a] = e;
-                bitset::mark_used(left_used, u, words, a);
-                bitset::mark_used(right_used, v, words, a);
-                continue;
-            }
-            // Flip the (a, b)-alternating chain starting at v.
-            let mut want = a;
-            let mut at_right = true;
-            let mut node = v;
-            chain.clear();
-            loop {
-                let table: &[usize] = if at_right { right_table } else { left_table };
-                let next = table[node * n2 + want];
-                if next == NONE {
-                    break;
-                }
-                chain.push(next);
-                node = if at_right {
-                    edge_u[next] as usize
-                } else {
-                    edge_v[next] as usize
-                };
-                at_right = !at_right;
-                want = if want == a { b } else { a };
-            }
-            debug_assert!(at_right || node != u, "alternating chain reached u");
-            for &ce in chain.iter() {
-                let (cu, cv) = (edge_u[ce] as usize, edge_v[ce] as usize);
-                let old = colors[ce];
-                left_table[cu * n2 + old] = NONE;
-                right_table[cv * n2 + old] = NONE;
-                bitset::mark_free(left_used, cu, words, old);
-                bitset::mark_free(right_used, cv, words, old);
-            }
-            for &ce in chain.iter() {
-                let (cu, cv) = (edge_u[ce] as usize, edge_v[ce] as usize);
-                let new = if colors[ce] == a { b } else { a };
-                colors[ce] = new;
-                left_table[cu * n2 + new] = ce;
-                right_table[cv * n2 + new] = ce;
-                bitset::mark_used(left_used, cu, words, new);
-                bitset::mark_used(right_used, cv, words, new);
-            }
-            debug_assert_eq!(left_table[u * n2 + a], NONE);
-            debug_assert_eq!(right_table[v * n2 + a], NONE);
-            colors[e] = a;
-            left_table[u * n2 + a] = e;
-            right_table[v * n2 + a] = e;
-            bitset::mark_used(left_used, u, words, a);
-            bitset::mark_used(right_used, v, words, a);
-        }
     }
 
     /// Debug re-check of fair-distribution conditions (1)–(3) against the

@@ -68,9 +68,7 @@ pub mod verify;
 
 pub use bounds::lower_bound;
 pub use compress::compress_schedule;
-pub use engine::{
-    ColoringKernel, Router, RoutingEngine, RoutingError, RoutingOutcome, RoutingRequest,
-};
+pub use engine::{Router, RoutingEngine, RoutingError, RoutingOutcome, RoutingRequest};
 pub use fair_distribution::{FairDistribution, FairnessViolation};
 pub use fault_routing::{route_greedy, route_with_faults, FaultRouting, FaultRoutingError};
 pub use h_relation::{route_h_relation, HRelation, HRelationRouting};

@@ -116,6 +116,30 @@ fn warm_fair_distribution_path_allocates_nothing() {
 }
 
 #[test]
+fn warm_fair_distribution_allocates_nothing_at_served_and_multi_word_sizes() {
+    // POPS(32,32) is the miss workload's shape; POPS(72,8) has Δ = 72, so
+    // every node's colour mask spans two words and chains flip across them.
+    for (d, g) in [(32usize, 32usize), (72, 8)] {
+        let t = PopsTopology::new(d, g);
+        let mut engine = RoutingEngine::new(t);
+        let mut rng = SplitMix64::new(44);
+        let _ = engine.fair_distribution_targets(&random_permutation(d * g, &mut rng));
+        for round in 0..3 {
+            let pi = random_permutation(d * g, &mut rng);
+            let before = allocations();
+            let targets = engine.fair_distribution_targets(&pi);
+            let after = allocations();
+            assert_eq!(targets.len(), d * g);
+            assert_eq!(
+                after - before,
+                0,
+                "warm fair-distribution path allocated on POPS({d}, {g}), round {round}"
+            );
+        }
+    }
+}
+
+#[test]
 fn warm_plan_allocates_only_its_output() {
     // The full plan must allocate its *output* (schedule, transmissions,
     // intermediate vector) but nothing construction-internal: the output of

@@ -517,19 +517,26 @@ fn trait_dispatch_matches_typed_methods() {
     assert_eq!(outcome.into_schedule(), typed.plan_direct(&pi));
 }
 
-// --- Word-parallel colouring kernel equivalence ---------------------
+// --- Colouring kernel vs the two-pass oracle -------------------------
 //
-// The bitset kernel must be *byte-identical* to the scalar walk — not
-// just produce valid schedules — because plan caching, persistence, and
-// the wire protocol all compare and hash schedules structurally.
+// The engine colours with the word-parallel single-walk kernel
+// (`pops_bipartite::coloring::bitset`). It must be *byte-identical* to
+// the untouched two-pass `alternating` colourer — not just produce valid
+// schedules — because plan caching, persistence, and the wire protocol
+// all compare and hash schedules structurally. The oracle side never
+// touches the engine: plans come from the frozen seed emission over
+// `FairDistribution::compute(.., AlternatingPath)`, h-relation phases from
+// `ColorerKind::AlternatingPath.color`.
 
-use pops_core::engine::ColoringKernel;
+use pops_bipartite::BipartiteMultigraph;
+use pops_core::h_relation::HRelationRouting;
+use pops_permutation::PartialPermutation;
 use proptest::prelude::*;
 
 /// Shapes covering every colouring regime: d = 1, d < g, d = g, d > g,
-/// and Δ just above/below a multiple of 64 is irrelevant at these sizes,
-/// but the mask path still exercises partial last words everywhere.
-const KERNEL_SHAPES: [(usize, usize); 8] = [
+/// plus the shapes the daemon serves, where Δ = max(d, g) reaches 32 and
+/// alternating chains run long.
+const KERNEL_SHAPES: [(usize, usize); 12] = [
     (1, 5),
     (2, 4),
     (3, 3),
@@ -538,19 +545,143 @@ const KERNEL_SHAPES: [(usize, usize); 8] = [
     (6, 3),
     (7, 3),
     (9, 4),
+    (16, 16),
+    (32, 32),
+    (16, 32),
+    (32, 16),
 ];
 
-/// One engine per kernel, artefacts on so the comparison covers the fair
-/// distribution and list system, not just the final schedule.
-fn kernel_pair(t: PopsTopology) -> (RoutingEngine, RoutingEngine) {
-    (
-        RoutingEngine::new(t)
-            .coloring_kernel(ColoringKernel::Scalar)
-            .emit_artefacts(true),
-        RoutingEngine::new(t)
-            .coloring_kernel(ColoringKernel::Bitset)
-            .emit_artefacts(true),
-    )
+/// The served shapes: d = g, d < g (padded) and d > g.
+const SERVED_SHAPES: [(usize, usize); 4] = [(16, 16), (32, 32), (16, 32), (32, 16)];
+
+/// Routes `relation` without the engine: phases are the colour classes
+/// of the two-pass colourer, each routed by the frozen seed emission.
+fn oracle_h_relation(relation: &HRelation, t: PopsTopology) -> HRelationRouting {
+    let n = relation.n();
+    let mut graph = BipartiteMultigraph::new(n, n);
+    for &(src, dst) in relation.requests() {
+        graph.add_edge(src, dst);
+    }
+    let coloring = ColorerKind::AlternatingPath.color(&graph);
+    let phases: Vec<PartialPermutation> = coloring
+        .classes()
+        .iter()
+        .map(|class| {
+            let mut image = vec![None; n];
+            for &e in class {
+                let (src, dst) = graph.endpoints(e);
+                image[src] = Some(dst);
+            }
+            PartialPermutation::new(image).unwrap()
+        })
+        .collect();
+    let blocks = phases
+        .iter()
+        .map(|phase| {
+            seed_reference::route(&phase.complete(), t, ColorerKind::AlternatingPath).schedule
+        })
+        .collect();
+    HRelationRouting::from_phase_schedules(t, phases, blocks)
+}
+
+/// `h` permutation layers: every processor sends and receives exactly
+/// `h` packets, the canonical h-relation shape.
+fn random_h_relation(n: usize, h: usize, rng: &mut SplitMix64) -> HRelation {
+    let mut requests = Vec::with_capacity(n * h);
+    for _ in 0..h {
+        let p = random_permutation(n, rng);
+        for src in 0..n {
+            requests.push((src, p.apply(src)));
+        }
+    }
+    HRelation::new(n, requests).unwrap()
+}
+
+/// Compares one engine plan against the oracle, artefacts included, so
+/// the comparison covers the fair distribution and list system, not just
+/// the final schedule.
+fn plan_matches_oracle(engine: &mut RoutingEngine, pi: &Permutation) -> TestCaseResult {
+    let t = engine.topology();
+    let oracle = seed_reference::route(pi, t, ColorerKind::AlternatingPath);
+    let plan = engine.plan_theorem2(pi);
+    prop_assert_eq!(
+        &plan.schedule,
+        &oracle.schedule,
+        "schedule differs on {}",
+        t
+    );
+    prop_assert_eq!(
+        &plan.intermediate,
+        &oracle.intermediate,
+        "intermediate differs on {}",
+        t
+    );
+    prop_assert_eq!(
+        &plan.fair_distribution,
+        &oracle.fair_distribution,
+        "fair_distribution differs on {}",
+        t
+    );
+    prop_assert_eq!(
+        &plan.list_system,
+        &oracle.list_system,
+        "list_system differs on {}",
+        t
+    );
+    Ok(())
+}
+
+/// Compares one engine h-relation routing against the oracle.
+fn h_relation_matches_oracle(engine: &mut RoutingEngine, relation: &HRelation) -> TestCaseResult {
+    let t = engine.topology();
+    let oracle = oracle_h_relation(relation, t);
+    let warm = engine.plan_h_relation(relation);
+    prop_assert_eq!(
+        &warm.schedule,
+        &oracle.schedule,
+        "schedule differs on {}",
+        t
+    );
+    prop_assert_eq!(
+        &warm.slots_per_phase,
+        &oracle.slots_per_phase,
+        "slots_per_phase differs on {}",
+        t
+    );
+    prop_assert_eq!(
+        warm.phases.len(),
+        oracle.phases.len(),
+        "phase count differs on {}",
+        t
+    );
+    for (x, y) in warm.phases.iter().zip(&oracle.phases) {
+        prop_assert_eq!(x.as_slice(), y.as_slice(), "a phase differs on {}", t);
+    }
+    Ok(())
+}
+
+#[test]
+fn served_shapes_are_byte_identical_to_the_two_pass_oracle() {
+    for (d, g) in SERVED_SHAPES {
+        let t = PopsTopology::new(d, g);
+        let n = d * g;
+        // One warm engine per shape, so arena reuse is part of the check.
+        let mut engine = RoutingEngine::new(t).emit_artefacts(true);
+        let mut rng = SplitMix64::new(7_800 + d as u64 * 64 + g as u64);
+        for (name, pi) in families(d, g, &mut rng) {
+            if let Err(e) = plan_matches_oracle(&mut engine, &pi) {
+                panic!("{name}: {e:?}");
+            }
+        }
+        for _ in 0..3 {
+            let pi = random_permutation(n, &mut rng);
+            plan_matches_oracle(&mut engine, &pi).unwrap();
+        }
+        for h in 1..=2 {
+            let relation = random_h_relation(n, h, &mut rng);
+            h_relation_matches_oracle(&mut engine, &relation).unwrap();
+        }
+    }
 }
 
 proptest! {
@@ -562,16 +693,10 @@ proptest! {
         shape in 0usize..KERNEL_SHAPES.len(),
     ) {
         let (d, g) = KERNEL_SHAPES[shape];
-        let t = PopsTopology::new(d, g);
-        let (mut scalar, mut bitset) = kernel_pair(t);
+        let mut engine = RoutingEngine::new(PopsTopology::new(d, g)).emit_artefacts(true);
         let mut rng = SplitMix64::new(seed);
         let pi = random_permutation(d * g, &mut rng);
-        let a = scalar.plan_theorem2(&pi);
-        let b = bitset.plan_theorem2(&pi);
-        prop_assert_eq!(&a.schedule, &b.schedule, "d={} g={}", d, g);
-        prop_assert_eq!(&a.intermediate, &b.intermediate);
-        prop_assert_eq!(&a.fair_distribution, &b.fair_distribution);
-        prop_assert_eq!(&a.list_system, &b.list_system);
+        plan_matches_oracle(&mut engine, &pi)?;
     }
 
     #[test]
@@ -581,27 +706,9 @@ proptest! {
         h in 1usize..4,
     ) {
         let (d, g) = KERNEL_SHAPES[shape];
-        let t = PopsTopology::new(d, g);
-        let n = d * g;
-        let (mut scalar, mut bitset) = kernel_pair(t);
+        let mut engine = RoutingEngine::new(PopsTopology::new(d, g));
         let mut rng = SplitMix64::new(seed);
-        // h permutation layers: every processor sends and receives
-        // exactly h packets, the canonical h-relation shape.
-        let mut requests = Vec::with_capacity(n * h);
-        for _ in 0..h {
-            let p = random_permutation(n, &mut rng);
-            for src in 0..n {
-                requests.push((src, p.apply(src)));
-            }
-        }
-        let relation = HRelation::new(n, requests).unwrap();
-        let a = scalar.plan_h_relation(&relation);
-        let b = bitset.plan_h_relation(&relation);
-        prop_assert_eq!(&a.schedule, &b.schedule, "h={} d={} g={}", h, d, g);
-        prop_assert_eq!(&a.slots_per_phase, &b.slots_per_phase);
-        prop_assert_eq!(a.phases.len(), b.phases.len());
-        for (x, y) in a.phases.iter().zip(&b.phases) {
-            prop_assert_eq!(x.as_slice(), y.as_slice());
-        }
+        let relation = random_h_relation(d * g, h, &mut rng);
+        h_relation_matches_oracle(&mut engine, &relation)?;
     }
 }
