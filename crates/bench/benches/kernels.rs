@@ -1,13 +1,15 @@
 //! Colouring-kernel comparison: the greedy baseline, the two-pass
 //! alternating-path oracle, and the word-parallel u64-bitset kernel, on
-//! the group-transition multigraphs POPS routing actually colours — and
-//! the engine's end-to-end [`RoutingEngine::plan_theorem2`] across
-//! POPS(8,8) … POPS(64,64).
+//! the group-transition multigraphs POPS routing actually colours; the
+//! bitset kernel's one-word (Δ ≤ 64) and multi-word instantiations side
+//! by side; and the engine's end-to-end [`RoutingEngine::plan_theorem2`]
+//! across POPS(8,8) … POPS(64,64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pops_bipartite::coloring::{alternating, bitset, greedy};
+use pops_bipartite::generators::shuffled_regular_multigraph;
 use pops_bipartite::BipartiteMultigraph;
 use pops_core::engine::RoutingEngine;
 use pops_network::PopsTopology;
@@ -53,6 +55,27 @@ fn bench_raw_colorers(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mask_widths(c: &mut Criterion) {
+    // The bitset kernel at Δ = 64 (one mask word per node, the one-word
+    // instantiation) against Δ = 65 and 128 (two words, the general
+    // path), on shuffled Δ-regular multigraphs of 32 + 32 nodes, so
+    // inserts conflict and chains flip.
+    let mut group = c.benchmark_group("kernels/width");
+    group.sample_size(15);
+    let mut rng = SplitMix64::new(43);
+    for delta in [64usize, 65, 128] {
+        let graph = shuffled_regular_multigraph(32, delta, &mut rng);
+        group.bench_with_input(
+            BenchmarkId::new("bitset", format!("delta_{delta}")),
+            &graph,
+            |b, graph| {
+                b.iter(|| bitset::color(black_box(graph)));
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_engine_kernels(c: &mut Criterion) {
     // End to end: a warm engine planning Theorem-2 routes, one series per
     // shape, so the colouring kernel's share of the full construction
@@ -85,6 +108,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_raw_colorers, bench_engine_kernels
+    targets = bench_raw_colorers, bench_mask_widths, bench_engine_kernels
 }
 criterion_main!(benches);

@@ -105,7 +105,7 @@ pub fn color(g: &BipartiteMultigraph) -> EdgeColoring {
 mod tests {
     use super::*;
     use crate::coloring::verify_proper;
-    use crate::generators::{random_bipartite, random_multigraph, random_regular_multigraph};
+    use crate::generators::{random_bipartite, random_multigraph, shuffled_regular_multigraph};
     use pops_permutation::SplitMix64;
 
     #[test]
@@ -159,9 +159,11 @@ mod tests {
 
     #[test]
     fn regular_inputs_yield_perfect_matching_classes() {
+        // Shuffled edge order, so inserts conflict and chains flip.
         let mut rng = SplitMix64::new(53);
-        let g = random_regular_multigraph(9, 6, &mut rng);
+        let g = shuffled_regular_multigraph(9, 6, &mut rng);
         let coloring = color(&g);
+        verify_proper(&g, &coloring).unwrap();
         for class in coloring.classes() {
             assert_eq!(class.len(), 9);
         }

@@ -25,6 +25,21 @@ pub fn random_regular_multigraph(n: usize, k: usize, rng: &mut SplitMix64) -> Bi
     g
 }
 
+/// [`random_regular_multigraph`] with its edges in random order. Inserted
+/// in generation order, every layer of a regular multigraph is a perfect
+/// matching that takes one free colour, so an insertion colourer never
+/// flips a chain; shuffled, its inserts conflict and chains flip.
+pub fn shuffled_regular_multigraph(
+    n: usize,
+    k: usize,
+    rng: &mut SplitMix64,
+) -> BipartiteMultigraph {
+    let g = random_regular_multigraph(n, k, rng);
+    let mut edges: Vec<(usize, usize)> = g.edges().map(|(_, u, v)| (u, v)).collect();
+    rng.shuffle(&mut edges);
+    BipartiteMultigraph::from_edges(n, n, edges).expect("endpoints come from an n + n graph")
+}
+
 /// A random bipartite (simple) graph: each of the `l·r` pairs is an edge
 /// independently with probability `p`.
 pub fn random_bipartite(l: usize, r: usize, p: f64, rng: &mut SplitMix64) -> BipartiteMultigraph {
@@ -70,6 +85,14 @@ mod tests {
             assert_eq!(g.regular_degree(), Some(k), "n={n} k={k}");
             assert_eq!(g.edge_count(), n * k);
         }
+    }
+
+    #[test]
+    fn shuffled_regular_keeps_the_degrees() {
+        let mut rng = SplitMix64::new(4);
+        let g = shuffled_regular_multigraph(9, 5, &mut rng);
+        assert_eq!(g.regular_degree(), Some(5));
+        assert_eq!(g.edge_count(), 45);
     }
 
     #[test]

@@ -227,12 +227,11 @@ struct Scratch {
     edge_u: Vec<u32>,
     /// Right endpoints, parallel to `edge_u`.
     edge_v: Vec<u32>,
-    /// `left_table[u·n₂ + c]` = edge of colour `c` at left node `u`.
-    left_table: Vec<usize>,
+    /// `left_table[u·n₂ + c]` = edge of colour `c` at left node `u`,
+    /// packed with its right endpoint (see [`bitset::Side`]).
+    left_table: Vec<u64>,
     /// Right-side colour table, as `left_table`.
-    right_table: Vec<usize>,
-    /// Colour per padded edge.
-    colors: Vec<usize>,
+    right_table: Vec<u64>,
     /// The fair distribution, flat: `f(h, i)` at `h·d + i`.
     fd_targets: Vec<usize>,
     /// `inv[h·d + j] = i` with `f(h, i) = j` (the `d > g` bijection).
@@ -396,9 +395,6 @@ impl RoutingEngine {
     pub fn arena_footprint(&self) -> usize {
         let s = &self.scratch;
         let usize_cells = s.dest_group.capacity()
-            + s.left_table.capacity()
-            + s.right_table.capacity()
-            + s.colors.capacity()
             + s.fd_targets.capacity()
             + s.inv.capacity()
             + s.bucket_cursor.capacity()
@@ -411,7 +407,10 @@ impl RoutingEngine {
             + s.incoming_h.capacity()
             + s.incoming_i.capacity()
             + s.group_lut.capacity();
-        let u64_cells = s.left_used.capacity() + s.right_used.capacity();
+        let u64_cells = s.left_table.capacity()
+            + s.right_table.capacity()
+            + s.left_used.capacity()
+            + s.right_used.capacity();
         let spare_usize_cells: usize = s.spare_intermediate.iter().map(Vec::capacity).sum();
         let spare_tx_cells: usize = s.spare_tx.iter().map(Vec::capacity).sum();
         (usize_cells + spare_usize_cells) * std::mem::size_of::<usize>()
@@ -891,7 +890,6 @@ impl RoutingEngine {
         ensure(&mut scratch.edge_v, m_total);
         ensure(&mut scratch.left_table, nodes * n2);
         ensure(&mut scratch.right_table, nodes * n2);
-        ensure(&mut scratch.colors, m_total);
         ensure(&mut scratch.fd_targets, m_real);
         let words = bitset::words_per_node(n2);
         ensure(&mut scratch.left_used, nodes * words);
@@ -926,13 +924,14 @@ impl RoutingEngine {
 
         // The padded graph is n₂-regular, so the shared bitset kernel
         // colours it with exactly n₂ colours, byte-identically to
-        // `pops_bipartite::coloring::alternating`.
+        // `pops_bipartite::coloring::alternating`. Node ids are `u32`
+        // in the edge arrays, and an edge id past 32 bits would need
+        // each of those arrays to outgrow 16 GiB first.
         let Scratch {
             edge_u,
             edge_v,
             left_table,
             right_table,
-            colors,
             left_used,
             right_used,
             fd_targets,
@@ -940,8 +939,8 @@ impl RoutingEngine {
         } = scratch;
         bitset::color_into(
             n2,
+            m_total,
             |e| (edge_u[e] as usize, edge_v[e] as usize),
-            &mut colors[..m_total],
             Side {
                 table: &mut left_table[..nodes * n2],
                 used: &mut left_used[..nodes * words],
@@ -951,8 +950,10 @@ impl RoutingEngine {
                 used: &mut right_used[..nodes * words],
             },
         );
-        // The colour of real edge h·d + i *is* f(h, i).
-        fd_targets[..m_real].copy_from_slice(&colors[..m_real]);
+        // The colour of real edge h·d + i *is* f(h, i). Real edges all
+        // leave the g real left nodes, whose rows also hold H₂ pad edges
+        // (ids ≥ m_real), which the read skips.
+        bitset::read_colors(&left_table[..g * n2], n2, &mut fd_targets[..m_real]);
 
         #[cfg(debug_assertions)]
         self.debug_verify_fair_distribution();
