@@ -4,9 +4,9 @@
 //! Real request streams repeat permutations — collective phases, BPC
 //! families, hypercube simulation rounds — so the service fronts its
 //! engine pool with a cache that converts the `2⌈d/g⌉`-slot construction
-//! cost into a lookup. Values are `Arc`-shared, so a hit clones a pointer,
-//! not a plan, and the same plan can be handed to any number of client
-//! threads simultaneously.
+//! cost into a lookup. Values are `Arc`-shared encoded plans, so a hit
+//! clones a pointer, not a plan, and the same plan can be handed to any
+//! number of client threads simultaneously.
 //!
 //! # Two levels
 //!
@@ -41,10 +41,13 @@
 //!
 //! # One plan, one key, one hash
 //!
-//! Both levels store the same value type, [`CachedOutcome`]. A `theorem2`
-//! request's canonical key *is* the phase key of its permutation, so a
-//! `theorem2` miss inserts one `Arc` under one key into both levels: the
-//! plan is stored once, not once per level. A key is a [`CacheKey`]: the
+//! Both levels store the same value type, [`CachedOutcome`]: a plan's
+//! dense schedule encoding and slot count behind one `Arc`, the plan's
+//! only resident form (about 45 KiB with its key at POPS(32, 32), half
+//! the decoded schedule). A `theorem2` request's canonical key *is* the
+//! phase key of its permutation, so a `theorem2` miss inserts one `Arc`
+//! under one key into both levels: the plan is stored once, not once per
+//! level. A key is a [`CacheKey`]: the
 //! bytes in one shared allocation plus their FNV-1a hash, computed once
 //! when the key is built. The map and the slab slot of each level, and the
 //! two levels of a `theorem2` entry, all hold the same allocation. Every
@@ -73,9 +76,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use pops_core::RoutingOutcome;
+use pops_network::Schedule;
 use pops_permutation::Permutation;
 
+use crate::frame;
 use crate::metrics::RequestKind;
 use crate::service::ServiceRequest;
 
@@ -249,11 +253,108 @@ pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> CacheKey {
     CacheKey::new(key.into_boxed_slice())
 }
 
-/// The cached value type of both levels: an immutable, thread-shareable
-/// routing outcome. A level-2 entry is read for its schedule only; an
-/// h-relation assembled from it copies the schedule's slots (cheaper than
-/// re-running the construction, which is what a miss pays).
-pub type CachedOutcome = Arc<RoutingOutcome>;
+/// The cached value type of both levels: one plan as its dense schedule
+/// encoding ([`crate::frame::encode_schedule`]'s bytes) and its slot count,
+/// behind one `Arc`. Cloning bumps a reference count.
+///
+/// The bytes are the only resident form of a cached plan: 20 bytes per
+/// unicast transmission, about half the decoded [`Schedule`] and with no
+/// construction artefacts. A dense reply copies them behind its header, a
+/// spill writes them as they are, and whoever needs the schedule itself
+/// (a JSON reply, h-relation phase assembly, an in-process caller through
+/// [`crate::ReplyOutcome`]) decodes it. A value is built only by encoding
+/// a schedule or from spill bytes the schedule reader validated, so its
+/// bytes always decode.
+///
+/// ```
+/// use pops_network::PopsTopology;
+/// use pops_permutation::families::vector_reversal;
+/// use pops_service::{RoutingService, ServiceRequest};
+///
+/// let service = RoutingService::new(PopsTopology::new(4, 4));
+/// let req = ServiceRequest::Theorem2 { pi: vector_reversal(16) };
+/// let reply = service.route(&req).unwrap();
+/// let cached = reply.outcome.cached();
+/// assert_eq!(cached.slot_count(), 2);
+/// // Two slots of 16 unicast transmissions, 20 bytes each.
+/// assert_eq!(cached.schedule_bytes().len(), 4 + 2 * (4 + 16 * 20));
+/// ```
+#[derive(Clone)]
+pub struct CachedOutcome(Arc<EncodedPlan>);
+
+struct EncodedPlan {
+    slots: usize,
+    bytes: Box<[u8]>,
+}
+
+impl CachedOutcome {
+    /// Encodes `schedule` into an exact-size buffer.
+    pub(crate) fn encode(schedule: &Schedule) -> Self {
+        let mut bytes = Vec::with_capacity(frame::encoded_len(schedule));
+        frame::encode_schedule(&mut bytes, schedule);
+        Self::from_parts(schedule.slot_count(), bytes.into_boxed_slice())
+    }
+
+    /// Wraps bytes [`frame::read_encoded_schedule`] accepted, with the slot
+    /// count it read.
+    pub(crate) fn from_validated(slots: usize, bytes: &[u8]) -> Self {
+        Self::from_parts(slots, bytes.into())
+    }
+
+    fn from_parts(slots: usize, bytes: Box<[u8]>) -> Self {
+        Self(Arc::new(EncodedPlan { slots, bytes }))
+    }
+
+    /// Slots in the plan's schedule, read without decoding it.
+    pub fn slot_count(&self) -> usize {
+        self.0.slots
+    }
+
+    /// The schedule's dense encoding.
+    pub fn schedule_bytes(&self) -> &[u8] {
+        &self.0.bytes
+    }
+
+    /// The plan as a dense reply body: its bytes, copied as they are.
+    pub(crate) fn body(&self) -> frame::Body<'_> {
+        frame::Body::Encoded {
+            slots: self.0.slots,
+            bytes: &self.0.bytes,
+        }
+    }
+
+    /// The schedule, decoded into a fresh value.
+    pub(crate) fn decode(&self) -> Schedule {
+        let mut reader = frame::Reader::new(&self.0.bytes, "cached plan");
+        let decoded = frame::decode_schedule(&mut reader);
+        // Only encoded or validated bytes are ever wrapped (see the type
+        // docs), so the decode cannot fail.
+        debug_assert!(decoded.is_ok(), "a cached plan failed to decode");
+        decoded.unwrap_or_default()
+    }
+
+    /// Whether `self` and `other` hold the same allocation.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &CachedOutcome) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Holders of this plan's allocation (a reply, each cache level that
+    /// stores it, any clone).
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+}
+
+impl std::fmt::Debug for CachedOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CachedOutcome")
+            .field("slots", &self.0.slots)
+            .field("bytes", &self.0.bytes.len())
+            .finish()
+    }
+}
 
 struct Slot<V> {
     key: CacheKey,

@@ -136,13 +136,20 @@ impl<'a> Reader<'a> {
 
     /// The next `N` little-endian `u32`s, bounds-checked once.
     fn words<const N: usize>(&mut self) -> Result<[u32; N], String> {
-        let mut words = [0u32; N];
-        for (w, chunk) in words.iter_mut().zip(self.bytes(4 * N)?.chunks_exact(4)) {
-            if let &[a, b, c, d] = chunk {
-                *w = u32::from_le_bytes([a, b, c, d]);
-            }
-        }
-        Ok(words)
+        Ok(le_words(self.bytes(4 * N)?))
+    }
+
+    /// The next transmission record when it is a unicast one, `sender
+    /// coupler packet 1 receiver`, read in one 20-byte step; `None`, with
+    /// nothing consumed, when fewer than 20 bytes remain or the receiver
+    /// count is not 1.
+    fn unicast(&mut self) -> Option<[usize; 4]> {
+        let record = self.buf.get(self.pos..)?.first_chunk::<UNICAST_BYTES>()?;
+        let [sender, coupler, packet, 1, receiver] = le_words::<5>(record) else {
+            return None;
+        };
+        self.pos += UNICAST_BYTES;
+        Some([sender, coupler, packet, receiver].map(|w| w as usize))
     }
 
     fn u8(&mut self) -> Result<u8, String> {
@@ -212,6 +219,22 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The bytes of one unicast transmission record: four fixed words and the
+/// one receiver.
+const UNICAST_BYTES: usize = 20;
+
+/// `N` little-endian `u32`s from the first `4 * N` bytes of `bytes`.
+// lint: hot-path
+fn le_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    let mut words = [0u32; N];
+    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+        if let &[a, b, c, d] = chunk {
+            *w = u32::from_le_bytes([a, b, c, d]);
+        }
+    }
+    words
+}
+
 // lint: hot-path
 fn push_u32(buf: &mut Vec<u8>, v: usize) {
     buf.extend_from_slice(&(v as u32).to_le_bytes());
@@ -230,26 +253,35 @@ fn push_shaped_perm(buf: &mut Vec<u8>, shape: Option<(usize, usize)>, pi: &Permu
     }
 }
 
-/// Byte length of [`encode_schedule`]'s output, or 0 for a reply that
-/// carries no schedule body.
+/// Byte length of [`encode_schedule`]'s output.
 // lint: hot-path
-fn schedule_len(schedule: &Schedule, want_schedule: bool) -> usize {
-    if !want_schedule {
-        return 0;
-    }
+pub(crate) fn encoded_len(schedule: &Schedule) -> usize {
     let tx_len = |tx: &Transmission| 16 + 4 * tx.receivers.len();
     let slot_len = |slot: &SlotFrame| 4 + slot.transmissions.iter().map(tx_len).sum::<usize>();
     4 + schedule.slots.iter().map(slot_len).sum::<usize>()
 }
 
 /// Appends the slot-prefixed flat schedule encoding to `buf`. The dense
-/// reply bodies and the spill file's schedule records are these bytes.
+/// reply bodies, the spill file's schedule records and the plan cache's
+/// entries are these bytes. A unicast transmission — every one a
+/// permutation routes — is written as one 20-byte record.
 // lint: hot-path
 pub fn encode_schedule(buf: &mut Vec<u8>, schedule: &Schedule) {
+    #[cfg(test)]
+    SCHEDULE_ENCODES.with(|count| count.set(count.get() + 1));
     push_u32(buf, schedule.slots.len());
     for slot in &schedule.slots {
         push_u32(buf, slot.transmissions.len());
         for tx in &slot.transmissions {
+            if let Receivers::One(receiver) = tx.receivers {
+                let words = [tx.sender, tx.coupler, tx.packet, 1, receiver];
+                let mut record = [0u8; UNICAST_BYTES];
+                for (chunk, w) in record.chunks_exact_mut(4).zip(words) {
+                    chunk.copy_from_slice(&(w as u32).to_le_bytes());
+                }
+                buf.extend_from_slice(&record);
+                continue;
+            }
             push_u32(buf, tx.sender);
             push_u32(buf, tx.coupler);
             push_u32(buf, tx.packet);
@@ -261,9 +293,17 @@ pub fn encode_schedule(buf: &mut Vec<u8>, schedule: &Schedule) {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`encode_schedule`] on this thread, so a test can assert
+    /// that a reply path copies a cached encoding instead of encoding.
+    pub(crate) static SCHEDULE_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Decodes [`encode_schedule`]'s bytes. A unicast transmission — every
-/// one a permutation routes — decodes inline as [`Receivers::One`], so a
-/// schedule costs one allocation per slot, not one per transmission.
+/// one a permutation routes — is read in one 20-byte step and decodes
+/// inline as [`Receivers::One`], so a schedule costs one allocation per
+/// slot, not one per transmission.
 pub(crate) fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
     // A slot needs at least its 4-byte transmission count.
     let slot_count = r.count(4, "slot")?;
@@ -275,6 +315,11 @@ pub(crate) fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
         let mut frame = SlotFrame::new();
         frame.transmissions.reserve_exact(tx_count);
         for _ in 0..tx_count {
+            if let Some([sender, coupler, packet, receiver]) = r.unicast() {
+                let tx = Transmission::unicast(sender, coupler, packet, receiver);
+                frame.transmissions.push(tx);
+                continue;
+            }
             let [sender, coupler, packet, count] = r.words()?.map(|w| w as usize);
             let receivers = match r.guard(count, 4, "array")? {
                 1 => Receivers::One(r.u32()? as usize),
@@ -290,6 +335,64 @@ pub(crate) fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
         schedule.slots.push(frame);
     }
     Ok(schedule)
+}
+
+/// Reads one encoded schedule without decoding it: every count is checked
+/// against the bytes present exactly as [`decode_schedule`] checks it, so
+/// bytes this accepts always decode. Returns the schedule's bytes and its
+/// slot count; allocates nothing.
+pub(crate) fn read_encoded_schedule<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], usize), String> {
+    let start = r.pos;
+    let slot_count = r.count(4, "slot")?;
+    for _ in 0..slot_count {
+        let tx_count = r.count(16, "transmission")?;
+        for _ in 0..tx_count {
+            if r.unicast().is_some() {
+                continue;
+            }
+            let [_, _, _, count] = r.words()?;
+            let count = r.guard(count as usize, 4, "array")?;
+            r.bytes(4 * count)?;
+        }
+    }
+    let bytes = r.buf.get(start..r.pos).ok_or_else(|| r.truncated())?;
+    Ok((bytes, slot_count))
+}
+
+/// A schedule body to write into a reply: a schedule to encode, or the
+/// bytes [`encode_schedule`] already wrote for it (a cached plan).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body<'a> {
+    /// A decoded schedule, encoded as the reply is written.
+    Schedule(&'a Schedule),
+    /// An encoded schedule and its slot count, copied as they are.
+    Encoded { slots: usize, bytes: &'a [u8] },
+}
+
+impl Body<'_> {
+    fn slot_count(&self) -> usize {
+        match self {
+            Body::Schedule(schedule) => schedule.slot_count(),
+            Body::Encoded { slots, .. } => *slots,
+        }
+    }
+
+    /// Byte length of the body, or 0 for a reply that carries none.
+    fn len(&self, want_schedule: bool) -> usize {
+        match self {
+            _ if !want_schedule => 0,
+            Body::Schedule(schedule) => encoded_len(schedule),
+            Body::Encoded { bytes, .. } => bytes.len(),
+        }
+    }
+
+    // lint: hot-path
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Body::Schedule(schedule) => encode_schedule(out, schedule),
+            Body::Encoded { bytes, .. } => out.extend_from_slice(bytes),
+        }
+    }
 }
 
 /// Appends one frame to `wire`: the `u32 LE` length prefix, then the
@@ -417,7 +520,8 @@ pub fn encode_route_reply(
     want_schedule: bool,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    push_route_reply(&mut out, cache_hit, micros, schedule, want_schedule);
+    let body = Body::Schedule(schedule);
+    push_route_reply(&mut out, cache_hit, micros, body, want_schedule);
     out
 }
 
@@ -428,7 +532,7 @@ pub(crate) fn push_route_reply(
     out: &mut Vec<u8>,
     cache_hit: bool,
     micros: u64,
-    schedule: &Schedule,
+    body: Body<'_>,
     want_schedule: bool,
 ) {
     let mut flags = 0u8;
@@ -438,13 +542,13 @@ pub(crate) fn push_route_reply(
     if want_schedule {
         flags |= FLAG_HAS_SCHEDULE;
     }
-    out.reserve(14 + schedule_len(schedule, want_schedule));
+    out.reserve(14 + body.len(want_schedule));
     out.push(TAG_ROUTE_REPLY);
     out.push(flags);
-    push_u32(out, schedule.slot_count());
+    push_u32(out, body.slot_count());
     out.extend_from_slice(&micros.to_le_bytes());
     if want_schedule {
-        encode_schedule(out, schedule);
+        body.write(out);
     }
 }
 
@@ -490,7 +594,8 @@ pub fn encode_batch_item(
     want_schedule: bool,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    push_batch_item(&mut out, index, d, g, schedule, want_schedule);
+    let body = Body::Schedule(schedule);
+    push_batch_item(&mut out, index, d, g, body, want_schedule);
     out
 }
 
@@ -502,18 +607,18 @@ pub(crate) fn push_batch_item(
     index: usize,
     d: usize,
     g: usize,
-    schedule: &Schedule,
+    body: Body<'_>,
     want_schedule: bool,
 ) {
-    out.reserve(18 + schedule_len(schedule, want_schedule));
+    out.reserve(18 + body.len(want_schedule));
     out.push(TAG_BATCH_ITEM);
     push_u32(out, index);
     push_u32(out, d);
     push_u32(out, g);
-    push_u32(out, schedule.slot_count());
+    push_u32(out, body.slot_count());
     out.push(if want_schedule { 1 } else { 0 });
     if want_schedule {
-        encode_schedule(out, schedule);
+        body.write(out);
     }
 }
 

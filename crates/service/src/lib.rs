@@ -80,5 +80,5 @@ pub use record::{
 pub use replay::{run_replay, synth_trace, ReplayOptions, ReplayReport, SloGates};
 pub use router::{DirLoadReport, RouterError, RouterStats, TopologyRouter, TopologyRouterConfig};
 pub use server::{serve, serve_router, serve_with_config, ServerConfig, ServerSummary};
-pub use service::{RoutingService, ServiceConfig, ServiceReply, ServiceRequest};
+pub use service::{ReplyOutcome, RoutingService, ServiceConfig, ServiceReply, ServiceRequest};
 pub use trace::{RequestTrace, SlowLog, SlowVerdict};

@@ -337,7 +337,9 @@ impl KindSnapshot {
     }
 
     /// Approximate p-quantile latency in microseconds from the histogram
-    /// (upper bucket bound of the bucket containing the quantile).
+    /// (upper bucket bound of the bucket containing the quantile). The
+    /// last bucket is the clamped overflow (2²² µs and above) and has no
+    /// upper bound, so a quantile there is `u64::MAX`.
     pub fn quantile_micros(&self, q: f64) -> u64 {
         let total: u64 = self.latency.iter().sum();
         if total == 0 {
@@ -345,13 +347,13 @@ impl KindSnapshot {
         }
         let want = ((total as f64) * q).ceil() as u64;
         let mut seen = 0;
-        for (i, &count) in self.latency.iter().enumerate() {
+        for (i, &count) in self.latency.iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
             seen += count;
             if seen >= want {
                 return 1u64 << i;
             }
         }
-        1u64 << (HISTOGRAM_BUCKETS - 1)
+        u64::MAX
     }
 }
 
@@ -756,6 +758,26 @@ mod tests {
         k.latency[10] = 1; // one slow outlier
         assert_eq!(k.quantile_micros(0.5), 8);
         assert_eq!(k.quantile_micros(0.999), 1024);
+    }
+
+    #[test]
+    fn a_quantile_in_the_overflow_bucket_is_unbounded() {
+        let h = LatencyHistogram::default();
+        h.record(1 << 22); // the first latency the last bucket clamps
+        let mut k = KindSnapshot {
+            kind: RequestKind::Theorem2,
+            requests: 1,
+            errors: 0,
+            total_micros: 1 << 22,
+            latency: h.snapshot(),
+        };
+        assert_eq!(k.latency[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(k.quantile_micros(0.5), u64::MAX);
+        assert_eq!(k.quantile_micros(0.99), u64::MAX);
+        // Just below the overflow bucket the bound is still finite.
+        k.latency = [0; HISTOGRAM_BUCKETS];
+        k.latency[HISTOGRAM_BUCKETS - 2] = 1;
+        assert_eq!(k.quantile_micros(0.99), 1 << 22);
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! ```
 //!
 //! A schedule record is byte for byte the schedule body of a dense route
-//! reply, written and read by the same codec ([`frame::encode_schedule`]
-//! and its decoder): a unicast transmission comes back inline,
-//! so a restored plan costs the memory of a freshly routed one.
+//! reply and the bytes a plan-cache entry holds
+//! ([`crate::CachedOutcome`], written by [`frame::encode_schedule`]). A
+//! save writes each entry's bytes as they are, and a load checks every
+//! record with the schedule reader and keeps its bytes, so a restored
+//! plan costs the memory of a freshly routed one.
 //!
 //! Entries are written least-recently-used first **per shard** (shards
 //! concatenated), so a restore into the same shard layout reproduces
@@ -31,7 +33,7 @@
 //! every consumer (the wire protocol, the phase assembler) actually
 //! reads — so a restored level-1 entry answers with the identical
 //! schedule and slot count but without construction artefacts or phase
-//! lists, exactly like a `want_schedule` reply. Loading validates the
+//! lists, exactly like any other cache hit. Loading validates the
 //! magic, version, topology, the trailing checksum, and every length
 //! field against the remaining byte budget; any mismatch fails with a
 //! message rather than a panic or a huge allocation (and the loader in
@@ -88,19 +90,55 @@ pub struct PersistSummary {
     pub l2_entries: usize,
 }
 
+/// One entry as the plan cache holds it: the key bytes and the schedule's
+/// dense encoding.
+pub(crate) type EncodedEntry<'a> = (&'a [u8], &'a [u8]);
+
 /// Serializes the two cache levels into the version-1 byte format.
 /// `l1`/`l2` yield `(key, schedule)` pairs least-recently-used first.
 pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let encode = |entries: &[CacheEntry]| -> Vec<Vec<u8>> {
+        entries
+            .iter()
+            .map(|(_, schedule)| {
+                let mut body = Vec::with_capacity(frame::encoded_len(schedule));
+                frame::encode_schedule(&mut body, schedule);
+                body
+            })
+            .collect()
+    };
+    let (l1_bodies, l2_bodies) = (encode(l1), encode(l2));
+    let (l1, l2) = (pair(l1, &l1_bodies), pair(l2, &l2_bodies));
+    write_cache_file(d, g, &l1, &l2)
+}
+
+/// Each entry's key with its encoded schedule.
+fn pair<'a>(entries: &'a [CacheEntry], bodies: &'a [Vec<u8>]) -> Vec<EncodedEntry<'a>> {
+    let keys = entries.iter().map(|(key, _)| key.as_ref());
+    keys.zip(bodies.iter().map(Vec::as_slice)).collect()
+}
+
+/// Serializes the two cache levels from their encoded entries, least-
+/// recently-used first, into an exact-size buffer. The schedule bytes are
+/// copied as they are: the file's schedule records are the cache's bytes.
+pub(crate) fn write_cache_file(
+    d: usize,
+    g: usize,
+    l1: &[EncodedEntry<'_>],
+    l2: &[EncodedEntry<'_>],
+) -> Vec<u8> {
+    let entry_len = |(key, body): &EncodedEntry<'_>| 4 + key.len() + body.len();
+    let body_len: usize = l1.iter().chain(l2).map(entry_len).sum();
+    let mut out = Vec::with_capacity(CACHE_MAGIC.len() + 16 + body_len + 8);
     out.extend_from_slice(CACHE_MAGIC);
     out.extend_from_slice(&(d as u32).to_le_bytes());
     out.extend_from_slice(&(g as u32).to_le_bytes());
     out.extend_from_slice(&(l1.len() as u32).to_le_bytes());
     out.extend_from_slice(&(l2.len() as u32).to_le_bytes());
-    for (key, schedule) in l1.iter().chain(l2) {
+    for (key, body) in l1.iter().chain(l2) {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key);
-        frame::encode_schedule(&mut out, schedule);
+        out.extend_from_slice(body);
     }
     let checksum = crate::cache::fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -117,6 +155,27 @@ pub struct DecodedCacheFile {
     pub l2: Vec<CacheEntry>,
 }
 
+/// One validated entry of a cache file, still encoded: slices of the
+/// file's bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EncodedRecord<'a> {
+    /// The canonical (or phase) key bytes.
+    pub(crate) key: &'a [u8],
+    /// The schedule's dense encoding, validated to decode.
+    pub(crate) schedule: &'a [u8],
+    /// The schedule's slot count.
+    pub(crate) slots: usize,
+}
+
+/// A validated cache file whose schedules are left encoded.
+#[derive(Debug)]
+pub(crate) struct EncodedCacheFile<'a> {
+    /// Level-1 entries in write (LRU-first) order.
+    pub(crate) l1: Vec<EncodedRecord<'a>>,
+    /// Level-2 entries in write (LRU-first) order.
+    pub(crate) l2: Vec<EncodedRecord<'a>>,
+}
+
 /// Decodes a version-1 cache file, validating the magic and that it was
 /// written for the `POPS(d, g)` topology being served.
 pub fn decode_cache_file(
@@ -124,6 +183,30 @@ pub fn decode_cache_file(
     d: usize,
     g: usize,
 ) -> Result<DecodedCacheFile, PersistError> {
+    let file = read_cache_file(bytes, d, g)?;
+    let decode = |records: Vec<EncodedRecord<'_>>| -> Result<Vec<CacheEntry>, PersistError> {
+        records
+            .into_iter()
+            .map(|record| {
+                let schedule = frame::decode_schedule(&mut Reader::new(record.schedule, "spill"))?;
+                Ok((record.key.into(), schedule))
+            })
+            .collect()
+    };
+    Ok(DecodedCacheFile {
+        l1: decode(file.l1)?,
+        l2: decode(file.l2)?,
+    })
+}
+
+/// Validates a version-1 cache file as [`decode_cache_file`] does, but
+/// leaves each schedule encoded: the records borrow `bytes`, and reading
+/// them allocates only the two record lists.
+pub(crate) fn read_cache_file(
+    bytes: &[u8],
+    d: usize,
+    g: usize,
+) -> Result<EncodedCacheFile<'_>, PersistError> {
     if bytes.len() < CACHE_MAGIC.len() + 8 || &bytes[..CACHE_MAGIC.len()] != CACHE_MAGIC {
         return bail("bad magic (not a POPSCACHE1 file)");
     }
@@ -149,20 +232,24 @@ pub fn decode_cache_file(
     // Each entry is at least key_len (4) + slot_count (4) bytes.
     let l1_count = r.count(8, "entry")?;
     let l2_count = r.count(8, "entry")?;
-    let mut decode_entries = |count: usize| -> Result<Vec<CacheEntry>, PersistError> {
-        let mut entries = Vec::with_capacity(count);
+    let mut read_records = |count: usize| -> Result<Vec<EncodedRecord<'_>>, PersistError> {
+        let mut records = Vec::with_capacity(count);
         for _ in 0..count {
             let key_len = r.count(1, "key byte")?;
-            let key: Box<[u8]> = r.bytes(key_len)?.into();
-            let schedule = frame::decode_schedule(&mut r)?;
-            entries.push((key, schedule));
+            let key = r.bytes(key_len)?;
+            let (schedule, slots) = frame::read_encoded_schedule(&mut r)?;
+            records.push(EncodedRecord {
+                key,
+                schedule,
+                slots,
+            });
         }
-        Ok(entries)
+        Ok(records)
     };
-    let l1 = decode_entries(l1_count)?;
-    let l2 = decode_entries(l2_count)?;
+    let l1 = read_records(l1_count)?;
+    let l2 = read_records(l2_count)?;
     r.done()?;
-    Ok(DecodedCacheFile { l1, l2 })
+    Ok(EncodedCacheFile { l1, l2 })
 }
 
 /// The cache-file path under a `--cache-dir`.

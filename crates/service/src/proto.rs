@@ -55,7 +55,7 @@ use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, MetricsSnapshot, RequestKind};
 use crate::router::RouterStats;
-use crate::service::{ServiceReply, ServiceRequest};
+use crate::service::{ReplyOutcome, ServiceReply, ServiceRequest};
 
 /// Machine-readable failure category carried in every error response's
 /// `"kind"` field, so clients can react to limit violations without
@@ -727,10 +727,47 @@ pub(crate) enum Reply {
         index: usize,
         d: usize,
         g: usize,
-        schedule: Schedule,
+        plan: ItemPlan,
         want_schedule: bool,
         degraded: bool,
     },
+}
+
+/// The plan of one routed batch item.
+#[derive(Debug)]
+pub(crate) enum ItemPlan {
+    /// A schedule fresh from the batch executor, which bypasses the cache.
+    Fresh(Schedule),
+    /// A plan served through the cache (an item with a fault set): the
+    /// shared cache entry, decoded only if a JSON reply needs it.
+    Cached(ReplyOutcome),
+}
+
+impl ItemPlan {
+    /// Slots in the item's schedule.
+    pub(crate) fn slot_count(&self) -> usize {
+        match self {
+            ItemPlan::Fresh(schedule) => schedule.slot_count(),
+            ItemPlan::Cached(outcome) => outcome.slot_count(),
+        }
+    }
+
+    /// The schedule, decoding a cached plan on first use.
+    fn schedule(&self) -> &Schedule {
+        match self {
+            ItemPlan::Fresh(schedule) => schedule,
+            ItemPlan::Cached(outcome) => outcome.schedule(),
+        }
+    }
+
+    /// The dense body: a fresh schedule to encode, or a cached plan's
+    /// bytes to copy.
+    pub(crate) fn body(&self) -> frame::Body<'_> {
+        match self {
+            ItemPlan::Fresh(schedule) => frame::Body::Schedule(schedule),
+            ItemPlan::Cached(outcome) => outcome.cached().body(),
+        }
+    }
 }
 
 impl Reply {
@@ -775,10 +812,13 @@ impl Reply {
                 index,
                 d,
                 g,
-                schedule,
+                plan,
                 want_schedule,
                 degraded,
-            } => batch_item_response(index, d, g, &schedule, want_schedule, degraded),
+            } => {
+                let schedule = want_schedule.then(|| plan.schedule());
+                batch_item_response(index, d, g, plan.slot_count(), schedule, degraded)
+            }
         }
     }
 }
@@ -1115,12 +1155,11 @@ pub fn attach_trace(doc: Json, trace_id: &str) -> Json {
 
 /// The `route` response for a served request.
 pub fn route_response(kind: RequestKind, reply: &ServiceReply, want_schedule: bool) -> Json {
-    let schedule = reply.outcome.schedule();
     let mut fields = vec![
         ("ok".into(), Json::Bool(true)),
         ("op".into(), Json::str("route")),
         ("kind".into(), Json::str(kind.name())),
-        ("slots".into(), Json::num(schedule.slot_count())),
+        ("slots".into(), Json::num(reply.outcome.slot_count())),
         (
             "cache".into(),
             Json::str(if reply.cache_hit { "hit" } else { "miss" }),
@@ -1138,19 +1177,23 @@ pub fn route_response(kind: RequestKind, reply: &ServiceReply, want_schedule: bo
         fields.push(("degraded".into(), Json::Bool(true)));
     }
     if want_schedule {
-        fields.push(("schedule".into(), schedule_to_json(schedule)));
+        // A hit decodes its cached schedule here, on first use.
+        fields.push((
+            "schedule".into(),
+            schedule_to_json(reply.outcome.schedule()),
+        ));
     }
     Json::Obj(fields)
 }
 
 /// One successful `batch-item` line: index and shape identify the item,
-/// `slots` (and optionally the schedule) carry the plan.
+/// `slots` (and the schedule, when one is given) carry the plan.
 pub fn batch_item_response(
     index: usize,
     d: usize,
     g: usize,
-    schedule: &Schedule,
-    want_schedule: bool,
+    slots: usize,
+    schedule: Option<&Schedule>,
     degraded: bool,
 ) -> Json {
     let mut fields = vec![
@@ -1159,12 +1202,12 @@ pub fn batch_item_response(
         ("index".into(), Json::num(index)),
         ("d".into(), Json::num(d)),
         ("g".into(), Json::num(g)),
-        ("slots".into(), Json::num(schedule.slot_count())),
+        ("slots".into(), Json::num(slots)),
     ];
     if degraded {
         fields.push(("degraded".into(), Json::Bool(true)));
     }
-    if want_schedule {
+    if let Some(schedule) = schedule {
         fields.push(("schedule".into(), schedule_to_json(schedule)));
     }
     Json::Obj(fields)
@@ -1604,7 +1647,7 @@ mod tests {
             })
             .unwrap();
         let schedule = reply.outcome.schedule();
-        let item = batch_item_response(3, 4, 4, schedule, false, false);
+        let item = batch_item_response(3, 4, 4, 2, None, false);
         assert_eq!(item.get("op").unwrap().as_str(), Some("batch-item"));
         assert_eq!(item.get("index").unwrap().as_usize(), Some(3));
         assert_eq!(item.get("slots").unwrap().as_usize(), Some(2));
@@ -1613,9 +1656,9 @@ mod tests {
             item.get("degraded").is_none(),
             "healthy items omit the flag"
         );
-        let degraded = batch_item_response(3, 4, 4, schedule, false, true);
+        let degraded = batch_item_response(3, 4, 4, 2, None, true);
         assert_eq!(degraded.get("degraded"), Some(&Json::Bool(true)));
-        let with_schedule = batch_item_response(0, 4, 4, schedule, true, false);
+        let with_schedule = batch_item_response(0, 4, 4, 2, Some(schedule), false);
         let decoded = schedule_from_json(with_schedule.get("schedule").unwrap()).unwrap();
         assert_eq!(&decoded, schedule);
 

@@ -46,7 +46,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::OpenOptions;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +61,7 @@ use crate::metrics::RequestKind;
 use crate::proto::{
     decode_message, BatchItemRequest, CacheAction, RouteRequest, WireFormat, WireRequest,
 };
-use crate::server::{read_message, ReadOutcome};
+use crate::server::{MessageReader, ReadOutcome};
 use crate::service::ServiceRequest;
 
 /// The trace format version this build writes and the only one it reads.
@@ -716,11 +716,11 @@ fn proxy_connection(
                 let _ = to_client.shutdown(Shutdown::Write);
             })?
     };
-    let mut reader = BufReader::new(client.try_clone()?);
+    let mut reader = MessageReader::new(client.try_clone()?);
     let mut to_server = server.try_clone()?;
     let mut framing = WireFormat::Json;
     while let ReadOutcome::Message(message) =
-        read_message(&mut reader, framing, PROXY_MAX_BYTES, None, shutdown)?
+        reader.read_message(framing, PROXY_MAX_BYTES, None, shutdown)?
     {
         let mut next = framing;
         match decode_message(&message, framing, default).1 {

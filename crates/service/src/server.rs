@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! read_message      one bounded reader; the framing only says when a
-//!                   line or frame is complete
+//!                   line or frame is complete (`MessageReader`)
 //! decode_message    JSON line, TAG_JSON frame or dense TAG_ROUTE/TAG_BATCH
 //!                   frame → one owned request (shared with `pops record`)
 //! dispatch          one ordered sequence for every request: admission →
@@ -77,8 +77,8 @@ use crate::metrics::{Counter, MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::proto::{
     attach_trace, batch_summary_response, cache_persist_response, cache_stats_response,
     decode_message, error_response, hello_response, info_response, pong_response,
-    shutdown_response, stats_response, BatchItemRequest, CacheAction, Codec, Reply, RouteBody,
-    RouteRequest, WireErrorKind, WireFormat, WireRequest,
+    shutdown_response, stats_response, BatchItemRequest, CacheAction, Codec, ItemPlan, Reply,
+    RouteBody, RouteRequest, WireErrorKind, WireFormat, WireRequest,
 };
 use crate::record::{recorded_batch, recorded_cache, recorded_route, TraceRecorder};
 use crate::router::{RouterError, TopologyRouter, TopologyRouterConfig};
@@ -706,112 +706,152 @@ pub(crate) enum ReadOutcome {
     ShuttingDown,
 }
 
-/// Reads one message in `framing`, enforcing the length cap and the
-/// whole-message deadline. The framing decides only when a message is
-/// complete: a line ends at `\n`, a frame after the payload length its
-/// 4-byte prefix declares. A line is capped on the bytes read; a frame on
-/// its **declared** length, refused before any of its payload is buffered.
-///
-/// Waits in [`SHUTDOWN_POLL`] slices so the shutdown flag is noticed
-/// promptly — but only on a tick where no data was pending, and even then
-/// only after one extra grace tick (catching a request segment that was in
-/// flight when the flag flipped). A message delivered before shutdown is
-/// therefore read and served, and no socket is ever torn down
-/// mid-request; only partial messages are dropped. Pipelined messages
-/// stay buffered.
-pub(crate) fn read_message(
-    reader: &mut BufReader<TcpStream>,
-    framing: WireFormat,
-    max_bytes: usize,
-    deadline: Option<Duration>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<ReadOutcome> {
-    let mut buf: Vec<u8> = Vec::new();
-    let started = Instant::now();
-    let mut shutdown_grace_used = false;
-    loop {
-        let mut slice = SHUTDOWN_POLL;
-        if let Some(budget) = deadline {
-            match budget.checked_sub(started.elapsed()) {
-                Some(remaining) if !remaining.is_zero() => slice = slice.min(remaining),
-                _ => {
-                    return Ok(ReadOutcome::TimedOut {
-                        consumed: buf.len() as u64,
-                    })
-                }
-            }
+/// A connection's read side: the buffered socket, and the read timeout
+/// last set on it.
+pub(crate) struct MessageReader {
+    inner: BufReader<TcpStream>,
+    /// The socket's read timeout as last set here. A pass calls
+    /// `set_read_timeout` (one `setsockopt`) only when its slice differs,
+    /// so under a deadline longer than [`SHUTDOWN_POLL`] a connection sets
+    /// it once, not once per pass.
+    timeout: Option<Duration>,
+}
+
+impl MessageReader {
+    /// A reader over `stream`, whose read timeout is set on first use.
+    pub(crate) fn new(stream: TcpStream) -> Self {
+        Self {
+            inner: BufReader::new(stream),
+            timeout: None,
         }
-        reader.get_ref().set_read_timeout(Some(slice))?;
-        let available = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Nothing arrived this tick: notice a shutdown (after one
-                // grace tick for a segment racing the flag), otherwise
-                // keep waiting towards the deadline.
-                if shutdown.load(Ordering::SeqCst) {
-                    if shutdown_grace_used {
-                        return Ok(ReadOutcome::ShuttingDown);
+    }
+
+    /// Reads one message in `framing`, enforcing the length cap and the
+    /// whole-message deadline. The framing decides only when a message is
+    /// complete: a line ends at `\n`, a frame after the payload length its
+    /// 4-byte prefix declares. A line is capped on the bytes read; a frame
+    /// on its **declared** length, refused before any of its payload is
+    /// buffered, and its payload is read into a buffer of exactly that
+    /// length.
+    ///
+    /// Waits in [`SHUTDOWN_POLL`] slices so the shutdown flag is noticed
+    /// promptly — but only on a tick where no data was pending, and even
+    /// then only after one extra grace tick (catching a request segment
+    /// that was in flight when the flag flipped). A message delivered
+    /// before shutdown is therefore read and served, and no socket is ever
+    /// torn down mid-request; only partial messages are dropped. Pipelined
+    /// messages stay buffered.
+    pub(crate) fn read_message(
+        &mut self,
+        framing: WireFormat,
+        max_bytes: usize,
+        deadline: Option<Duration>,
+        shutdown: &AtomicBool,
+    ) -> std::io::Result<ReadOutcome> {
+        // A line accumulates in `buf`. A frame reads its length prefix
+        // into `header`, then its payload into `buf`, allocated once the
+        // prefix has declared `frame_len`.
+        let mut buf: Vec<u8> = Vec::new();
+        let (mut header, mut header_len) = ([0u8; 4], 0usize);
+        let mut frame_len: Option<usize> = None;
+        let started = Instant::now();
+        let mut shutdown_grace_used = false;
+        loop {
+            let mut slice = SHUTDOWN_POLL;
+            if let Some(budget) = deadline {
+                match budget.checked_sub(started.elapsed()) {
+                    Some(remaining) if !remaining.is_zero() => slice = slice.min(remaining),
+                    _ => {
+                        let consumed = (header_len + buf.len()) as u64;
+                        return Ok(ReadOutcome::TimedOut { consumed });
                     }
-                    shutdown_grace_used = true;
                 }
-                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(ReadOutcome::Eof);
-        }
-        // How many of the available bytes belong to this message, and
-        // whether a line's terminating newline is among them.
-        let (take, newline) = match framing {
-            WireFormat::Json => match available.iter().position(|&b| b == b'\n') {
-                Some(at) => (at, true),
-                None => (available.len(), false),
-            },
-            WireFormat::Binary => {
-                let needed = match buf.first_chunk::<4>() {
-                    Some(header) => 4 + u32::from_le_bytes(*header) as usize - buf.len(),
-                    None => 4 - buf.len(),
-                };
-                (needed.min(available.len()), false)
+            if self.timeout != Some(slice) {
+                self.inner.get_ref().set_read_timeout(Some(slice))?;
+                self.timeout = Some(slice);
             }
-        };
-        if framing == WireFormat::Json && buf.len() + take > max_bytes {
-            return Ok(ReadOutcome::TooLong {
-                consumed: (buf.len() + take) as u64,
-            });
-        }
-        buf.extend_from_slice(available.get(..take).unwrap_or_default());
-        reader.consume(take + usize::from(newline));
-        if newline {
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
+            let available = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    // Nothing arrived this tick: notice a shutdown (after
+                    // one grace tick for a segment racing the flag),
+                    // otherwise keep waiting towards the deadline.
+                    if shutdown.load(Ordering::SeqCst) {
+                        if shutdown_grace_used {
+                            return Ok(ReadOutcome::ShuttingDown);
+                        }
+                        shutdown_grace_used = true;
+                    }
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                return Ok(ReadOutcome::Eof);
             }
-            return Ok(ReadOutcome::Message(buf));
-        }
-        if let (WireFormat::Binary, Some(header)) = (framing, buf.first_chunk::<4>()) {
-            let len = u32::from_le_bytes(*header) as usize;
-            if len > max_bytes {
-                return Ok(ReadOutcome::TooLong { consumed: 4 });
+            match (framing, frame_len) {
+                (WireFormat::Json, _) => {
+                    // How many of the available bytes belong to this line,
+                    // and whether its terminating newline is among them.
+                    let (take, newline) = match available.iter().position(|&b| b == b'\n') {
+                        Some(at) => (at, true),
+                        None => (available.len(), false),
+                    };
+                    if buf.len() + take > max_bytes {
+                        return Ok(ReadOutcome::TooLong {
+                            consumed: (buf.len() + take) as u64,
+                        });
+                    }
+                    buf.extend_from_slice(available.get(..take).unwrap_or_default());
+                    self.inner.consume(take + usize::from(newline));
+                    if newline {
+                        if buf.last() == Some(&b'\r') {
+                            buf.pop();
+                        }
+                        return Ok(ReadOutcome::Message(buf));
+                    }
+                }
+                (WireFormat::Binary, None) => {
+                    let missing = header.get_mut(header_len..).unwrap_or_default();
+                    let take = missing.len().min(available.len());
+                    for (byte, &read) in missing.iter_mut().zip(available) {
+                        *byte = read;
+                    }
+                    self.inner.consume(take);
+                    header_len += take;
+                    if header_len == header.len() {
+                        let len = u32::from_le_bytes(header) as usize;
+                        if len > max_bytes {
+                            return Ok(ReadOutcome::TooLong { consumed: 4 });
+                        }
+                        buf = Vec::with_capacity(len);
+                        frame_len = Some(len);
+                    }
+                }
+                (WireFormat::Binary, Some(len)) => {
+                    let take = (len - buf.len()).min(available.len());
+                    buf.extend_from_slice(available.get(..take).unwrap_or_default());
+                    self.inner.consume(take);
+                }
             }
-            if buf.len() == 4 + len {
-                buf.drain(..4);
+            if frame_len == Some(buf.len()) {
                 return Ok(ReadOutcome::Message(buf));
             }
-        }
-        // Still mid-message: a shutdown abandons the partial (only
-        // *complete* messages are owed a response). Without this, a client
-        // dripping bytes would dodge the WouldBlock tick above and stall
-        // the drain for the whole read deadline — or forever with
-        // timeouts disabled.
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(ReadOutcome::ShuttingDown);
+            // Still mid-message: a shutdown abandons the partial (only
+            // *complete* messages are owed a response). Without this, a
+            // client dripping bytes would dodge the WouldBlock tick above
+            // and stall the drain for the whole read deadline — or forever
+            // with timeouts disabled.
+            if shutdown.load(Ordering::SeqCst) {
+                return Ok(ReadOutcome::ShuttingDown);
+            }
         }
     }
 }
@@ -824,7 +864,7 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
     let config = &state.config;
     let metrics = &state.server_metrics;
     let peer = stream.peer_addr().ok().map(|addr| addr.ip());
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = MessageReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut framing = WireFormat::Json;
     let mut seq: u64 = 0;
@@ -833,8 +873,7 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
         // still a segment in flight) must be served first, and the reader
         // notices the flag itself within two poll ticks.
         let binary = framing == WireFormat::Binary;
-        let outcome = read_message(
-            &mut reader,
+        let outcome = reader.read_message(
             framing,
             config.max_line_bytes,
             config.read_timeout,
@@ -965,13 +1004,9 @@ fn encode_replies(
                     ..
                 },
             ) => frame::push_frame(&mut wire, |w| {
-                frame::push_route_reply(
-                    w,
-                    reply.cache_hit,
-                    reply.micros,
-                    reply.outcome.schedule(),
-                    want_schedule,
-                )
+                // The cached plan's bytes, hit or miss: no encode here.
+                let body = reply.outcome.cached().body();
+                frame::push_route_reply(w, reply.cache_hit, reply.micros, body, want_schedule)
             }),
             (
                 Codec::Dense,
@@ -979,12 +1014,12 @@ fn encode_replies(
                     index,
                     d,
                     g,
-                    schedule,
+                    plan,
                     want_schedule,
                     ..
                 },
             ) => frame::push_frame(&mut wire, |w| {
-                frame::push_batch_item(w, index, d, g, &schedule, want_schedule)
+                frame::push_batch_item(w, index, d, g, plan.body(), want_schedule)
             }),
             (_, reply) => frame::push_frame(&mut wire, |w| {
                 w.push(TAG_JSON);
@@ -1342,13 +1377,12 @@ fn metrics_sidecar_loop(listener: TcpListener, state: &Arc<ServeState>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let mut reader = BufReader::new(match stream.try_clone() {
+                let mut reader = MessageReader::new(match stream.try_clone() {
                     Ok(clone) => clone,
                     Err(_) => continue,
                 });
                 let mut writer = stream;
-                let outcome = read_message(
-                    &mut reader,
+                let outcome = reader.read_message(
                     WireFormat::Json,
                     8 * 1024,
                     Some(Duration::from_secs(2)),
@@ -1426,7 +1460,7 @@ fn run_batch(state: &ServeState, items: Vec<BatchItemRequest>, want_schedule: bo
                         index,
                         d,
                         g,
-                        schedule: plan.schedule,
+                        plan: ItemPlan::Fresh(plan.schedule),
                         want_schedule,
                         degraded: false,
                     };
@@ -1448,7 +1482,7 @@ fn run_batch(state: &ServeState, items: Vec<BatchItemRequest>, want_schedule: bo
                 index,
                 d,
                 g,
-                schedule: reply.outcome.schedule().clone(),
+                plan: ItemPlan::Cached(reply.outcome),
                 want_schedule,
                 degraded: reply.degraded,
             },
@@ -1461,9 +1495,9 @@ fn run_batch(state: &ServeState, items: Vec<BatchItemRequest>, want_schedule: bo
     let (mut routed, mut slots) = (0, 0);
     let mut topologies: BTreeSet<(usize, usize)> = BTreeSet::new();
     for reply in &out {
-        if let Reply::Item { d, g, schedule, .. } = reply {
+        if let Reply::Item { d, g, plan, .. } = reply {
             routed += 1;
-            slots += schedule.slot_count();
+            slots += plan.slot_count();
             topologies.insert((*d, *g));
         }
     }
@@ -2692,6 +2726,35 @@ mod tests {
         ] {
             assert_eq!(by_name(name).2, stages, "{name}");
         }
+    }
+
+    #[test]
+    fn a_dense_hit_copies_the_cached_encoding_without_encoding() {
+        let state = socket_free_state();
+        let pi = vector_reversal(16);
+        let request = frame::encode_route_request(RequestKind::Theorem2, true, None, &pi);
+        let answer = || {
+            let encodes = frame::SCHEDULE_ENCODES.with(std::cell::Cell::get);
+            let mut trace = RequestTrace::start(0, 1);
+            let (wire, _, _) = exchange(&state, WireFormat::Binary, &request, None, &mut trace);
+            let payload = frame::read_frame(&mut wire.as_slice(), usize::MAX).unwrap();
+            let encoded = frame::SCHEDULE_ENCODES.with(std::cell::Cell::get) - encodes;
+            (payload, encoded)
+        };
+        let (miss, miss_encodes) = answer();
+        let (hit, hit_encodes) = answer();
+        // The miss encodes its plan once, into the cache entry; the hit
+        // copies that entry's bytes behind its header.
+        assert_eq!((miss_encodes, hit_encodes), (1, 0));
+        assert_eq!(hit[1] & frame::FLAG_CACHE_HIT, frame::FLAG_CACHE_HIT);
+        assert_eq!(hit[14..], miss[14..]);
+        let again = state
+            .router
+            .default_service()
+            .route(&ServiceRequest::Theorem2 { pi })
+            .unwrap();
+        assert!(again.cache_hit);
+        assert_eq!(&hit[14..], again.outcome.cached().schedule_bytes());
     }
 
     #[test]

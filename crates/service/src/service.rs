@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use pops_bipartite::ColorerKind;
@@ -150,12 +150,68 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The plan a [`ServiceReply`] carries: the cache entry, shared with the
+/// cache and every other caller holding the same plan, plus the plan as a
+/// [`RoutingOutcome`]. A miss fills that outcome from the fresh plan, with
+/// its construction artefacts; a hit decodes the cached schedule on first
+/// use, as [`RoutingOutcome::Schedule`]. Dereferences to that outcome, so
+/// `reply.outcome.schedule()` reads the schedule either way; a dense wire
+/// reply reads [`ReplyOutcome::cached`] and never decodes.
+#[derive(Debug, Clone)]
+pub struct ReplyOutcome {
+    cached: CachedOutcome,
+    decoded: OnceLock<RoutingOutcome>,
+}
+
+impl ReplyOutcome {
+    /// A hit's outcome: decoded from `cached` when first read.
+    fn hit(cached: CachedOutcome) -> Self {
+        Self {
+            cached,
+            decoded: OnceLock::new(),
+        }
+    }
+
+    /// A miss's outcome: the fresh plan and its cache entry.
+    fn miss(cached: CachedOutcome, outcome: RoutingOutcome) -> Self {
+        Self {
+            cached,
+            decoded: OnceLock::from(outcome),
+        }
+    }
+
+    /// The cached plan: the schedule's dense encoding and slot count.
+    pub fn cached(&self) -> &CachedOutcome {
+        &self.cached
+    }
+
+    /// Slots in the schedule, read without decoding it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.cached.slot_count()
+    }
+
+    /// Whether the outcome has been decoded (always, on a miss).
+    #[cfg(test)]
+    pub(crate) fn is_decoded(&self) -> bool {
+        self.decoded.get().is_some()
+    }
+}
+
+impl std::ops::Deref for ReplyOutcome {
+    type Target = RoutingOutcome;
+
+    fn deref(&self) -> &RoutingOutcome {
+        self.decoded
+            .get_or_init(|| RoutingOutcome::Schedule(self.cached.decode()))
+    }
+}
+
 /// What [`RoutingService::route`] hands back.
 #[derive(Debug, Clone)]
 pub struct ServiceReply {
-    /// The routing outcome, shared with the cache (and any other caller
-    /// holding the same plan).
-    pub outcome: CachedOutcome,
+    /// The plan: its cache entry, and the routing outcome decoded on
+    /// demand (see [`ReplyOutcome`]).
+    pub outcome: ReplyOutcome,
     /// Whether the plan came from the level-1 cache.
     pub cache_hit: bool,
     /// For h-relation requests assembled on a level-1 miss: how many of
@@ -369,14 +425,14 @@ impl RoutingService {
             matches!(req, ServiceRequest::WithFaults { faults, .. } if !faults.is_empty());
         let key = canonical_key(self.topology.d(), self.topology.g(), req);
 
-        if let Some(outcome) = self.cache.get(&key) {
+        if let Some(cached) = self.cache.get(&key) {
             let micros = start.elapsed().as_micros() as u64;
             self.metrics.record_hit(kind, micros);
             if degraded {
                 self.metrics.add(Counter::DegradedHits, 1);
             }
             return Ok(ServiceReply {
-                outcome,
+                outcome: ReplyOutcome::hit(cached),
                 cache_hit: true,
                 phase_hits: 0,
                 degraded,
@@ -411,23 +467,24 @@ impl RoutingService {
         };
         match planned {
             Ok((outcome, phase_hits)) => {
-                let slots = outcome.schedule().slot_count();
-                let outcome = Arc::new(outcome);
+                // The plan is encoded once, into its cache entry; every
+                // dense reply copies these bytes.
+                let cached = CachedOutcome::encode(outcome.schedule());
                 if matches!(req, ServiceRequest::Theorem2 { .. }) {
                     // The theorem2 canonical key IS the phase key of the
                     // same permutation (see `phase_key`), so the same plan
                     // under the same key also becomes a level-2 entry for
                     // future h-relation phases: two pointer clones.
-                    self.phase_cache.insert(key.clone(), outcome.clone());
+                    self.phase_cache.insert(key.clone(), cached.clone());
                 }
-                self.cache.insert(key, outcome.clone());
+                self.cache.insert(key, cached.clone());
                 let micros = start.elapsed().as_micros() as u64;
-                self.metrics.record_miss(kind, slots, micros);
+                self.metrics.record_miss(kind, cached.slot_count(), micros);
                 if degraded {
                     self.metrics.add(Counter::DegradedPlans, 1);
                 }
                 Ok(ServiceReply {
-                    outcome,
+                    outcome: ReplyOutcome::miss(cached, outcome),
                     cache_hit: false,
                     phase_hits,
                     degraded,
@@ -470,22 +527,17 @@ impl RoutingService {
             if let Some(cached) = self.phase_cache.get(&pkey) {
                 self.metrics.add(Counter::PhaseHits, 1);
                 phase_hits += 1;
-                blocks.push(Schedule {
-                    slots: cached.schedule().slots.clone(),
-                });
+                blocks.push(cached.decode());
             } else {
                 let plan = self
                     .pool
                     .with_engine(|engine| engine.plan_theorem2(&completed));
                 self.metrics.add(Counter::PhaseMisses, 1);
-                // Level 2 keeps its own copy of the schedule, since the
-                // block moves into the assembled one; skip it when level 2
+                // Level 2 keeps the block's encoding; skip it when level 2
                 // is off.
                 if self.phase_cache.capacity() > 0 {
-                    self.phase_cache.insert(
-                        pkey,
-                        Arc::new(RoutingOutcome::Schedule(plan.schedule.clone())),
-                    );
+                    self.phase_cache
+                        .insert(pkey, CachedOutcome::encode(&plan.schedule));
                 }
                 blocks.push(plan.schedule);
             }
@@ -497,8 +549,8 @@ impl RoutingService {
     }
 
     /// Spills both cache levels to `path` in the stable
-    /// [`crate::persist`] byte format (values are persisted as their
-    /// schedules, so a plan both levels share is written in each
+    /// [`crate::persist`] byte format. Each entry's encoded schedule is
+    /// written as it is (a plan both levels share is written in each
     /// section). Entries are written least-recently-used first
     /// per shard, so a restore into the same shard layout reproduces each
     /// shard's recency ranking (and approximates it otherwise). The file
@@ -507,14 +559,13 @@ impl RoutingService {
     /// leave a truncated file where a good one was.
     pub fn save_cache(&self, path: &Path) -> std::io::Result<PersistSummary> {
         let entries = |level: &ShardedPlanCache<CachedOutcome>| {
-            let mut out: Vec<persist::CacheEntry> = Vec::new();
-            level.for_each_lru(|key, outcome| {
-                out.push((key.as_bytes().into(), outcome.schedule().clone()));
-            });
+            let mut out: Vec<(CacheKey, CachedOutcome)> = Vec::new();
+            level.for_each_lru(|key, cached| out.push((key.clone(), cached.clone())));
             out
         };
         let (l1, l2) = (entries(&self.cache), entries(&self.phase_cache));
-        let bytes = persist::encode_cache_file(self.topology.d(), self.topology.g(), &l1, &l2);
+        let (d, g) = (self.topology.d(), self.topology.g());
+        let bytes = persist::write_cache_file(d, g, &encoded(&l1), &encoded(&l2));
         // Unique temp name per call: concurrent saves each write their own
         // file and the (atomic) renames serialize on the final path.
         static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -537,9 +588,10 @@ impl RoutingService {
     }
 
     /// Restores both cache levels from a file written by
-    /// [`RoutingService::save_cache`] for the **same topology**. Restored
-    /// level-1 entries carry the identical schedule and slot count but no
-    /// construction artefacts (like a schedule-only reply). A key stored
+    /// [`RoutingService::save_cache`] for the **same topology**. Every
+    /// schedule record is validated by the schedule reader and kept as
+    /// the bytes it is, so a restored entry is the identical plan a miss
+    /// would have cached. A key stored
     /// in both sections with the same schedule (a `theorem2` request and
     /// its own phase) is restored as one key and one plan shared by both
     /// levels, as [`RoutingService::route`] stores it; restored
@@ -553,43 +605,39 @@ impl RoutingService {
         let bytes = std::fs::read(path)?;
         let invalid =
             |e: persist::PersistError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let decoded = persist::decode_cache_file(&bytes, self.topology.d(), self.topology.g())
+        let file = persist::read_cache_file(&bytes, self.topology.d(), self.topology.g())
             .map_err(invalid)?;
         // Phase entries feed the h-relation assembler, which (rightly)
         // asserts every block is a Theorem-2 schedule — refuse a file
         // that would plant a panic in the serving path.
         let expect_slots = pops_core::theorem2_slots(self.topology.d(), self.topology.g());
-        if let Some((_, bad)) = decoded
-            .l2
-            .iter()
-            .find(|(_, schedule)| schedule.slot_count() != expect_slots)
-        {
+        if let Some(bad) = file.l2.iter().find(|record| record.slots != expect_slots) {
             return Err(invalid(persist::PersistError(format!(
                 "phase entry has {} slots, topology needs {expect_slots}",
-                bad.slot_count()
+                bad.slots
             ))));
         }
         let summary = PersistSummary {
-            l1_entries: decoded.l1.len(),
-            l2_entries: decoded.l2.len(),
+            l1_entries: file.l1.len(),
+            l2_entries: file.l2.len(),
         };
-        let mut restored: HashMap<CacheKey, CachedOutcome> =
-            HashMap::with_capacity(decoded.l1.len());
-        for (key, schedule) in decoded.l1 {
-            let key = CacheKey::new(key);
-            let outcome = Arc::new(RoutingOutcome::Schedule(schedule));
-            self.cache.insert(key.clone(), outcome.clone());
-            restored.insert(key, outcome);
+        let mut restored: HashMap<CacheKey, CachedOutcome> = HashMap::with_capacity(file.l1.len());
+        for record in file.l1 {
+            let key = CacheKey::from(record.key);
+            let cached = CachedOutcome::from_validated(record.slots, record.schedule);
+            self.cache.insert(key.clone(), cached.clone());
+            restored.insert(key, cached);
         }
-        for (key, schedule) in decoded.l2 {
-            let key = CacheKey::new(key);
+        for record in file.l2 {
+            let key = CacheKey::from(record.key);
             match restored.get_key_value(&key) {
-                Some((shared, outcome)) if *outcome.schedule() == schedule => {
-                    self.phase_cache.insert(shared.clone(), outcome.clone());
+                Some((shared, cached)) if cached.schedule_bytes() == record.schedule => {
+                    self.phase_cache.insert(shared.clone(), cached.clone());
                 }
-                _ => self
-                    .phase_cache
-                    .insert(key, Arc::new(RoutingOutcome::Schedule(schedule))),
+                _ => self.phase_cache.insert(
+                    key,
+                    CachedOutcome::from_validated(record.slots, record.schedule),
+                ),
             }
         }
         Ok(summary)
@@ -630,6 +678,14 @@ impl RoutingService {
     ) -> Result<RoutingOutcome, RoutingError> {
         RoutingEngine::with_colorer(topology, colorer).plan(&req.as_routing_request())
     }
+}
+
+/// Each spilled entry's key bytes with its encoded schedule.
+fn encoded(entries: &[(CacheKey, CachedOutcome)]) -> Vec<persist::EncodedEntry<'_>> {
+    entries
+        .iter()
+        .map(|(key, cached)| (key.as_bytes(), cached.schedule_bytes()))
+        .collect()
 }
 
 /// The first ordered group pair that cannot communicate under `faults`
@@ -678,7 +734,14 @@ mod tests {
         let b = service.route(&req).unwrap();
         assert!(!a.cache_hit);
         assert!(b.cache_hit);
-        assert!(Arc::ptr_eq(&a.outcome, &b.outcome), "hits share one Arc");
+        assert!(
+            a.outcome.cached().ptr_eq(b.outcome.cached()),
+            "hits share one plan"
+        );
+        assert!(a.outcome.is_decoded(), "a miss carries its fresh plan");
+        assert!(!b.outcome.is_decoded(), "a hit decodes only on demand");
+        assert_eq!(b.outcome.schedule(), a.outcome.schedule());
+        assert!(b.outcome.is_decoded());
         let snap = service.metrics();
         assert_eq!((snap.get(Counter::Hits), snap.get(Counter::Misses)), (1, 1));
         assert_eq!(
@@ -717,7 +780,7 @@ mod tests {
     /// checks the phase's completed permutation is delivered — the referee
     /// for assembled-from-phases schedules.
     fn verify_phases(service: &RoutingService, reply: &ServiceReply) {
-        let RoutingOutcome::HRelation(routing) = reply.outcome.as_ref() else {
+        let RoutingOutcome::HRelation(routing) = &*reply.outcome else {
             panic!("expected an h-relation outcome");
         };
         for (idx, phase) in routing.phases.iter().enumerate() {
@@ -925,12 +988,12 @@ mod tests {
         let probe = canonical_key(4, 4, &req);
         let (l1_key, l1_plan) = service.cache.peek(&probe).unwrap();
         let (l2_key, l2_plan) = service.phase_cache.peek(&probe).unwrap();
-        assert!(Arc::ptr_eq(&l1_plan, &l2_plan), "one plan for both levels");
-        assert!(Arc::ptr_eq(&l1_plan, &reply.outcome));
+        assert!(l1_plan.ptr_eq(&l2_plan), "one plan for both levels");
+        assert!(l1_plan.ptr_eq(reply.outcome.cached()));
         assert!(l1_key.shares_bytes_with(&l2_key), "one key for both levels");
         assert!(!l1_key.shares_bytes_with(&probe));
         // The reply, the two levels and `l1_plan`/`l2_plan`: no other copy.
-        assert_eq!(Arc::strong_count(&reply.outcome), 5);
+        assert_eq!(reply.outcome.cached().holders(), 5);
     }
 
     /// A unique spill path under the system temp directory.
@@ -978,10 +1041,7 @@ mod tests {
         let probe = canonical_key(4, 4, &theorem2);
         let (l1_key, l1_plan) = second.cache.peek(&probe).unwrap();
         let (l2_key, l2_plan) = second.phase_cache.peek(&probe).unwrap();
-        assert!(
-            Arc::ptr_eq(&l1_plan, &l2_plan),
-            "restored levels share the plan"
-        );
+        assert!(l1_plan.ptr_eq(&l2_plan), "restored levels share the plan");
         assert!(l1_key.shares_bytes_with(&l2_key), "and the key");
         // Phases that are not also level-1 keys are restored on their own.
         let mut shared = 0;

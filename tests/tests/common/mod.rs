@@ -3,7 +3,7 @@
 //! is used by every binary.
 #![allow(dead_code)]
 
-use pops_core::{HRelation, RoutingOutcome};
+use pops_core::{HRelation, RoutingEngine, RoutingOutcome};
 use pops_network::{FaultSet, PopsTopology, Schedule, Simulator};
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
@@ -47,6 +47,22 @@ pub fn verify_h_relation_outcome(t: PopsTopology, outcome: &RoutingOutcome) {
                 .to_vec(),
         };
         verify_permutation_schedule(t, &slice, &completed);
+    }
+}
+
+/// Referee for an h-relation schedule that carries no phase list, as a
+/// cache hit's does: the relation's König phases, recomputed by a fresh
+/// engine (the decomposition is deterministic), must each be routed by
+/// their equal slice of the schedule.
+pub fn verify_h_relation_schedule(t: PopsTopology, relation: &HRelation, schedule: &Schedule) {
+    let phases = RoutingEngine::new(t).decompose_h_relation(relation);
+    let per_phase = schedule.slot_count() / phases.len();
+    assert_eq!(schedule.slot_count(), phases.len() * per_phase);
+    for (i, phase) in phases.iter().enumerate() {
+        let slice = Schedule {
+            slots: schedule.slots[i * per_phase..(i + 1) * per_phase].to_vec(),
+        };
+        verify_permutation_schedule(t, &slice, &phase.complete());
     }
 }
 

@@ -5,8 +5,9 @@
 //! criterion of the zero-allocation refactor.
 //!
 //! The same accounting bounds the bytes a warm service miss allocates: one
-//! schedule, the construction's intermediate map and one cache key, with
-//! the plan and the key shared by both cache levels.
+//! schedule, the construction's intermediate map, one dense encoding and
+//! one cache key. Once the reply is dropped, the miss keeps only the
+//! encoding and the key, one allocation each, shared by both cache levels.
 //!
 //! The schedule codec is held to the engine's own layout: decoding a dense
 //! route reply, or restoring a spill file, allocates per slot and per plan,
@@ -32,11 +33,18 @@ thread_local! {
     /// Bytes requested: every allocation's size, plus the growth of every
     /// reallocation (a shrink counts nothing).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread and not yet freed (on any thread's
+    /// count; the tests that read it free on the allocating thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     ALLOCATIONS.with(|c| c.set(c.get() + 1));
     BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+fn live(delta: i64) {
+    LIVE.with(|c| c.set(c.get() + delta));
 }
 
 struct CountingAllocator;
@@ -47,20 +55,24 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -74,6 +86,10 @@ fn allocations() -> u64 {
 
 fn bytes_allocated() -> u64 {
     BYTES.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 #[test]
@@ -179,9 +195,11 @@ fn warm_plan_allocates_only_its_output() {
 
 #[test]
 fn warm_service_miss_allocates_one_plan_and_one_key() {
-    // A theorem2 miss stores its plan and key in both cache levels. Both
-    // must be shared, not copied: the miss may allocate the schedule, the
-    // construction's intermediate map, one key and small fixed headers.
+    // A theorem2 miss stores one encoded plan and one key in both cache
+    // levels. Both must be shared, not copied: the miss may allocate the
+    // schedule, the construction's intermediate map, the plan's encoding,
+    // one key and small fixed headers; once its reply is dropped it keeps
+    // only the encoding and the key.
     let (d, g) = (32usize, 32usize);
     let n = d * g;
     let service = RoutingService::with_config(
@@ -205,12 +223,12 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
         pi: random_permutation(n, &mut rng),
     };
 
-    let before = bytes_allocated();
+    let (before, resident_before) = (bytes_allocated(), live_bytes());
     let reply = service.route(&req).unwrap();
     let allocated = (bytes_allocated() - before) as usize;
 
     assert!(!reply.cache_hit);
-    let RoutingOutcome::Plan(plan) = reply.outcome.as_ref() else {
+    let RoutingOutcome::Plan(plan) = &*reply.outcome else {
         panic!("a theorem2 miss returns a full plan");
     };
     let schedule = plan.schedule.slots.capacity() * size_of::<SlotFrame>()
@@ -221,20 +239,35 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
             .map(|s| s.transmissions.capacity() * size_of::<Transmission>())
             .sum::<usize>();
     let intermediate = plan.intermediate.capacity() * size_of::<usize>();
+    let encoding = reply.outcome.cached().schedule_bytes().len();
+    assert_eq!(encoding, 4 + 2 * (4 + 20 * n), "20 bytes per unicast");
     let key = canonical_key(d, g, &req).as_bytes().len();
     assert_eq!(key, 4 * n + 9);
+    let budget = schedule + intermediate + encoding + key;
     assert!(
-        4 * allocated < 5 * (schedule + key),
-        "a warm miss allocated {allocated} bytes; one schedule ({schedule}) plus one key \
-         ({key}) is the budget, with a quarter of headroom"
+        4 * allocated < 5 * budget,
+        "a warm miss allocated {allocated} bytes; one schedule ({schedule}), its \
+         intermediate map ({intermediate}), one encoding ({encoding}) and one key ({key}) \
+         is the budget, with a quarter of headroom"
     );
-    // Everything beyond the plan's own heap is the key and fixed headers:
-    // a second copy of the key does not fit.
-    let beyond_plan = allocated - schedule - intermediate;
+    // Everything beyond the plan's own heap and its encoding is the key
+    // and fixed headers: a second copy of the key does not fit.
+    let beyond_plan = allocated - schedule - intermediate - encoding;
     assert!(
         beyond_plan < 2 * key,
         "a warm miss allocated {beyond_plan} bytes beyond its plan; one {key}-byte key fits"
     );
+
+    // What the miss keeps: one encoding and one key, both levels holding
+    // the same allocations (a second copy of either would not fit).
+    drop(reply);
+    let resident = (live_bytes() - resident_before) as usize;
+    assert!(
+        10 * resident <= 11 * (encoding + key),
+        "a dropped miss reply left {resident} bytes resident; one encoding ({encoding}) \
+         and one key ({key}) is the budget, with a tenth of headroom"
+    );
+    assert!(service.route(&req).unwrap().cache_hit);
 }
 
 /// `count` fresh POPS(32, 32) Theorem-2 schedules.
