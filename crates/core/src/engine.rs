@@ -43,8 +43,15 @@
 //! arenas, byte-identical to [`pops_bipartite::coloring::alternating`];
 //! the Koenig/Euler-split engines fall back to the allocating legacy
 //! pipeline (identical output to the pre-engine free functions).
-//! Schedule emission necessarily allocates its *output* (the
-//! [`Schedule`] handed to the caller); the construction state does not.
+//!
+//! One emission walk writes a plan's transmissions, slot by slot, to
+//! either of two outputs. [`RoutingEngine::plan_theorem2`] collects them
+//! into the [`Schedule`] it hands to the caller, which necessarily
+//! allocates. [`RoutingEngine::plan_theorem2_into`] appends them to a
+//! byte buffer as the 20-byte records of [`pops_network::codec`], so a
+//! caller that keeps plans encoded (the service's plan cache) gets the
+//! exact bytes of the encoded schedule without building it, and a warm
+//! engine allocates nothing when the buffer has room.
 //!
 //! # One trait, six routers
 //!
@@ -68,7 +75,7 @@ use pops_bipartite::coloring::bitset::{self, Side};
 use pops_bipartite::BipartiteMultigraph;
 use pops_bipartite::ColorerKind;
 use pops_network::fault::FaultSet;
-use pops_network::{PopsTopology, Schedule, SlotFrame, Transmission};
+use pops_network::{codec, PopsTopology, Schedule, SlotFrame, Transmission};
 use pops_permutation::{PartialPermutation, Permutation};
 
 use crate::fair_distribution::FairDistribution;
@@ -78,8 +85,6 @@ use crate::list_system::ListSystem;
 use crate::router::{theorem2_slots, RoutingPlan};
 
 use std::fmt;
-
-const NONE: usize = usize::MAX;
 
 /// A routing query against a fixed topology.
 #[derive(Debug, Clone, Copy)]
@@ -264,6 +269,9 @@ struct Scratch {
     left_used: Vec<u64>,
     /// Right-side used-colour masks, as `left_used`.
     right_used: Vec<u64>,
+    /// Intermediate processor of each packet after its first hop, written
+    /// by the emission walk (`n` entries).
+    intermediate: Vec<usize>,
     /// Retired transmission buffers handed back through
     /// [`RoutingEngine::recycle`]; schedule emission pops from here before
     /// asking the allocator, so steady-state batch routing recirculates
@@ -396,6 +404,7 @@ impl RoutingEngine {
         let s = &self.scratch;
         let usize_cells = s.dest_group.capacity()
             + s.fd_targets.capacity()
+            + s.intermediate.capacity()
             + s.inv.capacity()
             + s.bucket_cursor.capacity()
             + s.receivers.capacity()
@@ -437,6 +446,52 @@ impl RoutingEngine {
     /// Panics if `pi.len() != topology.n()`.
     pub fn plan_theorem2(&mut self, pi: &Permutation) -> RoutingPlan {
         self.theorem2_internal(pi, self.emit_artefacts)
+    }
+
+    /// Routes `pi` per Theorem 2 straight into its dense encoding: appends
+    /// to `out` exactly the bytes [`codec::encode_schedule`] writes for
+    /// [`RoutingEngine::plan_theorem2`]'s schedule, and returns the slot
+    /// count. The records are written as the plan is emitted; no
+    /// [`Schedule`] is built.
+    ///
+    /// The output is `4 + 4·slots` bytes plus 20 per transmission: `n`
+    /// transmissions for `d = 1`, else `2n`. `out` is grown to exactly
+    /// that when it has less room, so an empty buffer ends up exact-size;
+    /// a warm engine allocates nothing when `out` already has the room.
+    ///
+    /// ```
+    /// use pops_core::RoutingEngine;
+    /// use pops_network::{codec, PopsTopology};
+    /// use pops_permutation::families::vector_reversal;
+    ///
+    /// let mut engine = RoutingEngine::new(PopsTopology::new(4, 4));
+    /// let pi = vector_reversal(16);
+    /// let mut bytes = Vec::new();
+    /// assert_eq!(engine.plan_theorem2_into(&pi, &mut bytes), 2);
+    /// assert_eq!(bytes.len(), 4 + 4 * 2 + 20 * 32);
+    ///
+    /// let mut encoded = Vec::new();
+    /// codec::encode_schedule(&mut encoded, &engine.plan_theorem2(&pi).schedule);
+    /// assert_eq!(bytes, encoded);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pi.len() != topology.n()`.
+    // lint: hot-path
+    pub fn plan_theorem2_into(&mut self, pi: &Permutation, out: &mut Vec<u8>) -> usize {
+        self.check_len(pi);
+        let t = self.topology;
+        let (d, g) = (t.d(), t.g());
+        let slots = theorem2_slots(d, g);
+        let transmissions = if d == 1 { t.n() } else { 2 * t.n() };
+        out.reserve_exact(codec::unicast_len(slots, transmissions));
+        if d > 1 {
+            self.compute_fair_distribution(pi);
+        }
+        codec::push_u32(out, slots);
+        self.emit_theorem2(pi, &mut Records(out));
+        slots
     }
 
     /// Computes the fair distribution of `pi`'s routing list system into
@@ -757,36 +812,34 @@ impl RoutingEngine {
         max
     }
 
-    /// The Theorem-2 construction, shared by every caller.
+    /// The Theorem-2 construction as a [`RoutingPlan`], shared by every
+    /// caller that wants the built schedule.
     fn theorem2_internal(&mut self, pi: &Permutation, want_artefacts: bool) -> RoutingPlan {
         self.check_len(pi);
         let t = self.topology;
         let (d, g) = (t.d(), t.g());
-
-        if d == 1 {
-            return RoutingPlan {
-                topology: t,
-                schedule: Schedule {
-                    slots: vec![self.one_hop_frame(pi, false)],
-                },
-                fair_distribution: None,
-                list_system: None,
-                intermediate: pi.as_slice().to_vec(),
-            };
-        }
-
-        self.ensure_group_lut();
-        let artefacts = self.compute_fair_distribution_with_artefacts(pi, want_artefacts);
-        let (schedule, intermediate) = if d <= g {
-            self.emit_d_le_g(pi)
+        let artefacts = if d > 1 {
+            self.compute_fair_distribution_with_artefacts(pi, want_artefacts)
         } else {
-            self.emit_d_gt_g(pi)
+            None
         };
+        let mut frames = Frames {
+            slots: Vec::with_capacity(theorem2_slots(d, g)),
+            spare: std::mem::take(&mut self.scratch.spare_tx),
+        };
+        self.emit_theorem2(pi, &mut frames);
+        self.scratch.spare_tx = frames.spare;
+        let schedule = Schedule {
+            slots: frames.slots,
+        };
+        debug_assert_eq!(schedule.slot_count(), theorem2_slots(d, g));
+        let mut intermediate = self.scratch.spare_intermediate.pop().unwrap_or_default();
+        intermediate.clear();
+        intermediate.extend_from_slice(&self.scratch.intermediate[..t.n()]);
         let (list_system, fair_distribution) = match artefacts {
             Some((ls, fd)) => (Some(ls), Some(fd)),
             None => (None, None),
         };
-        debug_assert_eq!(schedule.slot_count(), theorem2_slots(d, g));
         RoutingPlan {
             topology: t,
             schedule,
@@ -999,9 +1052,39 @@ impl RoutingEngine {
         );
     }
 
-    /// Schedule emission for `1 < d ≤ g` — the two-slot case, identical
+    /// The Theorem-2 emission walk, one for both outputs: writes the
+    /// plan's transmissions to `sink` slot by slot, in the legacy routers'
+    /// order, and each packet's intermediate processor to
+    /// `scratch.intermediate`. For `d > 1` the fair distribution must
+    /// already be in `scratch.fd_targets`.
+    // lint: hot-path
+    fn emit_theorem2(&mut self, pi: &Permutation, sink: &mut impl Emit) {
+        let t = self.topology;
+        let (d, g) = (t.d(), t.g());
+        let n = t.n();
+        ensure(&mut self.scratch.intermediate, n);
+        if d == 1 {
+            // One slot: every packet straight through its unique coupler.
+            sink.slot(n);
+            for p in 0..n {
+                let dest = pi.apply(p);
+                self.scratch.intermediate[p] = dest;
+                sink.unicast(p, t.coupler_between(p, dest), p, dest);
+            }
+        } else {
+            self.ensure_group_lut();
+            if d <= g {
+                self.emit_d_le_g(pi, sink);
+            } else {
+                self.emit_d_gt_g(pi, sink);
+            }
+        }
+    }
+
+    /// Emission for `1 < d ≤ g` — the two-slot case, identical
     /// transmission order to the legacy `route_d_le_g`.
-    fn emit_d_le_g(&mut self, pi: &Permutation) -> (Schedule, Vec<usize>) {
+    // lint: hot-path
+    fn emit_d_le_g(&mut self, pi: &Permutation, sink: &mut impl Emit) {
         let t = self.topology;
         let (d, g) = (t.d(), t.g());
         let n = t.n();
@@ -1027,13 +1110,8 @@ impl RoutingEngine {
             "equation (2)"
         );
 
-        let mut intermediate = scratch.spare_intermediate.pop().unwrap_or_default();
-        intermediate.clear();
-        intermediate.resize(n, NONE);
-        let mut slot1 = SlotFrame {
-            transmissions: scratch.spare_tx.pop().unwrap_or_default(),
-        };
-        slot1.transmissions.reserve_exact(n);
+        let intermediate = &mut scratch.intermediate[..n];
+        sink.slot(n);
         for j in 0..g {
             for k in 0..d {
                 let h = scratch.incoming_h[j * d + k] as usize;
@@ -1041,44 +1119,27 @@ impl RoutingEngine {
                 let sender = t.processor(h, i);
                 let receiver = t.processor(j, k);
                 intermediate[sender] = receiver;
-                slot1.transmissions.push(Transmission::unicast(
-                    sender,
-                    t.coupler_id(j, h),
-                    sender,
-                    receiver,
-                ));
+                sink.unicast(sender, t.coupler_id(j, h), sender, receiver);
             }
         }
 
         // Slot 2: every packet is one hop from home (Fact 1). The coupler
         // c(group(dest), group(holder)) comes from the group table — no
         // divisions on the delivery path.
-        let mut slot2 = SlotFrame {
-            transmissions: scratch.spare_tx.pop().unwrap_or_default(),
-        };
-        slot2.transmissions.reserve_exact(n);
+        sink.slot(n);
         for (p, &holder) in intermediate.iter().enumerate() {
             let dest = pi.apply(p);
             let coupler = scratch.group_lut[dest] as usize * g + scratch.group_lut[holder] as usize;
-            slot2
-                .transmissions
-                .push(Transmission::unicast(holder, coupler, p, dest));
+            sink.unicast(holder, coupler, p, dest);
         }
-
-        (
-            Schedule {
-                slots: vec![slot1, slot2],
-            },
-            intermediate,
-        )
     }
 
-    /// Schedule emission for `d > g` — `⌈d/g⌉` rounds of two slots,
-    /// identical transmission order to the legacy `route_d_gt_g`.
-    fn emit_d_gt_g(&mut self, pi: &Permutation) -> (Schedule, Vec<usize>) {
+    /// Emission for `d > g` — `⌈d/g⌉` rounds of two slots, identical
+    /// transmission order to the legacy `route_d_gt_g`.
+    // lint: hot-path
+    fn emit_d_gt_g(&mut self, pi: &Permutation, sink: &mut impl Emit) {
         let t = self.topology;
         let (d, g) = (t.d(), t.g());
-        let n = t.n();
         let scratch = &mut self.scratch;
         ensure(&mut scratch.inv, g * d);
         ensure(&mut scratch.receivers, g * g);
@@ -1090,22 +1151,17 @@ impl RoutingEngine {
             }
         }
 
-        let rounds = d.div_ceil(g);
-        let mut slots = Vec::with_capacity(2 * rounds);
-        let mut intermediate = scratch.spare_intermediate.pop().unwrap_or_default();
-        intermediate.clear();
-        intermediate.resize(n, NONE);
-
-        for q in 0..rounds {
-            let block = q * g..((q + 1) * g).min(d);
-            let full_round = block.len() == g;
+        for q in 0..d.div_ceil(g) {
+            // The round's targets j run over lo..hi.
+            let (lo, hi) = (q * g, ((q + 1) * g).min(d));
+            let full_round = hi - lo == g;
 
             // Receivers per destination group r (see the router docs): the
             // round's own senders for full rounds, processors r·d + h for
             // the final partial round.
             for r in 0..g {
                 if full_round {
-                    for (idx, j) in block.clone().enumerate() {
+                    for (idx, j) in (lo..hi).enumerate() {
                         scratch.receivers[r * g + idx] = t.processor(r, scratch.inv[r * d + j]);
                     }
                     scratch.receivers[r * g..r * g + g].sort_unstable();
@@ -1116,46 +1172,79 @@ impl RoutingEngine {
                 }
             }
 
-            let mut slot1 = SlotFrame {
-                transmissions: scratch.spare_tx.pop().unwrap_or_default(),
-            };
-            slot1.transmissions.reserve_exact(g * block.len());
+            // The round's packets, in (h, j) order in both of its slots.
+            sink.slot(g * (hi - lo));
             for h in 0..g {
-                for j in block.clone() {
-                    let r = j - q * g;
+                for j in lo..hi {
+                    let r = j - lo;
                     let sender = t.processor(h, scratch.inv[h * d + j]);
                     let receiver = scratch.receivers[r * g + h];
-                    intermediate[sender] = receiver;
-                    slot1.transmissions.push(Transmission::unicast(
-                        sender,
-                        t.coupler_id(r, h),
-                        sender,
-                        receiver,
-                    ));
+                    scratch.intermediate[sender] = receiver;
+                    sink.unicast(sender, t.coupler_id(r, h), sender, receiver);
                 }
             }
 
             // Second slot of the round: deliver the moved packets.
-            let mut slot2 = SlotFrame {
-                transmissions: scratch.spare_tx.pop().unwrap_or_default(),
-            };
-            slot2.transmissions.reserve_exact(slot1.transmissions.len());
-            for tr in &slot1.transmissions {
-                let packet = tr.packet;
-                let holder = tr.receivers[0];
-                let dest = pi.apply(packet);
-                let coupler =
-                    scratch.group_lut[dest] as usize * g + scratch.group_lut[holder] as usize;
-                slot2
-                    .transmissions
-                    .push(Transmission::unicast(holder, coupler, packet, dest));
+            sink.slot(g * (hi - lo));
+            for h in 0..g {
+                for j in lo..hi {
+                    let packet = t.processor(h, scratch.inv[h * d + j]);
+                    let holder = scratch.intermediate[packet];
+                    let dest = pi.apply(packet);
+                    let coupler =
+                        scratch.group_lut[dest] as usize * g + scratch.group_lut[holder] as usize;
+                    sink.unicast(holder, coupler, packet, dest);
+                }
             }
-
-            slots.push(slot1);
-            slots.push(slot2);
         }
+    }
+}
 
-        (Schedule { slots }, intermediate)
+/// Where the emission walk writes a Theorem-2 plan's transmissions, slot
+/// by slot, in emission order.
+trait Emit {
+    /// Opens the next slot, which will carry `len` transmissions.
+    fn slot(&mut self, len: usize);
+    /// Appends the unicast transmission of `packet` from `sender` through
+    /// `coupler` to `receiver` to the open slot.
+    fn unicast(&mut self, sender: usize, coupler: usize, packet: usize, receiver: usize);
+}
+
+/// Collects the walk into the slots of a [`Schedule`], reusing recycled
+/// transmission buffers before asking the allocator.
+struct Frames {
+    slots: Vec<SlotFrame>,
+    spare: Vec<Vec<Transmission>>,
+}
+
+impl Emit for Frames {
+    fn slot(&mut self, len: usize) {
+        let mut transmissions = self.spare.pop().unwrap_or_default();
+        transmissions.reserve_exact(len);
+        self.slots.push(SlotFrame { transmissions });
+    }
+
+    fn unicast(&mut self, sender: usize, coupler: usize, packet: usize, receiver: usize) {
+        if let Some(frame) = self.slots.last_mut() {
+            let tx = Transmission::unicast(sender, coupler, packet, receiver);
+            frame.transmissions.push(tx);
+        }
+    }
+}
+
+/// Appends the walk to a byte buffer in the dense schedule layout: a
+/// transmission count per slot, then one 20-byte record per transmission.
+struct Records<'a>(&'a mut Vec<u8>);
+
+impl Emit for Records<'_> {
+    // lint: hot-path
+    fn slot(&mut self, len: usize) {
+        codec::push_u32(self.0, len);
+    }
+
+    // lint: hot-path
+    fn unicast(&mut self, sender: usize, coupler: usize, packet: usize, receiver: usize) {
+        codec::push_unicast(self.0, sender, coupler, packet, receiver);
     }
 }
 

@@ -4,8 +4,9 @@
 //! A panic in a handler thread kills the connection it serves; a panic
 //! on the accept or drain path kills the daemon. The scope is exactly
 //! the files where either can happen: the server/client/proto/frame/
-//! router layer of `crates/service` plus all of `crates/cli` (whose
-//! `main` is the daemon's entry point).
+//! router layer of `crates/service`, the schedule codec in
+//! `crates/network` that layer decodes replies and spill files with,
+//! plus all of `crates/cli` (whose `main` is the daemon's entry point).
 
 use crate::source::SourceFile;
 use crate::Finding;
@@ -27,6 +28,7 @@ pub fn in_scope(path: &str) -> bool {
         "crates/service/src/proto.rs",
         "crates/service/src/frame.rs",
         "crates/service/src/router.rs",
+        "crates/network/src/codec.rs",
     ]
     .iter()
     .any(|scoped| normalized.ends_with(scoped))

@@ -52,6 +52,7 @@ fn panic_freedom_scope_is_the_wire_and_cli_layer() {
     assert!(panic_freedom::in_scope("crates/service/src/server.rs"));
     assert!(panic_freedom::in_scope("crates/service/src/frame.rs"));
     assert!(panic_freedom::in_scope("crates/cli/src/commands.rs"));
+    assert!(panic_freedom::in_scope("crates/network/src/codec.rs"));
     assert!(!panic_freedom::in_scope("crates/bipartite/src/graph.rs"));
     assert!(!panic_freedom::in_scope("crates/service/src/cache.rs"));
 }

@@ -15,6 +15,9 @@
 //!   transmitter/receiver fan-out, the diameter-1 property);
 //! * [`slot`] — [`slot::Transmission`], [`slot::SlotFrame`], and
 //!   [`slot::Schedule`], the machine-level description of a routing;
+//! * [`codec`] — the dense byte layout of a schedule (20 bytes per
+//!   unicast transmission) that wire replies, cache entries and spill
+//!   files share, with its bounds-checked reader;
 //! * [`simulator::Simulator`] — transactional slot execution with complete
 //!   conflict detection (coupler contention, receive contention, wiring,
 //!   packet possession) and end-to-end delivery verification;
@@ -33,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod fault;
 pub mod patterns;
 pub mod simulator;

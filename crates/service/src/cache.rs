@@ -44,7 +44,10 @@
 //! Both levels store the same value type, [`CachedOutcome`]: a plan's
 //! dense schedule encoding and slot count behind one `Arc`, the plan's
 //! only resident form (about 45 KiB with its key at POPS(32, 32), half
-//! the decoded schedule). A `theorem2` request's canonical key *is* the
+//! the decoded schedule). A `theorem2` miss never builds that schedule:
+//! the engine writes the encoding while it emits the plan, into the
+//! exact-size buffer that becomes the entry. A `theorem2` request's
+//! canonical key *is* the
 //! phase key of its permutation, so a `theorem2` miss inserts one `Arc`
 //! under one key into both levels: the plan is stored once, not once per
 //! level. A key is a [`CacheKey`]: the
@@ -76,7 +79,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use pops_network::Schedule;
+use pops_network::{codec, Schedule};
 use pops_permutation::Permutation;
 
 use crate::frame;
@@ -254,17 +257,25 @@ pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> CacheKey {
 }
 
 /// The cached value type of both levels: one plan as its dense schedule
-/// encoding ([`crate::frame::encode_schedule`]'s bytes) and its slot count,
-/// behind one `Arc`. Cloning bumps a reference count.
+/// encoding ([`pops_network::codec`]'s bytes) and its slot count, behind
+/// one `Arc`. Cloning bumps a reference count.
 ///
 /// The bytes are the only resident form of a cached plan: 20 bytes per
 /// unicast transmission, about half the decoded [`Schedule`] and with no
 /// construction artefacts. A dense reply copies them behind its header, a
 /// spill writes them as they are, and whoever needs the schedule itself
-/// (a JSON reply, h-relation phase assembly, an in-process caller through
-/// [`crate::ReplyOutcome`]) decodes it. A value is built only by encoding
-/// a schedule or from spill bytes the schedule reader validated, so its
-/// bytes always decode.
+/// (a JSON reply, an in-process caller through [`crate::ReplyOutcome`])
+/// decodes it.
+///
+/// A value is built in one of four ways, each of which yields bytes that
+/// always decode:
+///
+/// * a Theorem-2 plan the engine wrote straight into its encoding
+///   ([`pops_core::RoutingEngine::plan_theorem2_into`]): `theorem2`
+///   misses and level-2 phase misses, which never build a [`Schedule`];
+/// * an h-relation's phase entries joined under one slot count;
+/// * an encoded [`Schedule`], for every other request kind;
+/// * spill bytes the schedule reader validated.
 ///
 /// ```
 /// use pops_network::PopsTopology;
@@ -290,13 +301,42 @@ struct EncodedPlan {
 impl CachedOutcome {
     /// Encodes `schedule` into an exact-size buffer.
     pub(crate) fn encode(schedule: &Schedule) -> Self {
-        let mut bytes = Vec::with_capacity(frame::encoded_len(schedule));
-        frame::encode_schedule(&mut bytes, schedule);
-        Self::from_parts(schedule.slot_count(), bytes.into_boxed_slice())
+        let mut bytes = Vec::with_capacity(codec::encoded_len(schedule));
+        frame::encode(&mut bytes, schedule);
+        Self::written(schedule.slot_count(), bytes)
     }
 
-    /// Wraps bytes [`frame::read_encoded_schedule`] accepted, with the slot
-    /// count it read.
+    /// Wraps a schedule of `slots` slots that a planner wrote with the
+    /// codec's writers (or [`codec::encode_schedule`]). The buffer becomes
+    /// the entry as it is; size it exactly.
+    pub(crate) fn written(slots: usize, bytes: Vec<u8>) -> Self {
+        Self::from_parts(slots, bytes.into_boxed_slice())
+    }
+
+    /// Joins `parts` into one schedule that runs them in order: one slot
+    /// count, then every part's slots. An h-relation's entry is its
+    /// phases' entries joined.
+    pub(crate) fn join(parts: &[CachedOutcome]) -> Self {
+        let slots = parts.iter().map(CachedOutcome::slot_count).sum();
+        let len = 4 + parts
+            .iter()
+            .map(|part| part.slot_bytes().len())
+            .sum::<usize>();
+        let mut bytes = Vec::with_capacity(len);
+        codec::push_u32(&mut bytes, slots);
+        for part in parts {
+            bytes.extend_from_slice(part.slot_bytes());
+        }
+        Self::written(slots, bytes)
+    }
+
+    /// The encoded slots, without the slot count that leads them.
+    fn slot_bytes(&self) -> &[u8] {
+        self.0.bytes.get(4..).unwrap_or_default()
+    }
+
+    /// Wraps bytes [`codec::read_encoded_schedule`] accepted, with the
+    /// slot count it read.
     pub(crate) fn from_validated(slots: usize, bytes: &[u8]) -> Self {
         Self::from_parts(slots, bytes.into())
     }
@@ -325,9 +365,9 @@ impl CachedOutcome {
 
     /// The schedule, decoded into a fresh value.
     pub(crate) fn decode(&self) -> Schedule {
-        let mut reader = frame::Reader::new(&self.0.bytes, "cached plan");
-        let decoded = frame::decode_schedule(&mut reader);
-        // Only encoded or validated bytes are ever wrapped (see the type
+        let mut reader = codec::Reader::new(&self.0.bytes, "cached plan");
+        let decoded = codec::decode_schedule(&mut reader);
+        // Only bytes that always decode are ever wrapped (see the type
         // docs), so the decode cannot fail.
         debug_assert!(decoded.is_ok(), "a cached plan failed to decode");
         decoded.unwrap_or_default()

@@ -36,7 +36,9 @@
 //! is `want_schedule`; route-reply `flags` bit 0 is `cache_hit` and bit 1
 //! is "a schedule body follows".
 //!
-//! The schedule body is a slot-prefixed flat array:
+//! The schedule body is a slot-prefixed flat array, laid out and read by
+//! [`pops_network::codec`] (the same bytes are a plan-cache entry and a
+//! spill record):
 //!
 //! ```text
 //! schedule := slot_count:u32 slot*
@@ -44,14 +46,16 @@
 //! tx       := sender:u32 coupler:u32 packet:u32 rx_count:u32 rx:[u32; rx_count]
 //! ```
 //!
-//! Decoders validate every count against the bytes actually present
-//! before allocating, so a hostile length field cannot balloon memory
-//! beyond the server's frame cap (the same `max_line_bytes` bound the
-//! JSON transport enforces).
+//! This module keeps the framing and the request and reply bodies around
+//! that schedule. Decoders validate every count against the bytes
+//! actually present before allocating, so a hostile length field cannot
+//! balloon memory beyond the server's frame cap (the same
+//! `max_line_bytes` bound the JSON transport enforces).
 
 use std::io::{Read, Write};
 
-use pops_network::{Receivers, Schedule, SlotFrame, Transmission};
+use pops_network::codec::{self, push_u32, Reader};
+use pops_network::Schedule;
 use pops_permutation::Permutation;
 
 use crate::metrics::RequestKind;
@@ -102,142 +106,34 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> std::io::Result<Vec<u8
     Ok(payload)
 }
 
-/// A bounds-checked little-endian reader over one frame body — or over a
-/// spill file, whose schedule records are the same bytes.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// What the bytes are, for error messages: `frame` or `spill`.
-    what: &'static str,
-}
+/// Re-exported from [`pops_network::codec`], which owns the schedule
+/// byte layout.
+pub use pops_network::codec::encode_schedule;
 
-impl<'a> Reader<'a> {
-    /// A reader over `buf` whose errors call the bytes `what`.
-    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
-        Self { buf, pos: 0, what }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn truncated(&self) -> String {
-        format!("{} truncated", self.what)
-    }
-
-    /// The next `len` bytes.
-    pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(len);
-        let bytes = end.and_then(|end| self.buf.get(self.pos..end));
-        let bytes = bytes.ok_or_else(|| self.truncated())?;
-        self.pos += len;
-        Ok(bytes)
-    }
-
-    /// The next `N` little-endian `u32`s, bounds-checked once.
-    fn words<const N: usize>(&mut self) -> Result<[u32; N], String> {
-        Ok(le_words(self.bytes(4 * N)?))
-    }
-
-    /// The next transmission record when it is a unicast one, `sender
-    /// coupler packet 1 receiver`, read in one 20-byte step; `None`, with
-    /// nothing consumed, when fewer than 20 bytes remain or the receiver
-    /// count is not 1.
-    fn unicast(&mut self) -> Option<[usize; 4]> {
-        let record = self.buf.get(self.pos..)?.first_chunk::<UNICAST_BYTES>()?;
-        let [sender, coupler, packet, 1, receiver] = le_words::<5>(record) else {
-            return None;
-        };
-        self.pos += UNICAST_BYTES;
-        Some([sender, coupler, packet, receiver].map(|w| w as usize))
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        match self.bytes(1)? {
-            &[b] => Ok(b),
-            _ => Err(self.truncated()),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let [w] = self.words()?;
-        Ok(w)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let [lo, hi] = self.words()?;
-        Ok(u64::from(lo) | u64::from(hi) << 32)
-    }
-
-    /// Reads a count of `item`s that take at least `min_bytes` each; see
-    /// [`Reader::guard`].
-    pub(crate) fn count(&mut self, min_bytes: usize, item: &str) -> Result<usize, String> {
-        let count = self.u32()? as usize;
-        self.guard(count, min_bytes, item)
-    }
-
-    /// Passes `count` `item`s of at least `min_bytes` each only when those
-    /// bytes are actually present: a hostile count can never force an
-    /// allocation bigger than the body itself.
-    fn guard(&self, count: usize, min_bytes: usize, item: &str) -> Result<usize, String> {
-        if self.remaining() / min_bytes < count {
-            let what = self.what;
-            let msg = format!("{what} truncated ({item} count exceeds {what} bytes)");
-            return Err(msg);
-        }
-        Ok(count)
-    }
-
-    /// Reads `count` `u32`s, already proven present by [`Reader::guard`].
-    fn u32s(&mut self, count: usize) -> Result<Vec<usize>, String> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u32()? as usize);
-        }
-        Ok(out)
-    }
-
-    /// Reads `d:u32 g:u32 n:u32 perm:[u32; n]`: a shape and a
-    /// permutation, or why the image is not a bijection.
-    fn shaped_perm(&mut self) -> Result<BatchFrameItem, String> {
-        let shape = (self.u32()? as usize, self.u32()? as usize);
-        let n = self.count(4, "array")?;
-        let perm = Permutation::new(self.u32s(n)?).map_err(|e| e.to_string());
-        Ok(BatchFrameItem { shape, perm })
-    }
-
-    pub(crate) fn done(&self) -> Result<(), String> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after {} body",
-                self.remaining(),
-                self.what
-            ))
-        }
-    }
-}
-
-/// The bytes of one unicast transmission record: four fixed words and the
-/// one receiver.
-const UNICAST_BYTES: usize = 20;
-
-/// `N` little-endian `u32`s from the first `4 * N` bytes of `bytes`.
+/// [`encode_schedule`] for the service's own reply and cache paths. Test
+/// builds count the calls on this thread, so a test can assert that a
+/// path copies a cached encoding, or has the engine write it, instead of
+/// encoding a schedule.
 // lint: hot-path
-fn le_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
-    let mut words = [0u32; N];
-    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
-        if let &[a, b, c, d] = chunk {
-            *w = u32::from_le_bytes([a, b, c, d]);
-        }
-    }
-    words
+pub(crate) fn encode(buf: &mut Vec<u8>, schedule: &Schedule) {
+    #[cfg(test)]
+    SCHEDULE_ENCODES.with(|count| count.set(count.get() + 1));
+    encode_schedule(buf, schedule);
 }
 
-// lint: hot-path
-fn push_u32(buf: &mut Vec<u8>, v: usize) {
-    buf.extend_from_slice(&(v as u32).to_le_bytes());
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`encode`] on this thread.
+    pub(crate) static SCHEDULE_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Reads `d:u32 g:u32 n:u32 perm:[u32; n]`: a shape and a permutation, or
+/// why the image is not a bijection.
+fn shaped_perm(r: &mut Reader<'_>) -> Result<BatchFrameItem, String> {
+    let shape = (r.u32()? as usize, r.u32()? as usize);
+    let n = r.count(4, "array")?;
+    let perm = Permutation::new(r.u32s(n)?).map_err(|e| e.to_string());
+    Ok(BatchFrameItem { shape, perm })
 }
 
 /// Appends `d:u32 g:u32 n:u32 perm:[u32; n]`; no shape rides as
@@ -251,112 +147,6 @@ fn push_shaped_perm(buf: &mut Vec<u8>, shape: Option<(usize, usize)>, pi: &Permu
     for &v in pi.as_slice() {
         push_u32(buf, v);
     }
-}
-
-/// Byte length of [`encode_schedule`]'s output.
-// lint: hot-path
-pub(crate) fn encoded_len(schedule: &Schedule) -> usize {
-    let tx_len = |tx: &Transmission| 16 + 4 * tx.receivers.len();
-    let slot_len = |slot: &SlotFrame| 4 + slot.transmissions.iter().map(tx_len).sum::<usize>();
-    4 + schedule.slots.iter().map(slot_len).sum::<usize>()
-}
-
-/// Appends the slot-prefixed flat schedule encoding to `buf`. The dense
-/// reply bodies, the spill file's schedule records and the plan cache's
-/// entries are these bytes. A unicast transmission — every one a
-/// permutation routes — is written as one 20-byte record.
-// lint: hot-path
-pub fn encode_schedule(buf: &mut Vec<u8>, schedule: &Schedule) {
-    #[cfg(test)]
-    SCHEDULE_ENCODES.with(|count| count.set(count.get() + 1));
-    push_u32(buf, schedule.slots.len());
-    for slot in &schedule.slots {
-        push_u32(buf, slot.transmissions.len());
-        for tx in &slot.transmissions {
-            if let Receivers::One(receiver) = tx.receivers {
-                let words = [tx.sender, tx.coupler, tx.packet, 1, receiver];
-                let mut record = [0u8; UNICAST_BYTES];
-                for (chunk, w) in record.chunks_exact_mut(4).zip(words) {
-                    chunk.copy_from_slice(&(w as u32).to_le_bytes());
-                }
-                buf.extend_from_slice(&record);
-                continue;
-            }
-            push_u32(buf, tx.sender);
-            push_u32(buf, tx.coupler);
-            push_u32(buf, tx.packet);
-            push_u32(buf, tx.receivers.len());
-            for &r in &tx.receivers {
-                push_u32(buf, r);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls of [`encode_schedule`] on this thread, so a test can assert
-    /// that a reply path copies a cached encoding instead of encoding.
-    pub(crate) static SCHEDULE_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Decodes [`encode_schedule`]'s bytes. A unicast transmission — every
-/// one a permutation routes — is read in one 20-byte step and decodes
-/// inline as [`Receivers::One`], so a schedule costs one allocation per
-/// slot, not one per transmission.
-pub(crate) fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
-    // A slot needs at least its 4-byte transmission count.
-    let slot_count = r.count(4, "slot")?;
-    let mut schedule = Schedule::new();
-    schedule.slots.reserve_exact(slot_count);
-    for _ in 0..slot_count {
-        // A transmission is at least 16 bytes (4 fixed u32s).
-        let tx_count = r.count(16, "transmission")?;
-        let mut frame = SlotFrame::new();
-        frame.transmissions.reserve_exact(tx_count);
-        for _ in 0..tx_count {
-            if let Some([sender, coupler, packet, receiver]) = r.unicast() {
-                let tx = Transmission::unicast(sender, coupler, packet, receiver);
-                frame.transmissions.push(tx);
-                continue;
-            }
-            let [sender, coupler, packet, count] = r.words()?.map(|w| w as usize);
-            let receivers = match r.guard(count, 4, "array")? {
-                1 => Receivers::One(r.u32()? as usize),
-                count => Receivers::Many(r.u32s(count)?.into_boxed_slice()),
-            };
-            frame.transmissions.push(Transmission {
-                sender,
-                coupler,
-                packet,
-                receivers,
-            });
-        }
-        schedule.slots.push(frame);
-    }
-    Ok(schedule)
-}
-
-/// Reads one encoded schedule without decoding it: every count is checked
-/// against the bytes present exactly as [`decode_schedule`] checks it, so
-/// bytes this accepts always decode. Returns the schedule's bytes and its
-/// slot count; allocates nothing.
-pub(crate) fn read_encoded_schedule<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], usize), String> {
-    let start = r.pos;
-    let slot_count = r.count(4, "slot")?;
-    for _ in 0..slot_count {
-        let tx_count = r.count(16, "transmission")?;
-        for _ in 0..tx_count {
-            if r.unicast().is_some() {
-                continue;
-            }
-            let [_, _, _, count] = r.words()?;
-            let count = r.guard(count as usize, 4, "array")?;
-            r.bytes(4 * count)?;
-        }
-    }
-    let bytes = r.buf.get(start..r.pos).ok_or_else(|| r.truncated())?;
-    Ok((bytes, slot_count))
 }
 
 /// A schedule body to write into a reply: a schedule to encode, or the
@@ -381,7 +171,7 @@ impl Body<'_> {
     fn len(&self, want_schedule: bool) -> usize {
         match self {
             _ if !want_schedule => 0,
-            Body::Schedule(schedule) => encoded_len(schedule),
+            Body::Schedule(schedule) => codec::encoded_len(schedule),
             Body::Encoded { bytes, .. } => bytes.len(),
         }
     }
@@ -389,7 +179,7 @@ impl Body<'_> {
     // lint: hot-path
     fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Body::Schedule(schedule) => encode_schedule(out, schedule),
+            Body::Schedule(schedule) => encode(out, schedule),
             Body::Encoded { bytes, .. } => out.extend_from_slice(bytes),
         }
     }
@@ -456,7 +246,7 @@ pub fn decode_route_request(body: &[u8]) -> Result<RouteFrame, String> {
         ));
     }
     let want_schedule = r.u8()? & FLAG_WANT_SCHEDULE != 0;
-    let BatchFrameItem { shape, perm } = r.shaped_perm()?;
+    let BatchFrameItem { shape, perm } = shaped_perm(&mut r)?;
     r.done()?;
     Ok(RouteFrame {
         kind,
@@ -506,7 +296,7 @@ pub fn decode_batch_request(body: &[u8]) -> Result<(Vec<BatchFrameItem>, bool), 
     }
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
-        items.push(r.shaped_perm()?);
+        items.push(shaped_perm(&mut r)?);
     }
     r.done()?;
     Ok((items, want_schedule))
@@ -572,7 +362,7 @@ pub fn decode_route_reply(body: &[u8]) -> Result<RouteReplyFrame, String> {
     let slots = r.u32()? as usize;
     let micros = r.u64()?;
     let schedule = if flags & FLAG_HAS_SCHEDULE != 0 {
-        decode_schedule(&mut r)?
+        codec::decode_schedule(&mut r)?
     } else {
         Schedule::new()
     };
@@ -646,7 +436,7 @@ pub fn decode_batch_item(body: &[u8]) -> Result<BatchItemFrame, String> {
     let slots = r.u32()? as usize;
     let has_schedule = r.u8()? != 0;
     let schedule = if has_schedule {
-        decode_schedule(&mut r)?
+        codec::decode_schedule(&mut r)?
     } else {
         Schedule::new()
     };
@@ -663,6 +453,7 @@ pub fn decode_batch_item(body: &[u8]) -> Result<BatchItemFrame, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pops_network::{SlotFrame, Transmission};
     use pops_permutation::families::vector_reversal;
 
     fn sample_schedule() -> Schedule {
@@ -689,17 +480,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn schedule_round_trips() {
-        let schedule = sample_schedule();
-        let mut buf = Vec::new();
-        encode_schedule(&mut buf, &schedule);
-        let mut r = Reader::new(&buf, "frame");
-        let back = decode_schedule(&mut r).unwrap();
-        r.done().unwrap();
-        assert_eq!(back, schedule);
     }
 
     #[test]
@@ -774,13 +554,13 @@ mod tests {
 
     #[test]
     fn hostile_counts_cannot_balloon_allocations() {
-        // A schedule frame claiming 2^31 slots in a 12-byte body must be
-        // refused before any allocation sized by the count.
-        let mut buf = Vec::new();
+        // A route reply whose schedule claims 2^31 slots in a 12-byte
+        // body must be refused before any allocation sized by the count.
+        let mut buf = vec![FLAG_HAS_SCHEDULE];
+        buf.extend_from_slice(&[0u8; 12]); // slots, micros
         buf.extend_from_slice(&(1u32 << 31).to_le_bytes());
         buf.extend_from_slice(&[0u8; 8]);
-        let mut r = Reader::new(&buf, "frame");
-        assert!(decode_schedule(&mut r).is_err());
+        assert!(decode_route_reply(&buf).is_err());
 
         // Same for a batch item count.
         let mut buf = vec![0u8]; // flags

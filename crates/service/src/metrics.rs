@@ -584,11 +584,26 @@ impl fmt::Display for MetricsSnapshot {
                 k.requests,
                 k.errors,
                 k.avg_micros(),
-                k.quantile_micros(0.5),
-                k.quantile_micros(0.99),
+                QuantileCell(k.quantile_micros(0.5)),
+                QuantileCell(k.quantile_micros(0.99)),
             )?;
         }
         Ok(())
+    }
+}
+
+/// A quantile in the [`MetricsSnapshot`] summary table. A quantile in the
+/// overflow bucket (`u64::MAX`, unbounded) prints as the open bound past
+/// the last finite one, `>4194304`, so the column keeps its width.
+struct QuantileCell(u64);
+
+impl fmt::Display for QuantileCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 == u64::MAX {
+            f.pad(&format!(">{}", 1u64 << (HISTOGRAM_BUCKETS - 2)))
+        } else {
+            f.pad(&self.0.to_string())
+        }
     }
 }
 
@@ -774,6 +789,9 @@ mod tests {
         assert_eq!(k.latency[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(k.quantile_micros(0.5), u64::MAX);
         assert_eq!(k.quantile_micros(0.99), u64::MAX);
+        // The summary table prints it as an open bound, in its column.
+        assert_eq!(format!("{:>10}", QuantileCell(u64::MAX)), "  >4194304");
+        assert_eq!(format!("{:>10}", QuantileCell(1 << 22)), "   4194304");
         // Just below the overflow bucket the bound is still finite.
         k.latency = [0; HISTOGRAM_BUCKETS];
         k.latency[HISTOGRAM_BUCKETS - 2] = 1;

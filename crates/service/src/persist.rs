@@ -19,7 +19,7 @@
 //!
 //! A schedule record is byte for byte the schedule body of a dense route
 //! reply and the bytes a plan-cache entry holds
-//! ([`crate::CachedOutcome`], written by [`frame::encode_schedule`]). A
+//! ([`crate::CachedOutcome`], written by [`codec::encode_schedule`]). A
 //! save writes each entry's bytes as they are, and a load checks every
 //! record with the schedule reader and keeps its bytes, so a restored
 //! plan costs the memory of a freshly routed one.
@@ -46,7 +46,7 @@ use std::path::Path;
 
 use pops_network::Schedule;
 
-use crate::frame::{self, Reader};
+use pops_network::codec::{self, Reader};
 
 /// The file magic, version included.
 pub const CACHE_MAGIC: &[u8; 11] = b"POPSCACHE1\n";
@@ -101,8 +101,8 @@ pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry
         entries
             .iter()
             .map(|(_, schedule)| {
-                let mut body = Vec::with_capacity(frame::encoded_len(schedule));
-                frame::encode_schedule(&mut body, schedule);
+                let mut body = Vec::with_capacity(codec::encoded_len(schedule));
+                codec::encode_schedule(&mut body, schedule);
                 body
             })
             .collect()
@@ -188,7 +188,7 @@ pub fn decode_cache_file(
         records
             .into_iter()
             .map(|record| {
-                let schedule = frame::decode_schedule(&mut Reader::new(record.schedule, "spill"))?;
+                let schedule = codec::decode_schedule(&mut Reader::new(record.schedule, "spill"))?;
                 Ok((record.key.into(), schedule))
             })
             .collect()
@@ -237,7 +237,7 @@ pub(crate) fn read_cache_file(
         for _ in 0..count {
             let key_len = r.count(1, "key byte")?;
             let key = r.bytes(key_len)?;
-            let (schedule, slots) = frame::read_encoded_schedule(&mut r)?;
+            let (schedule, slots) = codec::read_encoded_schedule(&mut r)?;
             records.push(EncodedRecord {
                 key,
                 schedule,
@@ -354,9 +354,9 @@ mod tests {
         // A spill record is the dense wire codec's schedule body.
         let schedule = sample_schedule();
         let mut bytes = Vec::new();
-        frame::encode_schedule(&mut bytes, &schedule);
+        codec::encode_schedule(&mut bytes, &schedule);
         let mut r = Reader::new(&bytes, "spill");
-        let decoded = frame::decode_schedule(&mut r).unwrap();
+        let decoded = codec::decode_schedule(&mut r).unwrap();
         assert_eq!(decoded, schedule);
         r.done().expect("codec must consume exactly");
     }

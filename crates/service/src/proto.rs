@@ -1177,7 +1177,7 @@ pub fn route_response(kind: RequestKind, reply: &ServiceReply, want_schedule: bo
         fields.push(("degraded".into(), Json::Bool(true)));
     }
     if want_schedule {
-        // A hit decodes its cached schedule here, on first use.
+        // The reply decodes its cached schedule here, on first use.
         fields.push((
             "schedule".into(),
             schedule_to_json(reply.outcome.schedule()),

@@ -2743,9 +2743,10 @@ mod tests {
         };
         let (miss, miss_encodes) = answer();
         let (hit, hit_encodes) = answer();
-        // The miss encodes its plan once, into the cache entry; the hit
-        // copies that entry's bytes behind its header.
-        assert_eq!((miss_encodes, hit_encodes), (1, 0));
+        // The engine writes the miss's plan straight into its cache entry,
+        // and both replies copy that entry's bytes behind their header:
+        // nothing encodes a schedule.
+        assert_eq!((miss_encodes, hit_encodes), (0, 0));
         assert_eq!(hit[1] & frame::FLAG_CACHE_HIT, frame::FLAG_CACHE_HIT);
         assert_eq!(hit[14..], miss[14..]);
         let again = state

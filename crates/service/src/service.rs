@@ -41,8 +41,8 @@ use pops_core::{
     BatchRouter, FaultRoutingError, HRelation, HRelationRouting, Router, RoutingEngine,
     RoutingError, RoutingOutcome, RoutingPlan, RoutingRequest,
 };
-use pops_network::{FaultSet, PopsTopology, Schedule, UNREACHABLE};
-use pops_permutation::Permutation;
+use pops_network::{FaultSet, PopsTopology, UNREACHABLE};
+use pops_permutation::{PartialPermutation, Permutation};
 
 use crate::cache::{canonical_key, phase_key, CacheKey, CachedOutcome, ShardedPlanCache};
 use crate::metrics::{Counter, Gauge, MetricsSnapshot, RequestKind, ServiceMetrics};
@@ -152,31 +152,31 @@ impl Default for ServiceConfig {
 
 /// The plan a [`ServiceReply`] carries: the cache entry, shared with the
 /// cache and every other caller holding the same plan, plus the plan as a
-/// [`RoutingOutcome`]. A miss fills that outcome from the fresh plan, with
-/// its construction artefacts; a hit decodes the cached schedule on first
-/// use, as [`RoutingOutcome::Schedule`]. Dereferences to that outcome, so
-/// `reply.outcome.schedule()` reads the schedule either way; a dense wire
-/// reply reads [`ReplyOutcome::cached`] and never decodes.
+/// [`RoutingOutcome`], decoded from that entry on first use. A miss
+/// decodes on demand exactly as a hit does: a `theorem2` or h-relation
+/// miss plans straight into its entry and builds no schedule, and every
+/// other miss encodes its plan into the entry. Dereferences to the
+/// outcome, so `reply.outcome.schedule()` reads the schedule either way;
+/// a dense wire reply reads [`ReplyOutcome::cached`] and never decodes.
+///
+/// The outcome is a [`RoutingOutcome::Schedule`], with one exception: an
+/// h-relation miss keeps the König phases it was assembled from, and
+/// decodes as a [`RoutingOutcome::HRelation`].
 #[derive(Debug, Clone)]
 pub struct ReplyOutcome {
     cached: CachedOutcome,
+    /// An h-relation miss's phases, and the slots each phase takes.
+    phases: Option<(Vec<PartialPermutation>, usize)>,
     decoded: OnceLock<RoutingOutcome>,
 }
 
 impl ReplyOutcome {
-    /// A hit's outcome: decoded from `cached` when first read.
-    fn hit(cached: CachedOutcome) -> Self {
+    /// An outcome decoded from `cached` when first read.
+    fn new(cached: CachedOutcome) -> Self {
         Self {
             cached,
+            phases: None,
             decoded: OnceLock::new(),
-        }
-    }
-
-    /// A miss's outcome: the fresh plan and its cache entry.
-    fn miss(cached: CachedOutcome, outcome: RoutingOutcome) -> Self {
-        Self {
-            cached,
-            decoded: OnceLock::from(outcome),
         }
     }
 
@@ -190,7 +190,7 @@ impl ReplyOutcome {
         self.cached.slot_count()
     }
 
-    /// Whether the outcome has been decoded (always, on a miss).
+    /// Whether the outcome has been decoded.
     #[cfg(test)]
     pub(crate) fn is_decoded(&self) -> bool {
         self.decoded.get().is_some()
@@ -201,8 +201,17 @@ impl std::ops::Deref for ReplyOutcome {
     type Target = RoutingOutcome;
 
     fn deref(&self) -> &RoutingOutcome {
-        self.decoded
-            .get_or_init(|| RoutingOutcome::Schedule(self.cached.decode()))
+        self.decoded.get_or_init(|| {
+            let schedule = self.cached.decode();
+            match &self.phases {
+                Some((phases, slots_per_phase)) => RoutingOutcome::HRelation(HRelationRouting {
+                    phases: phases.clone(),
+                    schedule,
+                    slots_per_phase: *slots_per_phase,
+                }),
+                None => RoutingOutcome::Schedule(schedule),
+            }
+        })
     }
 }
 
@@ -432,7 +441,7 @@ impl RoutingService {
                 self.metrics.add(Counter::DegradedHits, 1);
             }
             return Ok(ServiceReply {
-                outcome: ReplyOutcome::hit(cached),
+                outcome: ReplyOutcome::new(cached),
                 cache_hit: true,
                 phase_hits: 0,
                 degraded,
@@ -459,17 +468,23 @@ impl RoutingService {
         }
 
         let planned = match req {
+            ServiceRequest::Theorem2 { pi } => self
+                .plan_encoded(pi)
+                .map(|cached| (ReplyOutcome::new(cached), 0)),
             ServiceRequest::HRelation { relation } => self.assemble_h_relation(relation),
             _ => self
                 .pool
                 .with_engine(|engine| engine.plan(&req.as_routing_request()))
-                .map(|outcome| (outcome, 0)),
+                .map(|outcome| {
+                    (
+                        ReplyOutcome::new(CachedOutcome::encode(outcome.schedule())),
+                        0,
+                    )
+                }),
         };
         match planned {
             Ok((outcome, phase_hits)) => {
-                // The plan is encoded once, into its cache entry; every
-                // dense reply copies these bytes.
-                let cached = CachedOutcome::encode(outcome.schedule());
+                let cached = outcome.cached();
                 if matches!(req, ServiceRequest::Theorem2 { .. }) {
                     // The theorem2 canonical key IS the phase key of the
                     // same permutation (see `phase_key`), so the same plan
@@ -484,7 +499,7 @@ impl RoutingService {
                     self.metrics.add(Counter::DegradedPlans, 1);
                 }
                 Ok(ServiceReply {
-                    outcome: ReplyOutcome::miss(cached, outcome),
+                    outcome,
                     cache_hit: false,
                     phase_hits,
                     degraded,
@@ -498,17 +513,37 @@ impl RoutingService {
         }
     }
 
+    /// Plans `pi` by Theorem 2 on the pool, straight into the exact-size
+    /// encoding that becomes its cache entry: no schedule is built and
+    /// nothing is encoded.
+    fn plan_encoded(&self, pi: &Permutation) -> Result<CachedOutcome, RoutingError> {
+        let n = self.topology.n();
+        if pi.len() != n {
+            return Err(RoutingError::SizeMismatch {
+                expected: n,
+                got: pi.len(),
+            });
+        }
+        let mut bytes = Vec::new();
+        let slots = self
+            .pool
+            .with_engine(|engine| engine.plan_theorem2_into(pi, &mut bytes));
+        Ok(CachedOutcome::written(slots, bytes))
+    }
+
     /// Routes an h-relation by König decomposition with per-phase caching:
     /// each completed-permutation phase is looked up in the level-2 cache
-    /// and only the missing phases are planned on the pool. Returns the
-    /// assembled outcome and how many phases were level-2 hits. The
-    /// assembled schedule is byte-identical to
-    /// [`RoutingEngine::plan_h_relation`] output because both routes plan
-    /// phases with the same deterministic construction.
+    /// and only the missing phases are planned on the pool, each straight
+    /// into its level-2 entry. The relation's entry is its phases' entries
+    /// joined, so it is byte-identical to the encoded
+    /// [`RoutingEngine::plan_h_relation`] schedule: both routes plan
+    /// phases with the same deterministic construction. Returns the
+    /// outcome, carrying the phases, and how many phases were level-2
+    /// hits.
     fn assemble_h_relation(
         &self,
         relation: &HRelation,
-    ) -> Result<(RoutingOutcome, u64), RoutingError> {
+    ) -> Result<(ReplyOutcome, u64), RoutingError> {
         let t = self.topology;
         if relation.n() != t.n() {
             return Err(RoutingError::SizeMismatch {
@@ -519,33 +554,35 @@ impl RoutingService {
         let phases = self
             .pool
             .with_engine(|engine| engine.decompose_h_relation(relation));
+        let slots_per_phase = pops_core::theorem2_slots(t.d(), t.g());
         let mut phase_hits = 0u64;
-        let mut blocks: Vec<Schedule> = Vec::with_capacity(phases.len());
+        let mut blocks: Vec<CachedOutcome> = Vec::with_capacity(phases.len());
         for phase in &phases {
             let completed = phase.complete();
             let pkey = phase_key(t.d(), t.g(), &completed);
-            if let Some(cached) = self.phase_cache.get(&pkey) {
+            let block = if let Some(cached) = self.phase_cache.get(&pkey) {
                 self.metrics.add(Counter::PhaseHits, 1);
                 phase_hits += 1;
-                blocks.push(cached.decode());
+                cached
             } else {
-                let plan = self
-                    .pool
-                    .with_engine(|engine| engine.plan_theorem2(&completed));
+                let planned = self.plan_encoded(&completed)?;
                 self.metrics.add(Counter::PhaseMisses, 1);
-                // Level 2 keeps the block's encoding; skip it when level 2
-                // is off.
+                // Skip the level-2 insert when level 2 is off.
                 if self.phase_cache.capacity() > 0 {
-                    self.phase_cache
-                        .insert(pkey, CachedOutcome::encode(&plan.schedule));
+                    self.phase_cache.insert(pkey, planned.clone());
                 }
-                blocks.push(plan.schedule);
-            }
+                planned
+            };
+            // `load_cache` refuses phase entries of any other length.
+            debug_assert_eq!(block.slot_count(), slots_per_phase);
+            blocks.push(block);
         }
-        Ok((
-            RoutingOutcome::HRelation(HRelationRouting::from_phase_schedules(t, phases, blocks)),
-            phase_hits,
-        ))
+        let outcome = ReplyOutcome {
+            cached: CachedOutcome::join(&blocks),
+            phases: Some((phases, slots_per_phase)),
+            decoded: OnceLock::new(),
+        };
+        Ok((outcome, phase_hits))
     }
 
     /// Spills both cache levels to `path` in the stable
@@ -707,7 +744,8 @@ fn disconnected_pair(faults: &FaultSet, topology: &PopsTopology) -> Option<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pops_network::Simulator;
+    use pops_core::theorem2_slots;
+    use pops_network::{Schedule, Simulator};
     use pops_permutation::families::{random_permutation, vector_reversal};
     use pops_permutation::SplitMix64;
 
@@ -738,10 +776,10 @@ mod tests {
             a.outcome.cached().ptr_eq(b.outcome.cached()),
             "hits share one plan"
         );
-        assert!(a.outcome.is_decoded(), "a miss carries its fresh plan");
+        assert!(!a.outcome.is_decoded(), "a miss decodes only on demand");
         assert!(!b.outcome.is_decoded(), "a hit decodes only on demand");
         assert_eq!(b.outcome.schedule(), a.outcome.schedule());
-        assert!(b.outcome.is_decoded());
+        assert!(a.outcome.is_decoded() && b.outcome.is_decoded());
         let snap = service.metrics();
         assert_eq!((snap.get(Counter::Hits), snap.get(Counter::Misses)), (1, 1));
         assert_eq!(
@@ -778,17 +816,19 @@ mod tests {
 
     /// Executes each phase block of `reply` on a fresh simulator and
     /// checks the phase's completed permutation is delivered — the referee
-    /// for assembled-from-phases schedules.
-    fn verify_phases(service: &RoutingService, reply: &ServiceReply) {
-        let RoutingOutcome::HRelation(routing) = &*reply.outcome else {
-            panic!("expected an h-relation outcome");
-        };
-        for (idx, phase) in routing.phases.iter().enumerate() {
+    /// for assembled-from-phases schedules. The phases are recomputed from
+    /// `relation` (the decomposition is deterministic), so the check reads
+    /// only the reply's schedule, as it would a hit's.
+    fn verify_phases(service: &RoutingService, relation: &HRelation, reply: &ServiceReply) {
+        let t = service.topology();
+        let phases = RoutingEngine::new(t).decompose_h_relation(relation);
+        let schedule = reply.outcome.schedule();
+        let per_phase = theorem2_slots(t.d(), t.g());
+        assert_eq!(schedule.slot_count(), phases.len() * per_phase);
+        for (idx, phase) in phases.iter().enumerate() {
             let completed = phase.complete();
             let mut sim = Simulator::with_unit_packets(service.topology());
-            let block = &routing.schedule.slots
-                [idx * routing.slots_per_phase..(idx + 1) * routing.slots_per_phase];
-            for frame in block {
+            for frame in &schedule.slots[idx * per_phase..(idx + 1) * per_phase] {
                 sim.execute_frame(frame)
                     .unwrap_or_else(|e| panic!("phase {idx}: {e}"));
             }
@@ -812,7 +852,7 @@ mod tests {
             .unwrap();
         assert!(!cold.cache_hit);
         assert_eq!(cold.phase_hits, 0);
-        verify_phases(&service, &cold);
+        verify_phases(&service, &relation, &cold);
         let snap = service.metrics();
         assert_eq!(
             (snap.get(Counter::PhaseHits), snap.get(Counter::PhaseMisses)),
@@ -845,14 +885,16 @@ mod tests {
                 .unwrap();
         }
         let reply = service
-            .route(&ServiceRequest::HRelation { relation: fresh })
+            .route(&ServiceRequest::HRelation {
+                relation: fresh.clone(),
+            })
             .unwrap();
         assert!(!reply.cache_hit, "different relation, different L1 key");
         assert_eq!(
             reply.phase_hits, 2,
             "every phase must be served from level 2"
         );
-        verify_phases(&service, &reply);
+        verify_phases(&service, &fresh, &reply);
     }
 
     #[test]
@@ -869,11 +911,13 @@ mod tests {
         // the assembly is all level-2 hits.
         let relation = HRelation::new(16, (0..16).map(|s| (s, pi.apply(s))).collect()).unwrap();
         let reply = service
-            .route(&ServiceRequest::HRelation { relation })
+            .route(&ServiceRequest::HRelation {
+                relation: relation.clone(),
+            })
             .unwrap();
         assert!(!reply.cache_hit);
         assert_eq!(reply.phase_hits, 1, "the phase rides the theorem2 plan");
-        verify_phases(&service, &reply);
+        verify_phases(&service, &relation, &reply);
     }
 
     #[test]
@@ -994,6 +1038,52 @@ mod tests {
         assert!(!l1_key.shares_bytes_with(&probe));
         // The reply, the two levels and `l1_plan`/`l2_plan`: no other copy.
         assert_eq!(reply.outcome.cached().holders(), 5);
+    }
+
+    #[test]
+    fn misses_write_their_entries_without_encoding() {
+        let service = two_shard_service();
+        let mut rng = SplitMix64::new(26);
+        let encodes = || crate::frame::SCHEDULE_ENCODES.with(std::cell::Cell::get);
+        let before = encodes();
+        let pi = random_permutation(16, &mut rng);
+        let theorem2 = service
+            .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+            .unwrap();
+        let relation = random_relation(16, 2, &mut rng);
+        let assembled = service
+            .route(&ServiceRequest::HRelation {
+                relation: relation.clone(),
+            })
+            .unwrap();
+        assert!(!theorem2.cache_hit && !assembled.cache_hit);
+        assert_eq!(assembled.phase_hits, 0, "both phases are level-2 misses");
+        assert_eq!(encodes(), before, "the engine writes every entry");
+
+        // Each entry is its plan's encoding, byte for byte: the relation's
+        // is its phases' plans joined under one slot count.
+        let mut engine = RoutingEngine::new(service.topology());
+        let encoded = |schedule: &Schedule| {
+            let mut bytes = Vec::new();
+            pops_network::codec::encode_schedule(&mut bytes, schedule);
+            bytes
+        };
+        let expected = encoded(&engine.plan_theorem2(&pi).schedule);
+        assert_eq!(theorem2.outcome.cached().schedule_bytes(), &expected[..]);
+        let expected = encoded(&engine.plan_h_relation(&relation).schedule);
+        assert_eq!(assembled.outcome.cached().schedule_bytes(), &expected[..]);
+        assert_eq!(assembled.outcome.slot_count(), 2 * theorem2_slots(4, 4));
+
+        // An h-relation miss decodes with the phases it was assembled from.
+        let RoutingOutcome::HRelation(routing) = &*assembled.outcome else {
+            panic!("an h-relation miss decodes as an h-relation outcome");
+        };
+        assert_eq!(routing.phases, engine.decompose_h_relation(&relation));
+        assert_eq!(routing.slots_per_phase, theorem2_slots(4, 4));
+        assert!(matches!(
+            &*theorem2.outcome,
+            RoutingOutcome::Schedule(schedule) if schedule.slot_count() == 2
+        ));
     }
 
     /// A unique spill path under the system temp directory.

@@ -4,10 +4,12 @@
 //! ([`RoutingEngine::fair_distribution_targets`]) — the acceptance
 //! criterion of the zero-allocation refactor.
 //!
-//! The same accounting bounds the bytes a warm service miss allocates: one
-//! schedule, the construction's intermediate map, one dense encoding and
-//! one cache key. Once the reply is dropped, the miss keeps only the
-//! encoding and the key, one allocation each, shared by both cache levels.
+//! Planning straight into a dense encoding
+//! ([`RoutingEngine::plan_theorem2_into`]) allocates nothing when warm and
+//! the buffer has room. So a warm service miss allocates one dense
+//! encoding, one cache key and fixed headers, and builds no schedule. Once
+//! the reply is dropped, the miss keeps only the encoding and the key, one
+//! allocation each, shared by both cache levels.
 //!
 //! The schedule codec is held to the engine's own layout: decoding a dense
 //! route reply, or restoring a spill file, allocates per slot and per plan,
@@ -22,8 +24,8 @@ use std::cell::Cell;
 
 use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
-use pops_core::RoutingOutcome;
-use pops_network::{PopsTopology, SlotFrame, Transmission};
+use pops_core::theorem2_slots;
+use pops_network::{codec, PopsTopology};
 use pops_permutation::families::{random_permutation, vector_reversal};
 use pops_permutation::SplitMix64;
 use pops_service::{canonical_key, frame, persist, RoutingService, ServiceConfig, ServiceRequest};
@@ -194,12 +196,46 @@ fn warm_plan_allocates_only_its_output() {
 }
 
 #[test]
+fn warm_plan_into_bytes_allocates_nothing() {
+    // POPS(32,32) is the miss workload's shape; POPS(72,8) is d > g with
+    // nine rounds and two-word colour masks.
+    for (d, g) in [(32usize, 32usize), (72, 8)] {
+        let n = d * g;
+        let mut engine = RoutingEngine::new(PopsTopology::new(d, g));
+        let mut rng = SplitMix64::new(47);
+        let mut out = Vec::new();
+        engine.plan_theorem2_into(&random_permutation(n, &mut rng), &mut out);
+        let len = out.len();
+        assert_eq!(len, 4 + 4 * theorem2_slots(d, g) + 20 * 2 * n);
+        assert_eq!(
+            out.capacity(),
+            len,
+            "an empty buffer grows to the exact size"
+        );
+        for round in 0..3 {
+            let pi = random_permutation(n, &mut rng);
+            out.clear();
+            let before = allocations();
+            let slots = engine.plan_theorem2_into(&pi, &mut out);
+            let after = allocations();
+            assert_eq!((slots, out.len()), (theorem2_slots(d, g), len));
+            assert_eq!(
+                after - before,
+                0,
+                "a warm plan into a buffer with room allocated on POPS({d}, {g}), round {round}"
+            );
+        }
+    }
+}
+
+#[test]
 fn warm_service_miss_allocates_one_plan_and_one_key() {
-    // A theorem2 miss stores one encoded plan and one key in both cache
-    // levels. Both must be shared, not copied: the miss may allocate the
-    // schedule, the construction's intermediate map, the plan's encoding,
-    // one key and small fixed headers; once its reply is dropped it keeps
-    // only the encoding and the key.
+    // A theorem2 miss has the engine write its plan straight into the
+    // exact-size encoding that becomes its cache entry, and stores that
+    // entry and one key in both cache levels, shared, not copied. So the
+    // miss may allocate the encoding, one key and small fixed headers:
+    // no schedule and no intermediate map. Once its reply is dropped it
+    // keeps the encoding and the key.
     let (d, g) = (32usize, 32usize);
     let n = d * g;
     let service = RoutingService::with_config(
@@ -219,43 +255,27 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
         let pi = random_permutation(n, &mut rng);
         service.route(&ServiceRequest::Theorem2 { pi }).unwrap();
     }
-    let req = ServiceRequest::Theorem2 {
-        pi: random_permutation(n, &mut rng),
-    };
+    let pi = random_permutation(n, &mut rng);
+    let req = ServiceRequest::Theorem2 { pi: pi.clone() };
 
     let (before, resident_before) = (bytes_allocated(), live_bytes());
     let reply = service.route(&req).unwrap();
     let allocated = (bytes_allocated() - before) as usize;
 
     assert!(!reply.cache_hit);
-    let RoutingOutcome::Plan(plan) = &*reply.outcome else {
-        panic!("a theorem2 miss returns a full plan");
-    };
-    let schedule = plan.schedule.slots.capacity() * size_of::<SlotFrame>()
-        + plan
-            .schedule
-            .slots
-            .iter()
-            .map(|s| s.transmissions.capacity() * size_of::<Transmission>())
-            .sum::<usize>();
-    let intermediate = plan.intermediate.capacity() * size_of::<usize>();
     let encoding = reply.outcome.cached().schedule_bytes().len();
     assert_eq!(encoding, 4 + 2 * (4 + 20 * n), "20 bytes per unicast");
     let key = canonical_key(d, g, &req).as_bytes().len();
     assert_eq!(key, 4 * n + 9);
-    let budget = schedule + intermediate + encoding + key;
+    // The fixed headers: the entry's `Arc`, the reply's state and the
+    // cache bookkeeping (80 bytes when measured). A schedule (81,976 bytes
+    // of transmissions here), an intermediate map (8,192 bytes) or a
+    // second copy of the key would not fit.
+    const HEADERS: usize = 256;
     assert!(
-        4 * allocated < 5 * budget,
-        "a warm miss allocated {allocated} bytes; one schedule ({schedule}), its \
-         intermediate map ({intermediate}), one encoding ({encoding}) and one key ({key}) \
-         is the budget, with a quarter of headroom"
-    );
-    // Everything beyond the plan's own heap and its encoding is the key
-    // and fixed headers: a second copy of the key does not fit.
-    let beyond_plan = allocated - schedule - intermediate - encoding;
-    assert!(
-        beyond_plan < 2 * key,
-        "a warm miss allocated {beyond_plan} bytes beyond its plan; one {key}-byte key fits"
+        allocated <= encoding + key + HEADERS,
+        "a warm miss allocated {allocated} bytes; one encoding ({encoding}), one key ({key}) \
+         and {HEADERS} bytes of fixed headers is the budget"
     );
 
     // What the miss keeps: one encoding and one key, both levels holding
@@ -267,7 +287,13 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
         "a dropped miss reply left {resident} bytes resident; one encoding ({encoding}) \
          and one key ({key}) is the budget, with a tenth of headroom"
     );
-    assert!(service.route(&req).unwrap().cache_hit);
+    let hit = service.route(&req).unwrap();
+    assert!(hit.cache_hit);
+    // The entry the miss wrote is the encoded plan.
+    let mut engine = RoutingEngine::new(PopsTopology::new(d, g));
+    let mut expected = Vec::new();
+    codec::encode_schedule(&mut expected, &engine.plan_theorem2(&pi).schedule);
+    assert_eq!(hit.outcome.cached().schedule_bytes(), &expected[..]);
 }
 
 /// `count` fresh POPS(32, 32) Theorem-2 schedules.

@@ -9,9 +9,9 @@ use pops_bipartite::ColorerKind;
 use pops_core::engine::{Router, RoutingEngine, RoutingOutcome, RoutingRequest};
 use pops_core::fault_routing::route_with_faults;
 use pops_core::h_relation::{route_h_relation, HRelation};
-use pops_core::router::route;
+use pops_core::router::{route, theorem2_slots};
 use pops_core::single_slot::route_single_slot;
-use pops_network::{FaultSet, PopsTopology};
+use pops_network::{codec, FaultSet, PopsTopology};
 use pops_permutation::families::{
     group_rotation, matrix_transpose, random_derangement, random_group_uniform, random_permutation,
     vector_reversal,
@@ -710,5 +710,93 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let relation = random_h_relation(d * g, h, &mut rng);
         h_relation_matches_oracle(&mut engine, &relation)?;
+    }
+}
+
+/// Shapes for the byte-emitting Theorem-2 path: d = 1, d < g, d = g,
+/// d > g in whole rounds, and d > g with a partial final round
+/// (d % g ≠ 0), up to the served sizes.
+const INTO_SHAPES: [(usize, usize); 14] = [
+    (1, 1),
+    (1, 5),
+    (2, 4),
+    (3, 5),
+    (4, 4),
+    (16, 32),
+    (32, 32),
+    (4, 2),
+    (32, 16),
+    (72, 8),
+    (5, 2),
+    (7, 3),
+    (9, 4),
+    (30, 8),
+];
+
+/// `plan_theorem2_into` must append to `prefix` exactly the bytes the
+/// codec writes for `plan_theorem2`'s schedule, and report its slot count.
+fn into_matches_encoded_plan(
+    engine: &mut RoutingEngine,
+    pi: &Permutation,
+    prefix: &[u8],
+) -> TestCaseResult {
+    let t = engine.topology();
+    let plan = engine.plan_theorem2(pi);
+    let mut expected = prefix.to_vec();
+    codec::encode_schedule(&mut expected, &plan.schedule);
+    let mut out = prefix.to_vec();
+    let slots = engine.plan_theorem2_into(pi, &mut out);
+    prop_assert_eq!(slots, plan.schedule.slot_count(), "slot count on {}", t);
+    prop_assert_eq!(slots, theorem2_slots(t.d(), t.g()), "slot bound on {}", t);
+    prop_assert!(out == expected, "bytes differ on {}", t);
+    let transmissions = if t.d() == 1 { t.n() } else { 2 * t.n() };
+    prop_assert_eq!(
+        out.len() - prefix.len(),
+        codec::unicast_len(slots, transmissions),
+        "length on {}",
+        t
+    );
+    Ok(())
+}
+
+#[test]
+fn theorem2_into_is_the_encoded_plan_for_every_family_and_colorer() {
+    for (d, g) in INTO_SHAPES {
+        let t = PopsTopology::new(d, g);
+        let mut rng = SplitMix64::new(9_100 + d as u64 * 64 + g as u64);
+        let colorers: &[ColorerKind] = if d * g <= 64 {
+            &ColorerKind::ALL
+        } else {
+            &[ColorerKind::AlternatingPath]
+        };
+        for &kind in colorers {
+            let mut engine = RoutingEngine::with_colorer(t, kind);
+            for (name, pi) in families(d, g, &mut rng) {
+                if let Err(e) = into_matches_encoded_plan(&mut engine, &pi, &[]) {
+                    panic!("{} {name}: {e:?}", kind.name());
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn theorem2_into_appends_the_encoded_plan(
+        seed in any::<u64>(),
+        shape in 0usize..INTO_SHAPES.len(),
+        prefix_len in 0usize..24,
+    ) {
+        let (d, g) = INTO_SHAPES[shape];
+        let mut engine = RoutingEngine::new(PopsTopology::new(d, g));
+        let mut rng = SplitMix64::new(seed);
+        // Bytes already in `out` must survive: the plan only appends.
+        let prefix: Vec<u8> = (0..prefix_len).map(|i| i as u8 ^ 0xA5).collect();
+        for _ in 0..2 {
+            let pi = random_permutation(d * g, &mut rng);
+            into_matches_encoded_plan(&mut engine, &pi, &prefix)?;
+        }
     }
 }

@@ -8,10 +8,7 @@ mod common;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use common::{
-    verify_h_relation_outcome as verify_h_relation_routing, verify_h_relation_schedule,
-    verify_permutation_schedule,
-};
+use common::{verify_h_relation_schedule, verify_permutation_schedule};
 
 use pops_bipartite::ColorerKind;
 use pops_core::{theorem2_slots, HRelation};
@@ -145,12 +142,9 @@ fn concurrent_h_relations_verify_per_phase() {
                             relation: relation.clone(),
                         })
                         .unwrap();
-                    if reply.cache_hit {
-                        // A hit carries the cached schedule, not the phases.
-                        verify_h_relation_schedule(t, &relation, reply.outcome.schedule());
-                    } else {
-                        verify_h_relation_routing(t, &reply.outcome);
-                    }
+                    // Hits and misses alike: each phase's slice of the
+                    // decoded entry routes that phase.
+                    verify_h_relation_schedule(t, &relation, reply.outcome.schedule());
                 }
             });
         }
