@@ -5,9 +5,13 @@
 //! the length-prefixed binary framing of [`crate::frame`], after which
 //! route and batch payloads travel as dense binary bodies (control ops
 //! keep their JSON documents, wrapped in frames).
+//!
+//! Every request is the protocol's own [`WireRequest`]: its JSON body is
+//! written by [`encode_request`], and replies in either framing are read
+//! on one path, which hands back a JSON document or a dense frame.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -17,7 +21,10 @@ use pops_permutation::Permutation;
 use crate::frame::{self, TAG_BATCH_ITEM, TAG_JSON, TAG_ROUTE_REPLY};
 use crate::json::Json;
 use crate::metrics::RequestKind;
-use crate::proto::{schedule_from_json, WireFormat};
+use crate::proto::{
+    encode_request, schedule_from_json, BatchItemRequest, CacheAction, RouteBody, RouteRequest,
+    WireFormat, WireRequest,
+};
 
 /// Client-side cap on one incoming frame, so a hostile or corrupted
 /// length prefix cannot make the client allocate unbounded memory.
@@ -230,6 +237,41 @@ pub struct RouteReply {
     pub degraded: bool,
 }
 
+/// What [`ServiceClient::send`] read back for one request.
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// A route's reply.
+    Route(RouteReply),
+    /// A batch's per-item results and summary.
+    Batch(BatchReply),
+    /// Any other op's response document.
+    Doc(Json),
+}
+
+/// One reply message in either framing: a JSON document (a line, or a
+/// [`TAG_JSON`] frame) or a dense frame's payload, tag included.
+enum Message {
+    Doc(Json),
+    Dense(Vec<u8>),
+}
+
+/// Whether a permutation kind has a dense [`frame::TAG_ROUTE`] body.
+fn dense_kind(kind: RequestKind) -> bool {
+    matches!(
+        kind,
+        RequestKind::Theorem2
+            | RequestKind::SingleSlot
+            | RequestKind::Direct
+            | RequestKind::Structured
+    )
+}
+
+/// A request's shape as the dense frames take it: `d = g = 0`, the
+/// server's default, is no shape.
+fn frame_shape(d: usize, g: usize) -> Option<(usize, usize)> {
+    ((d, g) != (0, 0)).then_some((d, g))
+}
+
 /// A connected client. One request/response pair per [`ServiceClient::call`].
 ///
 /// ```no_run
@@ -343,11 +385,7 @@ impl ServiceClient {
                 "the binary framing cannot be downgraded; reconnect for JSON lines".into(),
             ));
         }
-        let request = Json::Obj(vec![
-            ("op".into(), Json::str("hello")),
-            ("format".into(), Json::str(format.name())),
-        ]);
-        let doc = self.call(&request)?;
+        let doc = self.call(&encode_request(&WireRequest::Hello { format }))?;
         match doc.get("format").and_then(Json::as_str) {
             Some(name) if name == format.name() => {
                 self.format = format;
@@ -357,26 +395,6 @@ impl ServiceClient {
                 "hello response did not echo the requested format".into(),
             )),
         }
-    }
-
-    /// Sends one raw request line without reading anything back —
-    /// multi-line exchanges (the batch op) pair this with
-    /// [`ServiceClient::read_doc`] once per expected line.
-    fn write_line(&mut self, line: &str) -> Result<(), ClientError> {
-        if self.poisoned {
-            return Err(ClientError::Poisoned);
-        }
-        let sent = (|| -> Result<(), ClientError> {
-            // One write per line: a separate newline write lets Nagle
-            // stall the tail segment behind the server's delayed ACK.
-            let mut buf = Vec::with_capacity(line.len() + 1);
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-            self.writer.write_all(&buf)?;
-            self.writer.flush()?;
-            Ok(())
-        })();
-        sent.inspect_err(|_| self.poisoned = true)
     }
 
     /// Sends one binary frame without reading anything back.
@@ -397,12 +415,21 @@ impl ServiceClient {
     /// binary framing.
     fn send_request(&mut self, line: &str) -> Result<(), ClientError> {
         if self.format == WireFormat::Binary {
-            let mut payload = Vec::with_capacity(1 + line.len());
-            payload.push(TAG_JSON);
-            payload.extend_from_slice(line.as_bytes());
-            return self.send_payload(&payload);
+            return self.send_payload(&[&[TAG_JSON], line.as_bytes()].concat());
         }
-        self.write_line(line)
+        if self.poisoned {
+            return Err(ClientError::Poisoned);
+        }
+        // One write per line: a separate newline write lets Nagle stall
+        // the tail segment behind the server's delayed ACK.
+        let sent = self
+            .writer
+            .write_all(&[line.as_bytes(), b"\n"].concat())
+            .and_then(|()| self.writer.flush());
+        sent.map_err(|e| {
+            self.poisoned = true;
+            e.into()
+        })
     }
 
     /// Reads one frame payload. A clean EOF before any header byte is
@@ -414,94 +441,79 @@ impl ServiceClient {
             return Err(ClientError::Poisoned);
         }
         let exchange = |this: &mut Self| -> Result<Vec<u8>, ClientError> {
-            let mut header = [0u8; 4];
-            let mut filled = 0;
-            while filled < header.len() {
-                // lint: allow(panic-freedom) -- filled < header.len() by the loop guard
-                let read = this.reader.read(&mut header[filled..])?;
-                if read == 0 {
-                    return Err(if filled == 0 {
-                        ClientError::Disconnected
-                    } else {
-                        ClientError::Truncated
-                    });
+            if this.reader.fill_buf()?.is_empty() {
+                return Err(ClientError::Disconnected);
+            }
+            frame::read_frame(&mut this.reader, CLIENT_MAX_FRAME_BYTES).map_err(|e| {
+                match e.kind() {
+                    std::io::ErrorKind::UnexpectedEof => ClientError::Truncated,
+                    std::io::ErrorKind::InvalidData => ClientError::Protocol(e.to_string()),
+                    _ => e.into(),
                 }
-                filled += read;
-            }
-            let len = u32::from_le_bytes(header) as usize;
-            if len > CLIENT_MAX_FRAME_BYTES {
-                return Err(ClientError::Protocol(format!(
-                    "frame of {len} bytes exceeds the client's {CLIENT_MAX_FRAME_BYTES}-byte cap"
-                )));
-            }
-            let mut payload = vec![0u8; len];
-            let mut at = 0;
-            while at < len {
-                // lint: allow(panic-freedom) -- at < len == payload.len() by the loop guard
-                let read = this.reader.read(&mut payload[at..])?;
-                if read == 0 {
-                    return Err(ClientError::Truncated);
-                }
-                at += read;
-            }
-            Ok(payload)
+            })
         };
         exchange(self).inspect_err(|e| {
             self.poisoned = !matches!(e, ClientError::Disconnected);
         })
     }
 
-    /// Decodes a [`TAG_JSON`] frame payload into a document.
-    fn doc_from_payload(payload: &[u8]) -> Result<Json, ClientError> {
-        match payload.split_first() {
-            Some((&TAG_JSON, body)) => {
-                let text = std::str::from_utf8(body).map_err(|_| {
-                    ClientError::Protocol("TAG_JSON frame is not valid UTF-8".into())
-                })?;
-                Json::parse(text).map_err(|e| ClientError::Protocol(e.to_string()))
-            }
-            Some((&tag, _)) => Err(ClientError::Protocol(format!(
-                "expected a JSON frame, got tag 0x{tag:02x}"
-            ))),
-            None => Err(ClientError::Protocol("empty frame".into())),
-        }
-    }
-
-    /// Reads and parses one response line. A clean EOF before any byte is
-    /// [`ClientError::Disconnected`]; a line cut off mid-way is
-    /// [`ClientError::Truncated`]. Timeouts, truncation, and I/O errors
-    /// poison the connection (see the type docs).
-    fn read_doc(&mut self) -> Result<Json, ClientError> {
+    /// Reads one reply message in the connection's framing. A clean EOF
+    /// before any byte is [`ClientError::Disconnected`]; a line cut off
+    /// mid-way is [`ClientError::Truncated`]. Timeouts, truncation, and
+    /// I/O errors poison the connection (see the type docs).
+    fn read_message(&mut self) -> Result<Message, ClientError> {
+        let text = |bytes: &[u8]| {
+            std::str::from_utf8(bytes)
+                .map_err(|_| ClientError::Protocol("reply is not valid UTF-8".into()))
+                .and_then(|text| {
+                    Json::parse(text).map_err(|e| ClientError::Protocol(e.to_string()))
+                })
+        };
         if self.format == WireFormat::Binary {
             let payload = self.read_payload()?;
-            return Self::doc_from_payload(&payload);
+            return match payload.split_first() {
+                Some((&TAG_JSON, body)) => text(body).map(Message::Doc),
+                Some(_) => Ok(Message::Dense(payload)),
+                None => Err(ClientError::Protocol("empty frame".into())),
+            };
         }
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
-        let exchange = |this: &mut Self| -> Result<String, ClientError> {
-            let mut response = String::new();
-            let read = this.reader.read_line(&mut response)?;
+        let exchange = |this: &mut Self| -> Result<Vec<u8>, ClientError> {
+            let mut response = Vec::new();
+            let read = this.reader.read_until(b'\n', &mut response)?;
             if read == 0 {
                 return Err(ClientError::Disconnected);
             }
-            if !response.ends_with('\n') {
+            if response.pop() != Some(b'\n') {
                 return Err(ClientError::Truncated);
             }
             Ok(response)
         };
         let response = exchange(self).inspect_err(|e| {
-            // read_line may have consumed a partial line before failing,
+            // read_until may have consumed a partial line before failing,
             // so the stream can no longer be re-synchronised.
             self.poisoned = !matches!(e, ClientError::Disconnected);
         })?;
-        Json::parse(response.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))
+        text(&response).map(Message::Doc)
+    }
+
+    /// Reads one reply that must be a JSON document.
+    fn read_doc(&mut self) -> Result<Json, ClientError> {
+        match self.read_message()? {
+            Message::Doc(doc) => Ok(doc),
+            Message::Dense(payload) => Err(ClientError::Protocol(format!(
+                "expected a JSON reply, got frame tag 0x{:02x}",
+                payload.first().copied().unwrap_or_default()
+            ))),
+        }
     }
 
     /// Maps a `{"ok":false,...}` document to [`ClientError::Remote`].
-    fn check_ok(doc: Json) -> Result<Json, ClientError> {
+    fn check_ok(doc: &Json) -> Result<(), ClientError> {
         match doc.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(doc),
+            Some(true) => Ok(()),
             Some(false) => Err(ClientError::Remote {
                 kind: doc
                     .get("kind")
@@ -530,7 +542,8 @@ impl ServiceClient {
     pub fn call_raw(&mut self, line: &str) -> Result<Json, ClientError> {
         self.send_request(line)?;
         let doc = self.read_doc()?;
-        Self::check_ok(doc)
+        Self::check_ok(&doc)?;
+        Ok(doc)
     }
 
     /// Sends one request document.
@@ -540,13 +553,13 @@ impl ServiceClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call(&Json::Obj(vec![("op".into(), Json::str("ping"))]))?;
+        self.call(&encode_request(&WireRequest::Ping))?;
         Ok(())
     }
 
     /// Queries the serving topology and service shape.
     pub fn info(&mut self) -> Result<ServerInfo, ClientError> {
-        let doc = self.call(&Json::Obj(vec![("op".into(), Json::str("info"))]))?;
+        let doc = self.call(&encode_request(&WireRequest::Info))?;
         let field = |name: &str| {
             doc.get(name)
                 .and_then(Json::as_usize)
@@ -595,12 +608,12 @@ impl ServiceClient {
 
     /// Fetches the raw metrics snapshot document.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.call(&Json::Obj(vec![("op".into(), Json::str("stats"))]))
+        self.call(&encode_request(&WireRequest::Stats))
     }
 
     /// Asks the server to shut down.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.call(&Json::Obj(vec![("op".into(), Json::str("shutdown"))]))?;
+        self.call(&encode_request(&WireRequest::Shutdown))?;
         Ok(())
     }
 
@@ -609,10 +622,63 @@ impl ServiceClient {
     /// `stats`) and returns the raw response document. `save`/`load`
     /// require the server to run with a `--cache-dir`.
     pub fn cache_op(&mut self, action: &str) -> Result<Json, ClientError> {
-        self.call(&Json::Obj(vec![
-            ("op".into(), Json::str("cache")),
-            ("action".into(), Json::str(action)),
-        ]))
+        let action = CacheAction::from_name(action).ok_or_else(|| {
+            ClientError::Protocol(format!("unknown cache action '{action}' (save|load|stats)"))
+        })?;
+        self.call(&encode_request(&WireRequest::Cache { action }))
+    }
+
+    /// Sends one request and reads its whole reply — the one call a trace
+    /// replay makes per record. On a binary connection a permutation route
+    /// without faults, and a batch whose items all decoded and carry no
+    /// faults, travel as dense frames; everything else travels as the JSON
+    /// document [`encode_request`] writes, wrapped in a [`TAG_JSON`] frame
+    /// on a binary connection.
+    pub fn send(&mut self, request: &WireRequest<RouteRequest>) -> Result<Answer, ClientError> {
+        let binary = self.format == WireFormat::Binary;
+        match request {
+            WireRequest::Route { req, want_schedule } => {
+                match &req.body {
+                    Ok(RouteBody::Perm { kind, pi, faults })
+                        if binary && faults.is_empty() && dense_kind(*kind) =>
+                    {
+                        let shape = frame_shape(req.d, req.g);
+                        let payload = frame::encode_route_request(*kind, *want_schedule, shape, pi);
+                        self.send_payload(&payload)?
+                    }
+                    _ => self.send_request(&encode_request(request).to_string())?,
+                }
+                self.read_route().map(Answer::Route)
+            }
+            WireRequest::Batch {
+                items,
+                want_schedule,
+            } => {
+                let dense = binary.then(|| {
+                    let items = items.iter().map(|item| {
+                        let pi = item.perm.as_ref().ok().filter(|_| item.faults.is_empty())?;
+                        Some((frame_shape(item.d, item.g), pi.clone()))
+                    });
+                    items.collect::<Option<Vec<_>>>()
+                });
+                let sent = match dense.flatten() {
+                    Some(dense) => {
+                        self.send_payload(&frame::encode_batch_request(*want_schedule, dense))
+                    }
+                    None => self.send_request(&encode_request(request).to_string()),
+                };
+                let reply = sent.and_then(|()| self.read_batch(items.len()));
+                if matches!(&reply, Err(ClientError::Protocol(_))) {
+                    // A malformed or out-of-order response mid-stream
+                    // leaves an unknown number of batch responses unread
+                    // on the socket; later replies could no longer be
+                    // matched to requests.
+                    self.poisoned = true;
+                }
+                reply.map(Answer::Batch)
+            }
+            _ => self.call(&encode_request(request)).map(Answer::Doc),
+        }
     }
 
     /// Routes `pi` with the given request kind (a [`crate::RequestKind`]
@@ -634,23 +700,6 @@ impl ServiceClient {
         pi: &Permutation,
         shape: Option<(usize, usize)>,
     ) -> Result<RouteReply, ClientError> {
-        if self.format == WireFormat::Binary {
-            let parsed = RequestKind::from_name(kind).filter(|k| {
-                matches!(
-                    k,
-                    RequestKind::Theorem2
-                        | RequestKind::SingleSlot
-                        | RequestKind::Direct
-                        | RequestKind::Structured
-                )
-            });
-            // Permutation-carrying kinds get the dense body; anything
-            // else falls through to JSON-in-a-frame, where the server
-            // produces the same validation errors it would on a line.
-            if let Some(kind) = parsed {
-                return self.route_permutation_binary(kind, pi, shape);
-            }
-        }
         self.route_permutation_with_faults(kind, pi, shape, &[])
     }
 
@@ -668,56 +717,19 @@ impl ServiceClient {
         shape: Option<(usize, usize)>,
         faults: &[usize],
     ) -> Result<RouteReply, ClientError> {
-        let perm = Json::Arr(pi.as_slice().iter().map(|&v| Json::num(v)).collect());
-        let mut fields = vec![
-            ("op".into(), Json::str("route")),
-            ("kind".into(), Json::str(kind)),
-        ];
-        if let Some((d, g)) = shape {
-            fields.push(("d".into(), Json::num(d)));
-            fields.push(("g".into(), Json::num(g)));
+        let kind = RequestKind::from_name(kind)
+            .ok_or_else(|| ClientError::Protocol(format!("unknown kind '{kind}'")))?;
+        if self.format == WireFormat::Binary && faults.is_empty() && dense_kind(kind) {
+            // The dense frame reads the borrowed permutation in place.
+            self.send_payload(&frame::encode_route_request(kind, true, shape, pi))?;
+            return self.read_route();
         }
-        fields.push(("perm".into(), perm));
-        if !faults.is_empty() {
-            fields.push((
-                "faults".into(),
-                Json::Arr(faults.iter().map(|&c| Json::num(c)).collect()),
-            ));
-        }
-        let doc = self.call(&Json::Obj(fields))?;
-        Self::decode_route(&doc)
-    }
-
-    /// The binary fast path of [`ServiceClient::route_permutation_on`]:
-    /// one `TAG_ROUTE` frame out, one `TAG_ROUTE_REPLY` (or JSON error)
-    /// frame back.
-    fn route_permutation_binary(
-        &mut self,
-        kind: RequestKind,
-        pi: &Permutation,
-        shape: Option<(usize, usize)>,
-    ) -> Result<RouteReply, ClientError> {
-        let payload = frame::encode_route_request(kind, true, shape, pi);
-        self.send_payload(&payload)?;
-        let reply = self.read_payload()?;
-        match reply.split_first() {
-            Some((&TAG_ROUTE_REPLY, body)) => {
-                let decoded = frame::decode_route_reply(body).map_err(ClientError::Protocol)?;
-                Ok(RouteReply {
-                    slots: decoded.slots,
-                    cache_hit: decoded.cache_hit,
-                    micros: decoded.micros,
-                    schedule: decoded.schedule,
-                    degraded: false,
-                })
-            }
-            _ => {
-                // Errors ride JSON frames; check_ok turns them into
-                // ClientError::Remote.
-                Self::check_ok(Self::doc_from_payload(&reply)?)?;
-                Err(ClientError::Protocol("expected a route reply frame".into()))
-            }
-        }
+        let body = RouteBody::Perm {
+            kind,
+            pi: pi.clone(),
+            faults: faults.to_vec(),
+        };
+        self.route_json(shape, body)
     }
 
     /// Routes an h-relation given as `(source, destination)` pairs.
@@ -737,23 +749,26 @@ impl ServiceClient {
         requests: &[(usize, usize)],
         shape: Option<(usize, usize)>,
     ) -> Result<RouteReply, ClientError> {
-        let pairs = Json::Arr(
-            requests
-                .iter()
-                .map(|&(s, d)| Json::Arr(vec![Json::num(s), Json::num(d)]))
-                .collect(),
-        );
-        let mut fields = vec![
-            ("op".into(), Json::str("route")),
-            ("kind".into(), Json::str("h-relation")),
-        ];
-        if let Some((d, g)) = shape {
-            fields.push(("d".into(), Json::num(d)));
-            fields.push(("g".into(), Json::num(g)));
-        }
-        fields.push(("requests".into(), pairs));
-        let doc = self.call(&Json::Obj(fields))?;
-        Self::decode_route(&doc)
+        self.route_json(shape, RouteBody::HRelation(requests.to_vec()))
+    }
+
+    /// Sends a route as its JSON document and reads the reply.
+    fn route_json(
+        &mut self,
+        shape: Option<(usize, usize)>,
+        body: RouteBody,
+    ) -> Result<RouteReply, ClientError> {
+        let (d, g) = shape.unwrap_or((0, 0));
+        let request = WireRequest::Route {
+            req: RouteRequest {
+                d,
+                g,
+                body: Ok(body),
+            },
+            want_schedule: true,
+        };
+        self.send_request(&encode_request(&request).to_string())?;
+        self.read_route()
     }
 
     /// Sends one `{"op":"batch"}` request carrying `items` (optionally
@@ -761,7 +776,9 @@ impl ServiceClient {
     /// in input order, then the summary line. Per-item failures come back
     /// as `Err` entries in [`BatchReply::items`]; only transport problems
     /// and whole-batch rejections (e.g. the server's batch-size cap) fail
-    /// the call itself.
+    /// the call itself. A batch carrying any faults rides the JSON body
+    /// even on a binary connection — the dense batch frame has no fault
+    /// lists.
     ///
     /// ```no_run
     /// use pops_permutation::families::vector_reversal;
@@ -792,190 +809,132 @@ impl ServiceClient {
         items: &[BatchItem],
         want_schedule: bool,
     ) -> Result<BatchReply, ClientError> {
-        // The dense batch frame has no fault lists, so a fault-carrying
-        // batch rides the JSON body — wrapped in a TAG_JSON frame on a
-        // binary connection, where its responses come back as JSON frames
-        // that read_batch_stream decodes transparently via read_doc.
-        let any_faults = items.iter().any(|item| !item.faults.is_empty());
-        let reply = if self.format == WireFormat::Binary && !any_faults {
-            let payload = frame::encode_batch_request(
-                want_schedule,
-                items.iter().map(|item| (item.shape, item.pi.clone())),
-            );
-            match self.send_payload(&payload) {
-                Err(e) => Err(e),
-                Ok(()) => self.read_batch_stream_binary(items.len()),
+        let items = items
+            .iter()
+            .map(|item| {
+                let (d, g) = item.shape.unwrap_or((0, 0));
+                BatchItemRequest {
+                    d,
+                    g,
+                    perm: Ok(item.pi.clone()),
+                    faults: item.faults.clone(),
+                }
+            })
+            .collect();
+        match self.send(&WireRequest::Batch {
+            items,
+            want_schedule,
+        })? {
+            Answer::Batch(reply) => Ok(reply),
+            _ => Err(ClientError::Protocol("expected a batch reply".into())),
+        }
+    }
+
+    /// Reads one route reply: a dense [`TAG_ROUTE_REPLY`] frame, or a JSON
+    /// document (a JSON route reply, or an error).
+    fn read_route(&mut self) -> Result<RouteReply, ClientError> {
+        let payload = match self.read_message()? {
+            Message::Doc(doc) => {
+                Self::check_ok(&doc)?;
+                return Self::decode_route(&doc);
             }
-        } else {
-            let encoded: Vec<Json> = items
-                .iter()
-                .map(|item| {
-                    let mut fields = Vec::with_capacity(4);
-                    if let Some((d, g)) = item.shape {
-                        fields.push(("d".into(), Json::num(d)));
-                        fields.push(("g".into(), Json::num(g)));
+            Message::Dense(payload) => payload,
+        };
+        let Some((&TAG_ROUTE_REPLY, body)) = payload.split_first() else {
+            return Err(ClientError::Protocol("expected a route reply frame".into()));
+        };
+        let decoded = frame::decode_route_reply(body).map_err(ClientError::Protocol)?;
+        Ok(RouteReply {
+            slots: decoded.slots,
+            cache_hit: decoded.cache_hit,
+            micros: decoded.micros,
+            schedule: decoded.schedule,
+            degraded: false,
+        })
+    }
+
+    /// Reads one batch response stream: item replies in input order, then
+    /// the summary. On a binary connection successful dense items arrive
+    /// as [`TAG_BATCH_ITEM`] frames; per-item errors, JSON items and the
+    /// summary are JSON documents in either framing.
+    fn read_batch(&mut self, expected: usize) -> Result<BatchReply, ClientError> {
+        let mut items = Vec::new();
+        loop {
+            let (index, item) = match self.read_message()? {
+                Message::Dense(payload) => {
+                    let Some((&TAG_BATCH_ITEM, body)) = payload.split_first() else {
+                        return Err(ClientError::Protocol(
+                            "unexpected frame inside a batch exchange".into(),
+                        ));
+                    };
+                    let item = frame::decode_batch_item(body).map_err(ClientError::Protocol)?;
+                    let reply = BatchItemReply {
+                        d: item.d,
+                        g: item.g,
+                        slots: item.slots,
+                        schedule: item.schedule,
+                        degraded: false,
+                    };
+                    (item.index, Ok(reply))
+                }
+                Message::Doc(doc) => match doc.get("op").and_then(Json::as_str) {
+                    Some("batch-item") => {
+                        let index = doc
+                            .get("index")
+                            .and_then(Json::as_usize)
+                            .ok_or_else(|| ClientError::Protocol("item lacks 'index'".into()))?;
+                        (index, Self::decode_batch_item(&doc)?)
                     }
-                    fields.push((
-                        "perm".into(),
-                        Json::Arr(item.pi.as_slice().iter().map(|&v| Json::num(v)).collect()),
-                    ));
-                    if !item.faults.is_empty() {
-                        fields.push((
-                            "faults".into(),
-                            Json::Arr(item.faults.iter().map(|&c| Json::num(c)).collect()),
+                    Some("batch") => {
+                        // The summary terminates the stream; it is only
+                        // valid once every submitted item has been answered.
+                        Self::check_ok(&doc)?;
+                        if items.len() != expected {
+                            return Err(ClientError::Protocol(format!(
+                                "summary after {} of {expected} items",
+                                items.len(),
+                            )));
+                        }
+                        let summary = Self::decode_batch_summary(&doc)?;
+                        return Ok(BatchReply { items, summary });
+                    }
+                    _ => {
+                        // A whole-batch rejection (size cap, parse problem)
+                        // is a single plain error response.
+                        Self::check_ok(&doc)?;
+                        return Err(ClientError::Protocol(
+                            "unexpected response line inside a batch exchange".into(),
                         ));
                     }
-                    Json::Obj(fields)
-                })
-                .collect();
-            let request = Json::Obj(vec![
-                ("op".into(), Json::str("batch")),
-                ("items".into(), Json::Arr(encoded)),
-                ("want_schedule".into(), Json::Bool(want_schedule)),
-            ]);
-            match self.send_request(&request.to_string()) {
-                Err(e) => Err(e),
-                Ok(()) => self.read_batch_stream(items.len()),
+                },
+            };
+            if index != items.len() || index >= expected {
+                return Err(ClientError::Protocol(format!(
+                    "item {index} arrived out of order (expected {})",
+                    items.len()
+                )));
             }
-        };
-        if matches!(&reply, Err(ClientError::Protocol(_))) {
-            // A malformed or out-of-order response mid-stream leaves an
-            // unknown number of batch responses unread on the socket;
-            // later replies could no longer be matched to requests.
-            self.poisoned = true;
-        }
-        reply
-    }
-
-    /// Reads one batch response stream: item lines until the summary.
-    fn read_batch_stream(&mut self, expected: usize) -> Result<BatchReply, ClientError> {
-        let mut replies: Vec<Result<BatchItemReply, BatchItemError>> = Vec::new();
-        loop {
-            let doc = self.read_doc()?;
-            if let Some(summary) = Self::accept_batch_doc(doc, &mut replies, expected)? {
-                return Ok(BatchReply {
-                    items: replies,
-                    summary,
-                });
-            }
-        }
-    }
-
-    /// Reads one binary batch response stream: successful items arrive as
-    /// `TAG_BATCH_ITEM` frames, per-item errors and the terminating
-    /// summary as JSON frames — the same in-order contract as the line
-    /// protocol.
-    fn read_batch_stream_binary(&mut self, expected: usize) -> Result<BatchReply, ClientError> {
-        let mut replies: Vec<Result<BatchItemReply, BatchItemError>> = Vec::new();
-        loop {
-            let payload = self.read_payload()?;
-            if let Some((&TAG_BATCH_ITEM, body)) = payload.split_first() {
-                let item = frame::decode_batch_item(body).map_err(ClientError::Protocol)?;
-                if item.index != replies.len() || item.index >= expected {
-                    return Err(ClientError::Protocol(format!(
-                        "item {} arrived out of order (expected {})",
-                        item.index,
-                        replies.len()
-                    )));
-                }
-                replies.push(Ok(BatchItemReply {
-                    d: item.d,
-                    g: item.g,
-                    slots: item.slots,
-                    schedule: item.schedule,
-                    degraded: false,
-                }));
-                continue;
-            }
-            let doc = Self::doc_from_payload(&payload)?;
-            if let Some(summary) = Self::accept_batch_doc(doc, &mut replies, expected)? {
-                return Ok(BatchReply {
-                    items: replies,
-                    summary,
-                });
-            }
-        }
-    }
-
-    /// Handles one JSON document of a batch stream: a `batch-item`
-    /// response or error appends to `replies`; the `batch` summary
-    /// terminates the stream (returned as `Some`); anything else is a
-    /// whole-batch rejection or a protocol violation.
-    fn accept_batch_doc(
-        doc: Json,
-        replies: &mut Vec<Result<BatchItemReply, BatchItemError>>,
-        expected: usize,
-    ) -> Result<Option<BatchSummary>, ClientError> {
-        match doc.get("op").and_then(Json::as_str) {
-            Some("batch-item") => {
-                let index = doc
-                    .get("index")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| ClientError::Protocol("item lacks 'index'".into()))?;
-                if index != replies.len() || index >= expected {
-                    return Err(ClientError::Protocol(format!(
-                        "item {index} arrived out of order (expected {})",
-                        replies.len()
-                    )));
-                }
-                replies.push(Self::decode_batch_item(&doc)?);
-                Ok(None)
-            }
-            Some("batch") => {
-                // The summary terminates the stream; it is only valid
-                // once every submitted item has been answered.
-                Self::check_ok(doc.clone())?;
-                if replies.len() != expected {
-                    return Err(ClientError::Protocol(format!(
-                        "summary after {} of {expected} items",
-                        replies.len(),
-                    )));
-                }
-                Ok(Some(Self::decode_batch_summary(&doc)?))
-            }
-            _ => {
-                // A whole-batch rejection (size cap, parse problem)
-                // is a single plain error response.
-                Self::check_ok(doc)?;
-                Err(ClientError::Protocol(
-                    "unexpected response line inside a batch exchange".into(),
-                ))
-            }
+            items.push(item);
         }
     }
 
     fn decode_batch_item(
         doc: &Json,
     ) -> Result<Result<BatchItemReply, BatchItemError>, ClientError> {
-        if doc.get("ok").and_then(Json::as_bool) == Some(false) {
-            return Ok(Err(BatchItemError {
-                kind: doc
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("error")
-                    .to_string(),
-                message: doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified failure")
-                    .to_string(),
-            }));
+        if let Err(ClientError::Remote { kind, message, .. }) = Self::check_ok(doc) {
+            return Ok(Err(BatchItemError { kind, message }));
         }
         let field = |name: &str| {
             doc.get(name)
                 .and_then(Json::as_usize)
                 .ok_or_else(|| ClientError::Protocol(format!("batch item lacks '{name}'")))
         };
-        let schedule = match doc.get("schedule") {
-            Some(body) => schedule_from_json(body).map_err(ClientError::Protocol)?,
-            None => Schedule::new(),
-        };
         Ok(Ok(BatchItemReply {
             d: field("d")?,
             g: field("g")?,
             slots: field("slots")?,
-            schedule,
-            degraded: doc.get("degraded").and_then(Json::as_bool).unwrap_or(false),
+            schedule: Self::decode_schedule(doc)?,
+            degraded: Self::degraded(doc),
         }))
     }
 
@@ -1002,16 +961,24 @@ impl ServiceClient {
             .ok_or_else(|| ClientError::Protocol("route response lacks 'slots'".into()))?;
         let cache_hit = doc.get("cache").and_then(Json::as_str) == Some("hit");
         let micros = doc.get("micros").and_then(Json::as_u64).unwrap_or(0);
-        let schedule = match doc.get("schedule") {
-            Some(body) => schedule_from_json(body).map_err(ClientError::Protocol)?,
-            None => Schedule::new(),
-        };
         Ok(RouteReply {
             slots,
             cache_hit,
             micros,
-            schedule,
-            degraded: doc.get("degraded").and_then(Json::as_bool).unwrap_or(false),
+            schedule: Self::decode_schedule(doc)?,
+            degraded: Self::degraded(doc),
         })
+    }
+
+    /// A reply's `schedule` member (empty when absent).
+    fn decode_schedule(doc: &Json) -> Result<Schedule, ClientError> {
+        doc.get("schedule").map_or(Ok(Schedule::new()), |body| {
+            schedule_from_json(body).map_err(ClientError::Protocol)
+        })
+    }
+
+    /// A reply's `degraded` flag (absent on healthy plans).
+    fn degraded(doc: &Json) -> bool {
+        doc.get("degraded").and_then(Json::as_bool).unwrap_or(false)
     }
 }

@@ -65,8 +65,8 @@ pub mod trace;
 
 pub use cache::{canonical_key, phase_key, CacheKey, CachedOutcome, PlanCache, ShardedPlanCache};
 pub use client::{
-    BatchItem, BatchItemError, BatchItemReply, BatchReply, BatchSummary, ClientError, RouteReply,
-    ServerInfo, ServiceClient,
+    Answer, BatchItem, BatchItemError, BatchItemReply, BatchReply, BatchSummary, ClientError,
+    RouteReply, ServerInfo, ServiceClient,
 };
 pub use json::{Json, JsonError, MAX_DEPTH};
 pub use metrics::{Counter, Gauge, MetricsSnapshot, RequestKind, ServiceMetrics};
@@ -74,8 +74,8 @@ pub use persist::{PersistError, PersistSummary};
 pub use pool::EnginePool;
 pub use proto::{WireErrorKind, WireFormat};
 pub use record::{
-    read_trace, record_proxy, RecordProxySummary, RecordedBatchItem, RecordedOp, RecordedRequest,
-    TraceError, TraceRecorder, TRACE_VERSION,
+    read_trace, record_proxy, RecordProxySummary, RecordedRequest, TraceError, TraceRecorder,
+    TRACE_VERSION,
 };
 pub use replay::{run_replay, synth_trace, ReplayOptions, ReplayReport, SloGates};
 pub use router::{DirLoadReport, RouterError, RouterStats, TopologyRouter, TopologyRouterConfig};

@@ -203,10 +203,12 @@ impl CacheAction {
 
 /// A protocol request. Every codec — a JSON line, a `TAG_JSON` frame, a
 /// dense `TAG_ROUTE`/`TAG_BATCH` frame — decodes into one owned form,
-/// whose routes are not yet checked against a topology; the server and
-/// the `pops record` proxy share it. [`parse_request`] returns the form
-/// validated against one topology, whose routes are [`ServiceRequest`]s.
-#[derive(Debug, Clone)]
+/// `WireRequest<RouteRequest>`, whose routes are not yet checked against
+/// a topology; the server, the `pops record` proxy, the client and the
+/// trace format share it ([`decode_request`] reads it, [`encode_request`]
+/// writes it). [`parse_request`] returns the form validated against one
+/// topology, whose routes are [`ServiceRequest`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRequest<R = ServiceRequest> {
     /// Wire-format negotiation: the connection switches to `format`
     /// after the acknowledgement.
@@ -273,31 +275,48 @@ impl<R> WireRequest<R> {
     }
 }
 
-/// A decoded route request: the shape `(d, g)` it selects (absent fields
-/// already resolved against the server's default) and its body, or why
-/// the body is malformed — answered `bad-request` once the shape's
-/// service is selected. Nothing is checked against a topology until
-/// [`RouteRequest::service_request`].
-#[derive(Debug, Clone)]
-pub(crate) struct RouteRequest {
-    pub(crate) d: usize,
-    pub(crate) g: usize,
-    pub(crate) body: Result<RouteBody, String>,
+/// A route request in the shared owned form: the shape `(d, g)` it
+/// selects and its body, or why the body is malformed — answered
+/// `bad-request` once the shape's service is selected. [`decode_request`]
+/// resolves absent shape fields against the server's default; a request
+/// being sent may leave both at 0 so that the server's default applies,
+/// as in a dense frame. Nothing is checked against a topology here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteRequest {
+    /// Processors per group of the selected topology.
+    pub d: usize,
+    /// Number of groups of the selected topology.
+    pub g: usize,
+    /// What to route, or why the request's body could not be read.
+    pub body: Result<RouteBody, String>,
 }
 
 /// What a route request asks to route.
-#[derive(Debug, Clone)]
-pub(crate) enum RouteBody {
-    /// A permutation, its kind (never `h-relation`) and its request-level
-    /// failed couplers (sorted, deduped, in `0..g²`; only `theorem2` and
-    /// `faults` carry any).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RouteBody {
+    /// A permutation with its kind and its request-level failed couplers.
+    /// Decoded fault ids are sorted, deduped and in `0..g²`; only
+    /// `theorem2` and `faults` requests carry any.
     Perm {
+        /// The routing kind (never `h-relation` in a valid request).
         kind: RequestKind,
+        /// The permutation to route.
         pi: Permutation,
+        /// Failed coupler ids.
         faults: Vec<usize>,
     },
     /// An h-relation's `(source, destination)` pairs.
     HRelation(Vec<(usize, usize)>),
+}
+
+impl RouteBody {
+    /// The kind the body asks for.
+    pub fn kind(&self) -> RequestKind {
+        match self {
+            RouteBody::Perm { kind, .. } => *kind,
+            RouteBody::HRelation(_) => RequestKind::HRelation,
+        }
+    }
 }
 
 impl RouteRequest {
@@ -346,7 +365,7 @@ impl RouteRequest {
 /// `(d, g)` directly. A per-item parse problem is carried in `perm` and
 /// answered with a per-item error line — one bad item does not poison
 /// its siblings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchItemRequest {
     /// Processors per group of the item's topology.
     pub d: usize,
@@ -434,8 +453,8 @@ pub fn parse_request(doc: &Json, topology: &PopsTopology) -> Result<WireRequest,
 
 /// Decodes one request document into the shared owned request. Route and
 /// batch shapes fall back to `default` field by field; nothing is checked
-/// against a topology yet.
-pub(crate) fn decode_request(
+/// against a topology yet. [`encode_request`] is its inverse.
+pub fn decode_request(
     doc: &Json,
     default: &PopsTopology,
 ) -> Result<WireRequest<RouteRequest>, String> {
@@ -600,6 +619,91 @@ fn route_body(doc: &Json, g: usize) -> Result<RouteBody, String> {
         None => Vec::new(),
     };
     Ok(RouteBody::Perm { kind, pi, faults })
+}
+
+/// Encodes a request as the JSON document [`decode_request`] reads back:
+/// the one body the client sends as a JSON line or `TAG_JSON` frame, and
+/// the one a trace record holds. Keys come in a fixed order — a route
+/// `op, d, g, kind, perm | requests, faults`, a batch item
+/// `d, g, perm, faults`. Left out are a `d = g = 0` shape (the server's
+/// default applies), an empty fault list, and a route's `want_schedule`
+/// when true; a batch always carries its `want_schedule`. So a request
+/// with an explicit shape, in the canonical form a trace records, decodes
+/// back to itself. A route or batch item whose body failed to decode has
+/// nothing to write in its place, so only its shape is written.
+pub fn encode_request(request: &WireRequest<RouteRequest>) -> Json {
+    let op = |name: &str| ("op".to_string(), Json::str(name));
+    Json::Obj(match request {
+        WireRequest::Hello { format } => {
+            vec![op("hello"), ("format".into(), Json::str(format.name()))]
+        }
+        WireRequest::Ping => vec![op("ping")],
+        WireRequest::Info => vec![op("info")],
+        WireRequest::Stats => vec![op("stats")],
+        WireRequest::Shutdown => vec![op("shutdown")],
+        WireRequest::Cache { action } => {
+            vec![op("cache"), ("action".into(), Json::str(action.name()))]
+        }
+        WireRequest::Route { req, want_schedule } => {
+            let mut fields = vec![op("route")];
+            push_shape(&mut fields, req.d, req.g);
+            if let Ok(body) = &req.body {
+                fields.push(("kind".into(), Json::str(body.kind().name())));
+                match body {
+                    RouteBody::Perm { pi, faults, .. } => {
+                        fields.push(("perm".into(), usize_array(pi.as_slice())));
+                        push_faults(&mut fields, faults);
+                    }
+                    RouteBody::HRelation(pairs) => {
+                        let pairs = pairs.iter().map(|&(s, t)| usize_array(&[s, t]));
+                        fields.push(("requests".into(), Json::Arr(pairs.collect())));
+                    }
+                }
+            }
+            if !want_schedule {
+                fields.push(("want_schedule".into(), Json::Bool(false)));
+            }
+            fields
+        }
+        WireRequest::Batch {
+            items,
+            want_schedule,
+        } => {
+            let items = items.iter().map(|item| {
+                let mut fields = Vec::with_capacity(4);
+                push_shape(&mut fields, item.d, item.g);
+                if let Ok(pi) = &item.perm {
+                    fields.push(("perm".into(), usize_array(pi.as_slice())));
+                }
+                push_faults(&mut fields, &item.faults);
+                Json::Obj(fields)
+            });
+            vec![
+                op("batch"),
+                ("items".into(), Json::Arr(items.collect())),
+                ("want_schedule".into(), Json::Bool(*want_schedule)),
+            ]
+        }
+    })
+}
+
+fn usize_array(values: &[usize]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::num(v)).collect())
+}
+
+/// Appends `d` and `g` unless both are 0, the server's default.
+fn push_shape(fields: &mut Vec<(String, Json)>, d: usize, g: usize) {
+    if (d, g) != (0, 0) {
+        fields.push(("d".into(), Json::num(d)));
+        fields.push(("g".into(), Json::num(g)));
+    }
+}
+
+/// Appends a non-empty fault list.
+fn push_faults(fields: &mut Vec<(String, Json)>, faults: &[usize]) {
+    if !faults.is_empty() {
+        fields.push(("faults".into(), usize_array(faults)));
+    }
 }
 
 /// How one request arrived, and so how its replies are encoded.

@@ -10,8 +10,10 @@
 //! {"pops-trace":1}
 //! ```
 //!
-//! Every following non-empty line is one recorded request with a fixed,
-//! canonical field order (so encode → decode → encode is byte-stable):
+//! Every following non-empty line is one recorded request: `t_us`, `fmt`,
+//! then the request as [`encode_request`] writes it — the protocol's own
+//! request document, in its fixed key order, with the shape always
+//! explicit:
 //!
 //! ```text
 //! {"t_us":N,"fmt":"json","op":"route","d":4,"g":4,"kind":"theorem2","perm":[...]}
@@ -30,14 +32,17 @@
 //! `stats`) carry no workload and replaying a recorded `shutdown` would
 //! kill the replay target.
 //!
-//! Two canonicalisations happen at record time: a `theorem2` route whose
-//! effective request-level fault set is empty is recorded as plain
-//! `theorem2` (and a `faults`-kind request with an empty list likewise),
-//! so `kind == "faults"` always carries a non-empty `faults` array; and
-//! fault ids are the sorted, deduped coupler ids the protocol layer
-//! already produced. Recorded faults are the **request's own** fault
-//! declarations only — a server-side `--fault` baseline is composition
-//! the replay target re-applies itself, so traces port across baselines.
+//! A record holds the protocol's decoded request ([`WireRequest`] of
+//! [`RouteRequest`]), validated and canonicalised by [`record_op`]: a
+//! route is valid for its shape, a `theorem2` or `faults` route is kind
+//! `faults` exactly when its fault list is non-empty, and fault ids are
+//! the sorted, deduped coupler ids the protocol layer already produced.
+//! Recorded faults are the **request's own** fault declarations only — a
+//! server-side `--fault` baseline is composition the replay target
+//! re-applies itself, so traces port across baselines. A line loads if
+//! and only if the recorder could have written it, so every loaded line
+//! re-encodes byte for byte; anything else is refused at load time with a
+//! line-numbered [`TraceError::Malformed`].
 //!
 //! Recording is a pure tee: it never alters what is parsed, routed, or
 //! answered (see `docs/PROTOCOL.md`). A write failure increments a
@@ -59,10 +64,10 @@ use crate::frame;
 use crate::json::Json;
 use crate::metrics::RequestKind;
 use crate::proto::{
-    decode_message, BatchItemRequest, CacheAction, RouteRequest, WireFormat, WireRequest,
+    decode_message, decode_request, encode_request, RouteBody, RouteRequest, WireFormat,
+    WireRequest,
 };
 use crate::server::{MessageReader, ReadOutcome};
-use crate::service::ServiceRequest;
 
 /// The trace format version this build writes and the only one it reads.
 pub const TRACE_VERSION: u64 = 1;
@@ -71,7 +76,7 @@ pub const TRACE_VERSION: u64 = 1;
 const HEADER_KEY: &str = "pops-trace";
 
 /// Largest `d * g` a recorded shape may declare — matches the CLI's
-/// topology cap, and bounds the scratch topology the proxy builds to
+/// topology cap, and bounds the scratch topology [`record_op`] builds to
 /// validate request bodies.
 const MAX_RECORD_N: usize = 1 << 20;
 
@@ -116,52 +121,6 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One item of a recorded batch request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedBatchItem {
-    /// Processors per group of the item's topology.
-    pub d: usize,
-    /// Number of groups of the item's topology.
-    pub g: usize,
-    /// The permutation image.
-    pub perm: Vec<usize>,
-    /// The item's declared failed couplers (sorted, deduped; empty =
-    /// healthy).
-    pub faults: Vec<usize>,
-}
-
-/// The operation one trace record replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordedOp {
-    /// One `route` request.
-    Route {
-        /// Processors per group of the request's topology.
-        d: usize,
-        /// Number of groups of the request's topology.
-        g: usize,
-        /// The routing kind.
-        kind: RequestKind,
-        /// The permutation image (empty for h-relations).
-        perm: Vec<usize>,
-        /// The `(source, destination)` pairs of an h-relation (empty for
-        /// permutation kinds).
-        requests: Vec<(usize, usize)>,
-        /// Request-level failed couplers (sorted, deduped; non-empty
-        /// exactly when `kind` is [`RequestKind::WithFaults`]).
-        faults: Vec<usize>,
-    },
-    /// One `batch` request.
-    Batch {
-        /// The batch's items, in submission order.
-        items: Vec<RecordedBatchItem>,
-    },
-    /// One `cache` management request.
-    Cache {
-        /// The cache action ([`CacheAction`] wire name).
-        action: CacheAction,
-    },
-}
-
 /// One recorded request: when it arrived, on which wire format, and what
 /// it asked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,8 +129,9 @@ pub struct RecordedRequest {
     pub offset_us: u64,
     /// The wire format the request arrived on.
     pub format: WireFormat,
-    /// The operation itself.
-    pub op: RecordedOp,
+    /// The request itself, in the protocol's decoded form: a route, batch
+    /// or cache request, as [`record_op`] leaves it.
+    pub op: WireRequest<RouteRequest>,
 }
 
 /// The header line this build writes.
@@ -192,237 +152,138 @@ pub fn parse_header(line: &str) -> Result<u64, TraceError> {
     Ok(version)
 }
 
-fn usize_array(value: &Json, field: &str) -> Result<Vec<usize>, String> {
-    let arr = value
-        .as_arr()
-        .ok_or_else(|| format!("field '{field}' must be an array"))?;
-    arr.iter()
-        .map(|v| {
-            v.as_usize()
-                .ok_or_else(|| format!("field '{field}' must hold non-negative integers"))
-        })
-        .collect()
-}
-
-fn pair_array(value: &Json) -> Result<Vec<(usize, usize)>, String> {
-    let arr = value
-        .as_arr()
-        .ok_or("field 'requests' must be an array of [src, dst] pairs")?;
-    arr.iter()
-        .map(|entry| {
-            entry
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .and_then(|p| Some((p.first()?.as_usize()?, p.get(1)?.as_usize()?)))
-                .ok_or_else(|| "field 'requests' entries must be [src, dst] pairs".to_string())
-        })
-        .collect()
-}
-
-fn shape_fields(doc: &Json) -> Result<(usize, usize), String> {
-    let field = |name: &str| {
-        doc.get(name)
-            .and_then(Json::as_usize)
-            .filter(|&v| v > 0)
-            .ok_or_else(|| format!("field '{name}' must be a positive integer"))
-    };
-    let (d, g) = (field("d")?, field("g")?);
+/// The topology of a recordable shape: positive, and within the record
+/// cap.
+fn record_topology(d: usize, g: usize) -> Result<PopsTopology, String> {
     match d.checked_mul(g) {
-        Some(n) if n <= MAX_RECORD_N => Ok((d, g)),
+        Some(n) if d > 0 && g > 0 && n <= MAX_RECORD_N => Ok(PopsTopology::new(d, g)),
         _ => Err(format!(
-            "shape {d}x{g} exceeds the n <= {MAX_RECORD_N} record cap"
+            "shape {d}x{g} is outside the record cap: d, g > 0 and n <= {MAX_RECORD_N}"
         )),
     }
 }
 
-fn parse_record_body(doc: &Json) -> Result<RecordedRequest, String> {
+/// The trace record of a decoded request, as the recorder writes it, or
+/// why a trace cannot hold it. Only route, batch and cache requests are
+/// recorded. A route must be valid for `PopsTopology::new(d, g)` — the
+/// server's own validation — and a batch must hold only valid items.
+/// Two canonicalisations apply: a `theorem2` or `faults` route is kind
+/// `faults` exactly when its fault list is non-empty, and `want_schedule`
+/// takes the decoder's default (replay asks for schedules when it
+/// verifies).
+pub fn record_op(request: WireRequest<RouteRequest>) -> Result<WireRequest<RouteRequest>, String> {
+    match request {
+        WireRequest::Route { mut req, .. } => {
+            let topology = record_topology(req.d, req.g)?;
+            req.clone().service_request(&topology)?;
+            if let Ok(RouteBody::Perm {
+                kind: kind @ (RequestKind::Theorem2 | RequestKind::WithFaults),
+                faults,
+                ..
+            }) = &mut req.body
+            {
+                *kind = match faults.is_empty() {
+                    true => RequestKind::Theorem2,
+                    false => RequestKind::WithFaults,
+                };
+            }
+            Ok(WireRequest::Route {
+                req,
+                want_schedule: true,
+            })
+        }
+        WireRequest::Batch { items, .. } => {
+            if items.is_empty() {
+                return Err("a batch record needs at least one item".into());
+            }
+            for item in &items {
+                record_topology(item.d, item.g)?;
+                item.perm.as_ref().map_err(|e| format!("batch item: {e}"))?;
+            }
+            Ok(WireRequest::Batch {
+                items,
+                want_schedule: false,
+            })
+        }
+        WireRequest::Cache { action } => Ok(WireRequest::Cache { action }),
+        _ => Err("only route, batch and cache requests are recorded".into()),
+    }
+}
+
+/// Whether a record names its shapes: the recorder writes each resolved
+/// `d` and `g`, so decoding a record never falls back to a default.
+fn explicit_shapes(doc: &Json) -> bool {
+    let shaped = |obj: &Json| obj.get("d").is_some() && obj.get("g").is_some();
+    match doc.get("op").and_then(Json::as_str) {
+        Some("route") => shaped(doc),
+        _ => doc
+            .get("items")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .all(shaped),
+    }
+}
+
+/// Parses one record line (`line_no` is 1-based, for error reporting). A
+/// line loads only if the recorder could have written it: its request
+/// decodes with [`crate::proto::decode_request`], passes [`record_op`]
+/// unchanged, and re-encodes to the same bytes.
+pub fn parse_record(line_no: usize, line: &str) -> Result<RecordedRequest, TraceError> {
+    let malformed = |reason: String| TraceError::Malformed {
+        line: line_no,
+        reason,
+    };
+    let doc = Json::parse(line).map_err(|e| malformed(e.to_string()))?;
     let offset_us = doc
         .get("t_us")
         .and_then(Json::as_u64)
-        .ok_or("missing integer field 't_us'")?;
+        .ok_or_else(|| malformed("missing integer field 't_us'".into()))?;
     let fmt_name = doc
         .get("fmt")
         .and_then(Json::as_str)
-        .ok_or("missing string field 'fmt'")?;
+        .ok_or_else(|| malformed("missing string field 'fmt'".into()))?;
     let format = WireFormat::from_name(fmt_name)
-        .ok_or_else(|| format!("unknown format '{fmt_name}' (json|binary)"))?;
-    let op_name = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'op'")?;
-    let op = match op_name {
-        "route" => {
-            let (d, g) = shape_fields(doc)?;
-            let kind_name = doc
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or("missing string field 'kind'")?;
-            let kind = RequestKind::from_name(kind_name)
-                .ok_or_else(|| format!("unknown request kind '{kind_name}'"))?;
-            let faults = match doc.get("faults") {
-                None => Vec::new(),
-                Some(v) => usize_array(v, "faults")?,
-            };
-            match kind {
-                RequestKind::WithFaults if faults.is_empty() => {
-                    return Err(
-                        "kind 'faults' records need a non-empty 'faults' array (empty \
-                                fault sets are recorded as 'theorem2')"
-                            .into(),
-                    );
-                }
-                RequestKind::WithFaults => {}
-                _ if !faults.is_empty() => {
-                    return Err(format!(
-                        "kind '{kind_name}' records carry no 'faults' (fault routes are \
-                         recorded with kind 'faults')"
-                    ));
-                }
-                _ => {}
-            }
-            let (perm, requests) = if kind == RequestKind::HRelation {
-                let pairs = doc
-                    .get("requests")
-                    .ok_or("h-relation records need a 'requests' array")?;
-                (Vec::new(), pair_array(pairs)?)
-            } else {
-                let perm_value = doc.get("perm").ok_or("route records need a 'perm' array")?;
-                (usize_array(perm_value, "perm")?, Vec::new())
-            };
-            RecordedOp::Route {
-                d,
-                g,
-                kind,
-                perm,
-                requests,
-                faults,
-            }
-        }
-        "batch" => {
-            let items = doc
-                .get("items")
-                .and_then(Json::as_arr)
-                .ok_or("batch records need an 'items' array")?;
-            if items.is_empty() {
-                return Err("batch records need at least one item".into());
-            }
-            let mut decoded = Vec::with_capacity(items.len());
-            for item in items {
-                let (d, g) = shape_fields(item)?;
-                let perm_value = item.get("perm").ok_or("batch items need a 'perm' array")?;
-                let perm = usize_array(perm_value, "perm")?;
-                let faults = match item.get("faults") {
-                    None => Vec::new(),
-                    Some(v) => usize_array(v, "faults")?,
-                };
-                decoded.push(RecordedBatchItem { d, g, perm, faults });
-            }
-            RecordedOp::Batch { items: decoded }
-        }
-        "cache" => {
-            let name = doc
-                .get("action")
-                .and_then(Json::as_str)
-                .ok_or("cache records need a string 'action'")?;
-            let action = CacheAction::from_name(name)
-                .ok_or_else(|| format!("unknown cache action '{name}' (save|load|stats)"))?;
-            RecordedOp::Cache { action }
-        }
-        other => return Err(format!("unknown record op '{other}' (route|batch|cache)")),
-    };
-    Ok(RecordedRequest {
+        .ok_or_else(|| malformed(format!("unknown format '{fmt_name}' (json|binary)")))?;
+    if !explicit_shapes(&doc) {
+        return Err(malformed(
+            "records name every shape with explicit 'd' and 'g'".into(),
+        ));
+    }
+    // The shapes are explicit, so this default never applies.
+    let op = decode_request(&doc, &PopsTopology::new(1, 1))
+        .and_then(record_op)
+        .map_err(malformed)?;
+    let entry = RecordedRequest {
         offset_us,
         format,
         op,
-    })
+    };
+    if encode_record(&entry) != line {
+        return Err(malformed(
+            "not in the canonical form the recorder writes (fixed key order, fault \
+             lists sorted and deduplicated, kind 'faults' exactly when the list is \
+             non-empty)"
+                .into(),
+        ));
+    }
+    Ok(entry)
 }
 
-/// Parses one record line (`line_no` is 1-based, for error reporting).
-pub fn parse_record(line_no: usize, line: &str) -> Result<RecordedRequest, TraceError> {
-    let doc = Json::parse(line).map_err(|e| TraceError::Malformed {
-        line: line_no,
-        reason: e.to_string(),
-    })?;
-    parse_record_body(&doc).map_err(|reason| TraceError::Malformed {
-        line: line_no,
-        reason,
-    })
-}
-
-/// Encodes one record as its canonical single-line JSON form.
+/// Encodes one record as its canonical single-line JSON form: `t_us` and
+/// `fmt`, then the request as [`encode_request`] writes it, less the
+/// `want_schedule` field a trace does not keep.
 pub fn encode_record(entry: &RecordedRequest) -> String {
-    let mut fields: Vec<(String, Json)> = vec![
+    let mut fields = vec![
         ("t_us".into(), Json::Num(entry.offset_us as f64)),
         ("fmt".into(), Json::str(entry.format.name())),
     ];
-    match &entry.op {
-        RecordedOp::Route {
-            d,
-            g,
-            kind,
-            perm,
-            requests,
-            faults,
-        } => {
-            fields.push(("op".into(), Json::str("route")));
-            fields.push(("d".into(), Json::num(*d)));
-            fields.push(("g".into(), Json::num(*g)));
-            fields.push(("kind".into(), Json::str(kind.name())));
-            if *kind == RequestKind::HRelation {
-                fields.push((
-                    "requests".into(),
-                    Json::Arr(
-                        requests
-                            .iter()
-                            .map(|&(s, t)| Json::Arr(vec![Json::num(s), Json::num(t)]))
-                            .collect(),
-                    ),
-                ));
-            } else {
-                fields.push((
-                    "perm".into(),
-                    Json::Arr(perm.iter().map(|&v| Json::num(v)).collect()),
-                ));
-            }
-            if !faults.is_empty() {
-                fields.push((
-                    "faults".into(),
-                    Json::Arr(faults.iter().map(|&c| Json::num(c)).collect()),
-                ));
-            }
-        }
-        RecordedOp::Batch { items } => {
-            fields.push(("op".into(), Json::str("batch")));
-            fields.push((
-                "items".into(),
-                Json::Arr(
-                    items
-                        .iter()
-                        .map(|item| {
-                            let mut entry = vec![
-                                ("d".into(), Json::num(item.d)),
-                                ("g".into(), Json::num(item.g)),
-                                (
-                                    "perm".into(),
-                                    Json::Arr(item.perm.iter().map(|&v| Json::num(v)).collect()),
-                                ),
-                            ];
-                            if !item.faults.is_empty() {
-                                entry.push((
-                                    "faults".into(),
-                                    Json::Arr(item.faults.iter().map(|&c| Json::num(c)).collect()),
-                                ));
-                            }
-                            Json::Obj(entry)
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        RecordedOp::Cache { action } => {
-            fields.push(("op".into(), Json::str("cache")));
-            fields.push(("action".into(), Json::str(action.name())));
-        }
+    if let Json::Obj(request) = encode_request(&entry.op) {
+        fields.extend(
+            request
+                .into_iter()
+                .filter(|(key, _)| key != "want_schedule"),
+        );
     }
     Json::Obj(fields).to_string()
 }
@@ -455,72 +316,6 @@ pub fn read_trace(path: &Path) -> Result<Vec<RecordedRequest>, TraceError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
     parse_trace(&text)
-}
-
-/// Builds the [`RecordedOp`] of one parsed route request. `d`/`g` are the
-/// resolved shape the request selected. Empty effective fault sets are
-/// canonicalised to `theorem2` (see the module docs).
-pub fn recorded_route(d: usize, g: usize, req: &ServiceRequest) -> RecordedOp {
-    let (kind, perm, requests, faults) = match req {
-        ServiceRequest::HRelation { relation } => {
-            let requests = relation.requests().to_vec();
-            (RequestKind::HRelation, Vec::new(), requests, Vec::new())
-        }
-        ServiceRequest::WithFaults { pi, faults } => {
-            let couplers = g.saturating_mul(g);
-            let ids: Vec<usize> = (0..couplers).filter(|&c| faults.is_failed(c)).collect();
-            let kind = if ids.is_empty() {
-                RequestKind::Theorem2
-            } else {
-                RequestKind::WithFaults
-            };
-            (kind, pi.as_slice().to_vec(), Vec::new(), ids)
-        }
-        ServiceRequest::Theorem2 { pi }
-        | ServiceRequest::SingleSlot { pi }
-        | ServiceRequest::Direct { pi }
-        | ServiceRequest::Structured { pi } => {
-            (req.kind(), pi.as_slice().to_vec(), Vec::new(), Vec::new())
-        }
-    };
-    RecordedOp::Route {
-        d,
-        g,
-        kind,
-        perm,
-        requests,
-        faults,
-    }
-}
-
-/// Builds the [`RecordedOp`] of one parsed batch request. Items whose
-/// permutation failed validation are skipped (the server answers them
-/// with per-item errors; there is nothing to replay), and so are items of
-/// a shape with a zero dimension, which no server admits and no trace
-/// can hold. Returns `None` when no item survives.
-pub fn recorded_batch(items: &[BatchItemRequest]) -> Option<RecordedOp> {
-    let recorded: Vec<RecordedBatchItem> = items
-        .iter()
-        .filter(|item| item.d > 0 && item.g > 0)
-        .filter_map(|item| {
-            item.perm.as_ref().ok().map(|pi| RecordedBatchItem {
-                d: item.d,
-                g: item.g,
-                perm: pi.as_slice().to_vec(),
-                faults: item.faults.clone(),
-            })
-        })
-        .collect();
-    if recorded.is_empty() {
-        None
-    } else {
-        Some(RecordedOp::Batch { items: recorded })
-    }
-}
-
-/// Builds the [`RecordedOp`] of one cache management request.
-pub fn recorded_cache(action: CacheAction) -> RecordedOp {
-    RecordedOp::Cache { action }
 }
 
 /// A thread-safe append-only trace writer. Each record is written and
@@ -556,8 +351,21 @@ impl TraceRecorder {
         })
     }
 
+    /// Appends the record of a decoded request as it arrived, if a trace
+    /// can hold it ([`record_op`]). A batch keeps only the items that
+    /// decoded on a recordable shape: the server answers the rest with
+    /// per-item errors, so there is nothing of them to replay.
+    pub fn tee(&self, format: WireFormat, mut request: WireRequest<RouteRequest>) {
+        if let WireRequest::Batch { items, .. } = &mut request {
+            items.retain(|item| item.perm.is_ok() && record_topology(item.d, item.g).is_ok());
+        }
+        if let Ok(op) = record_op(request) {
+            self.record(format, op);
+        }
+    }
+
     /// Appends one record, stamped with the current offset.
-    pub fn record(&self, format: WireFormat, op: RecordedOp) {
+    pub fn record(&self, format: WireFormat, op: WireRequest<RouteRequest>) {
         let entry = RecordedRequest {
             offset_us: self.started.elapsed().as_micros() as u64,
             format,
@@ -619,8 +427,9 @@ const PROXY_MAX_CONNS: usize = 256;
 /// to resolve requests that omit `d`/`g`.
 ///
 /// The proxy reads and decodes requests with the server's own reader and
-/// decoder, and validates routes the way the server does, so it records
-/// what `pops serve --record` would for the same traffic. It mirrors the
+/// decoder and records them through the server's own
+/// [`TraceRecorder::tee`], so it records what `pops serve --record` would
+/// for the same traffic. It mirrors the
 /// protocol's format negotiation: after a
 /// `{"op":"hello","format":"binary"}` it reads frames. A
 /// forwarded `{"op":"shutdown"}` also stops the proxy (after the upstream
@@ -726,11 +535,7 @@ fn proxy_connection(
         match decode_message(&message, framing, default).1 {
             Ok(WireRequest::Shutdown) => shutdown.store(true, Ordering::SeqCst),
             Ok(WireRequest::Hello { format }) if framing == WireFormat::Json => next = format,
-            Ok(request) => {
-                if let Some(op) = recorded_request(request) {
-                    recorder.record(framing, op);
-                }
-            }
+            Ok(request) => recorder.tee(framing, request),
             Err(_) => {}
         }
         if framing == WireFormat::Json {
@@ -748,38 +553,19 @@ fn proxy_connection(
     Ok(())
 }
 
-/// The record of a request decoded by the server's own decoder, as the
-/// server would record it. The proxy has no services, so a route is
-/// validated against a topology of its own shape (within the record cap).
-fn recorded_request(request: WireRequest<RouteRequest>) -> Option<RecordedOp> {
-    match request {
-        WireRequest::Route { req, .. } => {
-            let (d, g) = (req.d, req.g);
-            if d == 0 || g == 0 || d.checked_mul(g).is_none_or(|n| n > MAX_RECORD_N) {
-                return None;
-            }
-            let req = req.service_request(&PopsTopology::new(d, g)).ok()?;
-            Some(recorded_route(d, g, &req))
-        }
-        WireRequest::Batch { items, .. } => recorded_batch(&items),
-        WireRequest::Cache { action } => Some(recorded_cache(action)),
-        _ => None,
-    }
-}
-
 /// Distinct `(d, g)` shapes a trace touches, in sorted order — soak
 /// reporting and the CLI summarise topology churn with this.
 pub fn trace_shapes(entries: &[RecordedRequest]) -> Vec<(usize, usize)> {
     let mut shapes: BTreeSet<(usize, usize)> = BTreeSet::new();
     for entry in entries {
         match &entry.op {
-            RecordedOp::Route { d, g, .. } => {
-                shapes.insert((*d, *g));
+            WireRequest::Route { req, .. } => {
+                shapes.insert((req.d, req.g));
             }
-            RecordedOp::Batch { items } => {
+            WireRequest::Batch { items, .. } => {
                 shapes.extend(items.iter().map(|item| (item.d, item.g)));
             }
-            RecordedOp::Cache { .. } => {}
+            _ => {}
         }
     }
     shapes.into_iter().collect()
@@ -788,19 +574,28 @@ pub fn trace_shapes(entries: &[RecordedRequest]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{BatchItemRequest, CacheAction};
     use pops_permutation::families::vector_reversal;
+
+    fn perm_route(d: usize, g: usize, kind: RequestKind, faults: Vec<usize>) -> RouteRequest {
+        RouteRequest {
+            d,
+            g,
+            body: Ok(RouteBody::Perm {
+                kind,
+                pi: vector_reversal(d * g),
+                faults,
+            }),
+        }
+    }
 
     fn sample_route() -> RecordedRequest {
         RecordedRequest {
             offset_us: 1234,
             format: WireFormat::Json,
-            op: RecordedOp::Route {
-                d: 4,
-                g: 4,
-                kind: RequestKind::WithFaults,
-                perm: vector_reversal(16).as_slice().to_vec(),
-                requests: Vec::new(),
-                faults: vec![3, 7],
+            op: WireRequest::Route {
+                req: perm_route(4, 4, RequestKind::WithFaults, vec![3, 7]),
+                want_schedule: true,
             },
         }
     }
@@ -812,31 +607,32 @@ mod tests {
             RecordedRequest {
                 offset_us: 2000,
                 format: WireFormat::Binary,
-                op: RecordedOp::Route {
-                    d: 2,
-                    g: 8,
-                    kind: RequestKind::HRelation,
-                    perm: Vec::new(),
-                    requests: vec![(0, 5), (5, 0), (1, 1)],
-                    faults: Vec::new(),
+                op: WireRequest::Route {
+                    req: RouteRequest {
+                        d: 2,
+                        g: 8,
+                        body: Ok(RouteBody::HRelation(vec![(0, 5), (5, 0), (1, 1)])),
+                    },
+                    want_schedule: true,
                 },
             },
             RecordedRequest {
                 offset_us: 3000,
                 format: WireFormat::Json,
-                op: RecordedOp::Batch {
-                    items: vec![RecordedBatchItem {
+                op: WireRequest::Batch {
+                    items: vec![BatchItemRequest {
                         d: 4,
                         g: 4,
-                        perm: vector_reversal(16).as_slice().to_vec(),
+                        perm: Ok(vector_reversal(16)),
                         faults: vec![1],
                     }],
+                    want_schedule: false,
                 },
             },
             RecordedRequest {
                 offset_us: 4000,
                 format: WireFormat::Binary,
-                op: RecordedOp::Cache {
+                op: WireRequest::Cache {
                     action: CacheAction::Stats,
                 },
             },
@@ -847,6 +643,61 @@ mod tests {
             assert_eq!(&back, entry);
             assert_eq!(encode_record(&back), text, "encode is canonical");
         }
+    }
+
+    #[test]
+    fn lines_the_recorder_never_writes_are_malformed_at_their_line() {
+        let perm16 = |head: &str| {
+            let rest: Vec<String> = (0..16).rev().map(|v| v.to_string()).collect();
+            format!("{head},\"perm\":[{}]", rest.join(","))
+        };
+        let route = |tail: &str| {
+            format!("{{\"t_us\":1,\"fmt\":\"json\",\"op\":\"route\",\"d\":4,\"g\":4{tail}}}")
+        };
+        let bad = [
+            // Not a bijection.
+            r#"{"t_us":1,"fmt":"json","op":"route","d":2,"g":2,"kind":"theorem2","perm":[0,0,1,2]}"#.to_string(),
+            // Coupler 99 does not exist on POPS(4, 4).
+            route(&format!("{},\"faults\":[99]", perm16(",\"kind\":\"faults\""))),
+            // Processor 500 does not exist on POPS(4, 4).
+            route(r#","kind":"h-relation","requests":[[0,500]]"#),
+            // The recorder writes fault lists sorted and deduplicated.
+            route(&format!("{},\"faults\":[7,3,3]", perm16(",\"kind\":\"faults\""))),
+            // A faulted route is recorded as kind 'faults'.
+            route(&format!("{},\"faults\":[3]", perm16(",\"kind\":\"theorem2\""))),
+            // An empty fault list is recorded as kind 'theorem2'.
+            route(&format!("{},\"faults\":[]", perm16(",\"kind\":\"faults\""))),
+            // Records name their shape.
+            r#"{"t_us":1,"fmt":"json","op":"route","kind":"theorem2","perm":[0]}"#.to_string(),
+            // Control ops are not recorded.
+            r#"{"t_us":1,"fmt":"json","op":"ping"}"#.to_string(),
+            // A batch holds only valid items.
+            r#"{"t_us":1,"fmt":"json","op":"batch","items":[{"d":1,"g":2,"perm":[1,1]}]}"#.to_string(),
+        ];
+        // Case i follows i good records, so it sits on line i + 2.
+        let mut text = header_line();
+        for (i, line) in bad.iter().enumerate() {
+            match parse_trace(&format!("{text}\n{line}\n")) {
+                Err(TraceError::Malformed { line, .. }) if line == i + 2 => {}
+                other => panic!(
+                    "case {i} ({line}): expected Malformed at line {}, got {other:?}",
+                    i + 2
+                ),
+            }
+            text = format!("{text}\n{}", encode_record(&sample_route()));
+        }
+        // The canonical spelling of the same requests loads.
+        let line = route(&format!(
+            "{},\"faults\":[3,7]",
+            perm16(",\"kind\":\"faults\"")
+        ));
+        assert_eq!(
+            parse_record(1, &line).unwrap(),
+            RecordedRequest {
+                offset_us: 1,
+                ..sample_route()
+            }
+        );
     }
 
     #[test]
@@ -875,18 +726,15 @@ mod tests {
 
     #[test]
     fn empty_fault_sets_canonicalise_to_theorem2() {
-        let t = PopsTopology::new(4, 4);
-        let req = ServiceRequest::WithFaults {
-            pi: vector_reversal(16),
-            faults: pops_network::FaultSet::none(&t),
+        let request = WireRequest::Route {
+            req: perm_route(4, 4, RequestKind::WithFaults, Vec::new()),
+            want_schedule: false,
         };
-        match recorded_route(4, 4, &req) {
-            RecordedOp::Route { kind, faults, .. } => {
-                assert_eq!(kind, RequestKind::Theorem2);
-                assert!(faults.is_empty());
-            }
-            other => panic!("expected a route record, got {other:?}"),
-        }
+        let expected = WireRequest::Route {
+            req: perm_route(4, 4, RequestKind::Theorem2, Vec::new()),
+            want_schedule: true,
+        };
+        assert_eq!(record_op(request), Ok(expected));
     }
 
     #[test]
@@ -895,23 +743,36 @@ mod tests {
             r#"{"op":"batch","items":[{"d":0,"g":5,"perm":[]},{"d":1,"g":2,"perm":[1,0]}]}"#,
         )
         .unwrap();
-        let Ok(WireRequest::Batch { items, .. }) =
+        let Ok(request @ WireRequest::Batch { .. }) =
             crate::proto::decode_request(&doc, &PopsTopology::new(4, 4))
         else {
             panic!("batch must decode");
         };
-        assert!(items[0].perm.is_ok(), "an empty image fits a 0x5 shape");
-        let op = recorded_batch(&items).unwrap();
-        let entry = RecordedRequest {
-            offset_us: 0,
-            format: WireFormat::Json,
-            op,
-        };
-        let parsed = parse_record(1, &encode_record(&entry)).unwrap();
-        match parsed.op {
-            RecordedOp::Batch { items } => assert_eq!((items.len(), items[0].d), (1, 1)),
-            other => panic!("expected a batch record, got {other:?}"),
+        assert!(
+            record_op(request.clone()).is_err(),
+            "a 0x5 item has no record"
+        );
+        let dir = std::env::temp_dir().join(format!(
+            "pops-record-batch-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        TraceRecorder::create(&path)
+            .unwrap()
+            .tee(WireFormat::Json, request);
+        match &read_trace(&path).unwrap()[..] {
+            [RecordedRequest {
+                op: WireRequest::Batch { items, .. },
+                ..
+            }] => assert_eq!((items.len(), items[0].d), (1, 1)),
+            other => panic!("expected one batch record, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -936,7 +797,7 @@ mod tests {
             let rec = TraceRecorder::create(&path).unwrap();
             rec.record(
                 WireFormat::Binary,
-                RecordedOp::Cache {
+                WireRequest::Cache {
                     action: CacheAction::Stats,
                 },
             );
@@ -1016,7 +877,7 @@ mod tests {
         let summary = proxy.join().unwrap().unwrap();
         assert_eq!(summary.dropped, 0);
 
-        let ops = |path: &Path| -> Vec<(WireFormat, RecordedOp)> {
+        let ops = |path: &Path| -> Vec<(WireFormat, WireRequest<RouteRequest>)> {
             let entries = read_trace(path).unwrap();
             entries.into_iter().map(|e| (e.format, e.op)).collect()
         };

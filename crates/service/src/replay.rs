@@ -27,10 +27,12 @@ use pops_network::{FaultSet, PopsTopology, Schedule, Simulator};
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
 
-use crate::client::{BatchItem, ClientError, ServiceClient};
+use crate::client::{Answer, ClientError, ServiceClient};
 use crate::metrics::RequestKind;
-use crate::proto::{WireErrorKind, WireFormat};
-use crate::record::{RecordedBatchItem, RecordedOp, RecordedRequest};
+use crate::proto::{
+    BatchItemRequest, CacheAction, RouteBody, RouteRequest, WireErrorKind, WireFormat, WireRequest,
+};
+use crate::record::RecordedRequest;
 
 /// Latency histogram buckets (log₂ microseconds), mirroring
 /// [`crate::metrics::LatencyHistogram`].
@@ -363,203 +365,96 @@ impl ReplayWorker {
             WireFormat::Json => &mut self.json,
             WireFormat::Binary => &mut self.binary,
         };
-        if slot.is_none() {
-            let mut client = ServiceClient::connect_with_timeout(self.addr.as_str(), self.timeout)
-                .map_err(ClientError::Io)?;
-            // Without this the latency histogram measures Nagle +
-            // delayed-ACK (~40-200 ms floors on loopback), not the server.
-            let _ = client.set_nodelay(true);
-            if format == WireFormat::Binary {
-                client.set_format(WireFormat::Binary)?;
-            }
-            *slot = Some(client);
+        if let Some(client) = slot {
+            return Ok(client);
         }
-        match slot {
-            Some(client) => Ok(client),
-            // Unreachable: the slot was just filled.
-            None => Err(ClientError::Protocol("connection slot empty".into())),
-        }
+        let mut client = ServiceClient::connect_with_timeout(self.addr.as_str(), self.timeout)
+            .map_err(ClientError::Io)?;
+        // Without this the latency histogram measures Nagle +
+        // delayed-ACK (~40-200 ms floors on loopback), not the server.
+        let _ = client.set_nodelay(true);
+        client.set_format(format)?;
+        Ok(slot.insert(client))
     }
 
-    fn drop_client(&mut self, format: WireFormat) {
-        match format {
-            WireFormat::Json => self.json = None,
-            WireFormat::Binary => self.binary = None,
-        }
-    }
-
-    /// Classifies a failed call; returns whether the connection should be
-    /// discarded.
-    fn note_error(&mut self, label: &str, e: &ClientError) {
-        let transport = !matches!(e, ClientError::Remote { .. });
+    /// Counts a failed call: a shed or a hard failure. A transport
+    /// failure also drops the format's connection, which can no longer
+    /// match responses to requests; the next request reconnects.
+    fn note_error(&mut self, format: WireFormat, label: &str, e: &ClientError) {
         if e.remote_kind() == Some(WireErrorKind::Overloaded.name()) {
             self.report.sheds += 1;
         } else {
             self.report.failed += 1;
             self.report.sample_error(format!("{label}: {e}"));
         }
-        if transport {
-            // The connection can no longer match responses to requests.
-            // (note_error callers pass the format via drop_client.)
+        if !matches!(e, ClientError::Remote { .. }) {
+            match format {
+                WireFormat::Json => self.json = None,
+                WireFormat::Binary => self.binary = None,
+            }
         }
     }
 
+    /// Sends one record on its recorded wire format, and referees every
+    /// schedule the reply carries.
     fn run_entry(&mut self, entry: &RecordedRequest) {
         self.report.sent += 1;
-        match &entry.op {
-            RecordedOp::Route {
-                d,
-                g,
-                kind,
-                perm,
-                requests,
-                faults,
-            } => self.run_route(entry.format, *d, *g, *kind, perm, requests, faults),
-            RecordedOp::Batch { items } => self.run_batch(entry.format, items),
-            RecordedOp::Cache { action } => {
-                let label = format!("cache:{}", action.name());
-                *self.report.per_op.entry(label.clone()).or_insert(0) += 1;
-                let action = action.name().to_string();
-                let outcome = self
-                    .client_for(entry.format)
-                    .and_then(|client| client.cache_op(&action));
-                match outcome {
-                    Ok(_) => self.report.ok += 1,
-                    Err(e) => {
-                        self.note_error(&label, &e);
-                        if !matches!(e, ClientError::Remote { .. }) {
-                            self.drop_client(entry.format);
-                        }
-                    }
-                }
+        let label = match &entry.op {
+            WireRequest::Route { req, .. } => match &req.body {
+                Ok(body) => format!("route:{}", body.kind().name()),
+                Err(_) => "route".into(),
+            },
+            WireRequest::Batch { items, .. } => {
+                self.report.batch_items += items.len() as u64;
+                "batch".into()
             }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_route(
-        &mut self,
-        format: WireFormat,
-        d: usize,
-        g: usize,
-        kind: RequestKind,
-        perm: &[usize],
-        requests: &[(usize, usize)],
-        faults: &[usize],
-    ) {
-        let label = format!("route:{}", kind.name());
-        *self.report.per_op.entry(label.clone()).or_insert(0) += 1;
-        let shape = Some((d, g));
-        let started = Instant::now();
-        let outcome = if kind == RequestKind::HRelation {
-            self.client_for(format)
-                .and_then(|client| client.route_h_relation_on(requests, shape))
-        } else {
-            let pi = match Permutation::new(perm.to_vec()) {
-                Ok(pi) => pi,
-                Err(e) => {
-                    self.report.failed += 1;
-                    self.report
-                        .sample_error(format!("{label}: trace permutation invalid: {e}"));
-                    return;
-                }
-            };
-            if kind == RequestKind::WithFaults {
-                self.client_for(format).and_then(|client| {
-                    client.route_permutation_with_faults(kind.name(), &pi, shape, faults)
-                })
-            } else {
-                self.client_for(format)
-                    .and_then(|client| client.route_permutation_on(kind.name(), &pi, shape))
-            }
+            WireRequest::Cache { action } => format!("cache:{}", action.name()),
+            _ => "control".into(),
         };
-        match outcome {
-            Ok(reply) => {
-                self.report.ok += 1;
-                self.report
-                    .observe_latency(started.elapsed().as_micros() as u64);
+        *self.report.per_op.entry(label.clone()).or_insert(0) += 1;
+        let started = Instant::now();
+        let answer = match self
+            .client_for(entry.format)
+            .and_then(|client| client.send(&entry.op))
+        {
+            Ok(answer) => answer,
+            Err(e) => return self.note_error(entry.format, &label, &e),
+        };
+        self.report.ok += 1;
+        let mut checks = Vec::new();
+        match (&entry.op, &answer) {
+            (WireRequest::Route { req, .. }, Answer::Route(reply)) => {
                 self.report.cache_hits += reply.cache_hit as u64;
                 self.report.degraded += reply.degraded as u64;
-                if self.verify && kind != RequestKind::HRelation && !reply.schedule.slots.is_empty()
-                {
-                    // The permutation was validated above for non-h-relation kinds.
-                    if let Ok(pi) = Permutation::new(perm.to_vec()) {
-                        if let Err(e) = verify_route_schedule(d, g, faults, &pi, &reply.schedule) {
-                            self.report.verify_failures += 1;
-                            self.report
-                                .sample_verify(format!("{label} on {d}x{g}: {e}"));
-                        }
+                // H-relation replies are not refereed: their phase
+                // structure is not on the wire.
+                if let Ok(RouteBody::Perm { pi, faults, .. }) = &req.body {
+                    checks.push((req.d, req.g, faults, pi, &reply.schedule));
+                }
+            }
+            (WireRequest::Batch { items, .. }, Answer::Batch(reply)) => {
+                for (item, result) in items.iter().zip(&reply.items) {
+                    if let (Ok(pi), Ok(item_reply)) = (&item.perm, result) {
+                        checks.push((item.d, item.g, &item.faults, pi, &item_reply.schedule));
                     }
                 }
             }
-            Err(e) => {
-                self.note_error(&label, &e);
-                if !matches!(e, ClientError::Remote { .. }) {
-                    self.drop_client(format);
-                }
-            }
+            // Cache ops do not count towards the latency histogram.
+            _ => return,
         }
-    }
-
-    fn run_batch(&mut self, format: WireFormat, items: &[RecordedBatchItem]) {
-        let label = "batch".to_string();
-        *self.report.per_op.entry(label.clone()).or_insert(0) += 1;
-        self.report.batch_items += items.len() as u64;
-        let mut batch_items = Vec::with_capacity(items.len());
-        for item in items {
-            match Permutation::new(item.perm.clone()) {
-                Ok(pi) => batch_items.push(BatchItem {
-                    pi,
-                    shape: Some((item.d, item.g)),
-                    faults: item.faults.clone(),
-                }),
-                Err(e) => {
-                    self.report.failed += 1;
-                    self.report
-                        .sample_error(format!("{label}: trace item permutation invalid: {e}"));
-                    return;
-                }
-            }
+        self.report
+            .observe_latency(started.elapsed().as_micros() as u64);
+        if !self.verify {
+            return;
         }
-        let verify = self.verify;
-        let started = Instant::now();
-        let outcome = self
-            .client_for(format)
-            .and_then(|client| client.batch(&batch_items, verify));
-        match outcome {
-            Ok(reply) => {
-                self.report.ok += 1;
+        for (d, g, faults, pi, schedule) in checks {
+            if schedule.slots.is_empty() {
+                continue;
+            }
+            if let Err(e) = verify_route_schedule(d, g, faults, pi, schedule) {
+                self.report.verify_failures += 1;
                 self.report
-                    .observe_latency(started.elapsed().as_micros() as u64);
-                if verify {
-                    for (submitted, result) in items.iter().zip(&reply.items) {
-                        let Ok(item_reply) = result else { continue };
-                        if item_reply.schedule.slots.is_empty() {
-                            continue;
-                        }
-                        if let Ok(pi) = Permutation::new(submitted.perm.clone()) {
-                            if let Err(e) = verify_route_schedule(
-                                submitted.d,
-                                submitted.g,
-                                &submitted.faults,
-                                &pi,
-                                &item_reply.schedule,
-                            ) {
-                                self.report.verify_failures += 1;
-                                self.report.sample_verify(format!(
-                                    "batch item on {}x{}: {e}",
-                                    submitted.d, submitted.g
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                self.note_error(&label, &e);
-                if !matches!(e, ClientError::Remote { .. }) {
-                    self.drop_client(format);
-                }
+                    .sample_verify(format!("{label} on {d}x{g}: {e}"));
             }
         }
     }
@@ -587,7 +482,22 @@ pub fn run_replay(
     let started = Instant::now();
     let deadline = opts.duration.map(|d| started + d);
     let base = trace.iter().map(|e| e.offset_us).min().unwrap_or(0);
-    let shared: Arc<Vec<RecordedRequest>> = Arc::new(trace.to_vec());
+    // Routes and batches ask for schedule bodies exactly when replay
+    // referees them.
+    let shared: Arc<Vec<RecordedRequest>> = Arc::new(
+        trace
+            .iter()
+            .cloned()
+            .map(|mut entry| {
+                if let WireRequest::Route { want_schedule, .. }
+                | WireRequest::Batch { want_schedule, .. } = &mut entry.op
+                {
+                    *want_schedule = opts.verify;
+                }
+                entry
+            })
+            .collect(),
+    );
     let workers: Vec<std::thread::JoinHandle<ReplayReport>> = (0..opts.clients)
         .map(|w| {
             let trace = shared.clone();
@@ -717,60 +627,52 @@ pub fn synth_trace(spec: &str, count: usize, seed: u64) -> Result<Vec<RecordedRe
         };
         let offset_us = (i as u64) * 500;
         let op = if i % 16 == 7 {
-            RecordedOp::Cache {
-                action: crate::proto::CacheAction::Stats,
+            WireRequest::Cache {
+                action: CacheAction::Stats,
             }
         } else if i % 8 == 3 {
             // A mixed-topology batch: one item per shape, the last one
             // faulted when the shape tolerates it.
-            let items: Vec<RecordedBatchItem> = shapes
+            let items: Vec<BatchItemRequest> = shapes
                 .iter()
                 .enumerate()
                 .map(|(j, &(bd, bg))| {
                     let bt = PopsTopology::new(bd, bg);
-                    let faults = if j + 1 == shapes.len() {
-                        routable_fault(&bt, &mut rng)
-                            .map(|c| vec![c])
-                            .unwrap_or_default()
-                    } else {
-                        Vec::new()
+                    let faults = match j + 1 == shapes.len() {
+                        true => routable_fault(&bt, &mut rng).into_iter().collect(),
+                        false => Vec::new(),
                     };
-                    RecordedBatchItem {
+                    BatchItemRequest {
                         d: bd,
                         g: bg,
-                        perm: random_permutation(bt.n(), &mut rng).as_slice().to_vec(),
+                        perm: Ok(random_permutation(bt.n(), &mut rng)),
                         faults,
                     }
                 })
                 .collect();
-            RecordedOp::Batch { items }
-        } else if i % 4 == 1 {
-            match routable_fault(&t, &mut rng) {
-                Some(c) => RecordedOp::Route {
-                    d,
-                    g,
-                    kind: RequestKind::WithFaults,
-                    perm: random_permutation(t.n(), &mut rng).as_slice().to_vec(),
-                    requests: Vec::new(),
-                    faults: vec![c],
-                },
-                None => RecordedOp::Route {
-                    d,
-                    g,
-                    kind: RequestKind::Theorem2,
-                    perm: random_permutation(t.n(), &mut rng).as_slice().to_vec(),
-                    requests: Vec::new(),
-                    faults: Vec::new(),
-                },
+            WireRequest::Batch {
+                items,
+                want_schedule: false,
             }
         } else {
-            RecordedOp::Route {
-                d,
-                g,
-                kind: RequestKind::Theorem2,
-                perm: random_permutation(t.n(), &mut rng).as_slice().to_vec(),
-                requests: Vec::new(),
-                faults: Vec::new(),
+            // Every 4th-ish request declares a routable coupler failed.
+            let faults: Vec<usize> = match i % 4 {
+                1 => routable_fault(&t, &mut rng).into_iter().collect(),
+                _ => Vec::new(),
+            };
+            let kind = if faults.is_empty() {
+                RequestKind::Theorem2
+            } else {
+                RequestKind::WithFaults
+            };
+            let pi = random_permutation(t.n(), &mut rng);
+            WireRequest::Route {
+                req: RouteRequest {
+                    d,
+                    g,
+                    body: Ok(RouteBody::Perm { kind, pi, faults }),
+                },
+                want_schedule: true,
             }
         };
         entries.push(RecordedRequest {
@@ -799,10 +701,12 @@ mod tests {
         let mut has_binary = false;
         for entry in &a {
             match &entry.op {
-                RecordedOp::Batch { .. } => has_batch = true,
-                RecordedOp::Cache { .. } => has_cache = true,
-                RecordedOp::Route { faults, .. } if !faults.is_empty() => has_faults = true,
-                RecordedOp::Route { .. } => {}
+                WireRequest::Batch { .. } => has_batch = true,
+                WireRequest::Cache { .. } => has_cache = true,
+                WireRequest::Route { req, .. } => {
+                    has_faults |= matches!(&req.body, Ok(RouteBody::Perm { faults, .. }) if !faults.is_empty());
+                }
+                _ => {}
             }
             has_binary |= entry.format == WireFormat::Binary;
         }

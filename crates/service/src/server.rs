@@ -80,7 +80,7 @@ use crate::proto::{
     shutdown_response, stats_response, BatchItemRequest, CacheAction, Codec, ItemPlan, Reply,
     RouteBody, RouteRequest, WireErrorKind, WireFormat, WireRequest,
 };
-use crate::record::{recorded_batch, recorded_cache, recorded_route, TraceRecorder};
+use crate::record::TraceRecorder;
 use crate::router::{RouterError, TopologyRouter, TopologyRouterConfig};
 use crate::service::{RoutingService, ServiceReply, ServiceRequest};
 use crate::trace::{RequestTrace, SlowLog, SlowVerdict};
@@ -1109,6 +1109,12 @@ fn dispatch(
         }
         _ => None,
     };
+    // The tee keeps the request as the client sent it (request-level
+    // faults only, no baseline), so traces port across baselines.
+    let tee = state
+        .recorder
+        .as_ref()
+        .map(|recorder| (recorder, request.clone()));
     let request = match request.try_map_route(|route| resolve(state, route)) {
         Ok(request) => request,
         Err((kind, msg)) => return one(Reply::error(kind, msg)),
@@ -1135,24 +1141,8 @@ fn dispatch(
             ));
         }
     }
-    // Tee the request *as the client sent it* (request-level faults only,
-    // no baseline) so traces port across baseline configurations.
-    if let Some(recorder) = &state.recorder {
-        let op = match &request {
-            WireRequest::Cache { action } => Some(recorded_cache(*action)),
-            WireRequest::Route {
-                req: (service, req),
-                ..
-            } => {
-                let topology = service.topology();
-                Some(recorded_route(topology.d(), topology.g(), req))
-            }
-            WireRequest::Batch { items, .. } => recorded_batch(items),
-            _ => None,
-        };
-        if let Some(op) = op {
-            recorder.record(framing, op);
-        }
+    if let Some((recorder, request)) = tee {
+        recorder.tee(framing, request);
     }
     // `planned` is whether the engine ran, and if so whether L1 answered.
     let (replies, planned) = match request {

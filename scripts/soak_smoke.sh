@@ -41,4 +41,29 @@ grep -q "p99" "$WORKDIR/breach.err"
 
 "$POPS" request --addr "$ADDR" --shutdown
 wait "$SERVE_PID"
+
+# Record -> replay: a separate recording server captures one pass of the
+# synthetic mixed trace; replaying that recording against the same server
+# must be just as clean and cover the same ops.
+"$POPS" serve --d 4 --g 4 --port 0 --record "$WORKDIR/recorded.jsonl" \
+  > "$WORKDIR/record-serve.log" &
+RECORD_PID=$!
+for _ in $(seq 1 100); do
+  grep -q "listening on" "$WORKDIR/record-serve.log" && break
+  sleep 0.1
+done
+RECORD_ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$WORKDIR/record-serve.log" | head -1)
+"$POPS" replay --addr "$RECORD_ADDR" --synth mixed:4x4,2x8 --count 64 --clients 1 \
+  | tee "$WORKDIR/synth.out"
+"$POPS" replay --addr "$RECORD_ADDR" --trace "$WORKDIR/recorded.jsonl" --clients 1 \
+  | tee "$WORKDIR/replayed.out"
+for out in synth replayed; do
+  grep -q "failures 0  verify-failures 0" "$WORKDIR/$out.out"
+done
+if ! diff <(grep "per-op" "$WORKDIR/synth.out") <(grep "per-op" "$WORKDIR/replayed.out"); then
+  echo "the recorded trace replayed different ops than were recorded" >&2
+  exit 1
+fi
+"$POPS" request --addr "$RECORD_ADDR" --shutdown
+wait "$RECORD_PID"
 echo "soak smoke OK"

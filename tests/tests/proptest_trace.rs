@@ -7,11 +7,9 @@ use proptest::prelude::*;
 
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
+use pops_service::proto::{BatchItemRequest, CacheAction, RouteBody, RouteRequest, WireRequest};
 use pops_service::record::{encode_record, header_line, parse_header, parse_record, parse_trace};
-use pops_service::{
-    RecordedBatchItem, RecordedOp, RecordedRequest, RequestKind, TraceError, WireFormat,
-    TRACE_VERSION,
-};
+use pops_service::{RecordedRequest, RequestKind, TraceError, WireFormat, TRACE_VERSION};
 
 const SHAPES: [(usize, usize); 4] = [(4, 4), (2, 8), (3, 3), (1, 6)];
 
@@ -27,6 +25,14 @@ fn random_record(rng: &mut SplitMix64) -> RecordedRequest {
         WireFormat::Binary
     };
     let offset_us = rng.next_u64() % 1_000_000;
+    let route = |d, g, body| WireRequest::Route {
+        req: RouteRequest {
+            d,
+            g,
+            body: Ok(body),
+        },
+        want_schedule: true,
+    };
     let op = match rng.next_below(5) {
         0 => {
             let kinds = [
@@ -35,45 +41,38 @@ fn random_record(rng: &mut SplitMix64) -> RecordedRequest {
                 RequestKind::Direct,
                 RequestKind::Structured,
             ];
-            RecordedOp::Route {
-                d,
-                g,
+            let body = RouteBody::Perm {
                 kind: kinds[rng.next_below(kinds.len())],
-                perm: random_permutation(n, rng).as_slice().to_vec(),
-                requests: Vec::new(),
+                pi: random_permutation(n, rng),
                 faults: Vec::new(),
-            }
+            };
+            route(d, g, body)
         }
         1 => {
             // The faults kind always carries a non-empty fault set (an
-            // empty one canonicalises to theorem2 at record time).
+            // empty one canonicalises to theorem2 at record time), sorted
+            // and deduplicated as the recorder writes it.
             let count = 1 + rng.next_below(2);
-            let faults: Vec<usize> = (0..count).map(|_| rng.next_below(g * g)).collect();
-            RecordedOp::Route {
-                d,
-                g,
+            let mut faults: Vec<usize> = (0..count).map(|_| rng.next_below(g * g)).collect();
+            faults.sort_unstable();
+            faults.dedup();
+            let body = RouteBody::Perm {
                 kind: RequestKind::WithFaults,
-                perm: random_permutation(n, rng).as_slice().to_vec(),
-                requests: Vec::new(),
+                pi: random_permutation(n, rng),
                 faults,
-            }
+            };
+            route(d, g, body)
         }
         2 => {
             let pairs = 1 + rng.next_below(2 * n);
-            RecordedOp::Route {
-                d,
-                g,
-                kind: RequestKind::HRelation,
-                perm: Vec::new(),
-                requests: (0..pairs)
-                    .map(|_| (rng.next_below(n), rng.next_below(n)))
-                    .collect(),
-                faults: Vec::new(),
-            }
+            let requests = (0..pairs)
+                .map(|_| (rng.next_below(n), rng.next_below(n)))
+                .collect();
+            route(d, g, RouteBody::HRelation(requests))
         }
         3 => {
             let count = 1 + rng.next_below(3);
-            RecordedOp::Batch {
+            WireRequest::Batch {
                 items: (0..count)
                     .map(|_| {
                         let (bd, bg) = SHAPES[rng.next_below(SHAPES.len())];
@@ -82,23 +81,20 @@ fn random_record(rng: &mut SplitMix64) -> RecordedRequest {
                         } else {
                             Vec::new()
                         };
-                        RecordedBatchItem {
+                        BatchItemRequest {
                             d: bd,
                             g: bg,
-                            perm: random_permutation(bd * bg, rng).as_slice().to_vec(),
+                            perm: Ok(random_permutation(bd * bg, rng)),
                             faults,
                         }
                     })
                     .collect(),
+                want_schedule: false,
             }
         }
         _ => {
-            let actions = [
-                pops_service::proto::CacheAction::Save,
-                pops_service::proto::CacheAction::Load,
-                pops_service::proto::CacheAction::Stats,
-            ];
-            RecordedOp::Cache {
+            let actions = [CacheAction::Save, CacheAction::Load, CacheAction::Stats];
+            WireRequest::Cache {
                 action: actions[rng.next_below(actions.len())],
             }
         }
@@ -179,6 +175,38 @@ proptest! {
                     Err(TraceError::Malformed { line: 2, .. })
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn non_canonical_fault_lists_are_malformed(
+        seed in any::<u64>(),
+        shape in 0usize..SHAPES.len(),
+        reversed in any::<bool>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let (d, g) = SHAPES[shape];
+        let a = rng.next_below(g * g);
+        // A duplicated id, or two distinct ids out of order: the recorder
+        // writes neither.
+        let faults = match (reversed, (a + 1) % (g * g)) {
+            (true, b) if b > a => vec![b, a],
+            _ => vec![a, a],
+        };
+        let perm: Vec<String> = random_permutation(d * g, &mut rng)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        let faults: Vec<String> = faults.iter().map(|c| c.to_string()).collect();
+        let line = format!(
+            r#"{{"t_us":5,"fmt":"json","op":"route","d":{d},"g":{g},"kind":"faults","perm":[{}],"faults":[{}]}}"#,
+            perm.join(","),
+            faults.join(",")
+        );
+        match parse_record(2, &line) {
+            Err(TraceError::Malformed { line: 2, .. }) => {}
+            other => prop_assert!(false, "expected Malformed at line 2, got {other:?}"),
         }
     }
 

@@ -16,10 +16,11 @@ use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
+use pops_service::proto::{RouteBody, RouteRequest, WireRequest};
 use pops_service::{
-    read_trace, run_replay, serve_router, synth_trace, BatchItem, RecordedOp, RecordedRequest,
-    ReplayOptions, RequestKind, ServerConfig, ServerSummary, ServiceClient, ServiceConfig,
-    SloGates, TopologyRouter, TopologyRouterConfig, WireFormat,
+    read_trace, run_replay, serve_router, synth_trace, BatchItem, RecordedRequest, ReplayOptions,
+    RequestKind, ServerConfig, ServerSummary, ServiceClient, ServiceConfig, SloGates,
+    TopologyRouter, TopologyRouterConfig, WireFormat,
 };
 
 fn small_router(max_topologies: usize) -> Arc<TopologyRouter> {
@@ -246,13 +247,17 @@ fn replaying_twice_against_a_warm_server_is_deterministic_and_all_l1() {
                 } else {
                     WireFormat::Binary
                 },
-                op: RecordedOp::Route {
-                    d: 4,
-                    g: 4,
-                    kind,
-                    perm: random_permutation(16, &mut rng).as_slice().to_vec(),
-                    requests: Vec::new(),
-                    faults,
+                op: WireRequest::Route {
+                    req: RouteRequest {
+                        d: 4,
+                        g: 4,
+                        body: Ok(RouteBody::Perm {
+                            kind,
+                            pi: random_permutation(16, &mut rng),
+                            faults,
+                        }),
+                    },
+                    want_schedule: true,
                 },
             }
         })
