@@ -1,6 +1,7 @@
 //! Ablation bench: the general Theorem-1 fair-distribution construction
 //! (edge colouring) vs the closed-form structured one — the computational
-//! price of generality that DESIGN.md calls out.
+//! price of generality. Experiment T3 of the `experiments` harness
+//! compares the two constructions' slot counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,13 +1,17 @@
 //! The experiment harness: regenerates every figure and every empirical
-//! validation table of the reproduction (experiments F1–F3 and T1–T6 of
-//! DESIGN.md / EXPERIMENTS.md).
+//! validation table of the reproduction, experiments F1–F3 and T1–T12.
+//! Each is one `experiment_*` function below, whose doc comment says
+//! what it shows.
 //!
 //! ```text
 //! cargo run --release --bin experiments            # all experiments
 //! cargo run --release --bin experiments -- T1 T4   # a subset
 //! ```
 //!
-//! Output is deterministic (fixed seeds); EXPERIMENTS.md quotes it.
+//! Output is deterministic (fixed seeds) apart from the timing columns
+//! of T4 and T5. A table row that disagrees with the paper's slot bound
+//! prints `MISMATCH` and, once its table is printed, ends the process
+//! with exit status 1.
 
 use std::time::Instant;
 
@@ -90,16 +94,6 @@ fn main() {
     if want("T12") {
         experiment_t12();
     }
-    // Opt-in only: BENCH overwrites the committed BENCH_routing.json perf
-    // baseline with machine-dependent numbers, so a default (no-argument)
-    // run must not fire it.
-    if args.iter().any(|a| a.eq_ignore_ascii_case("BENCH")) {
-        experiment_bench_json();
-    }
-    // Same opt-in rule: BENCH_SERVICE overwrites BENCH_service.json.
-    if args.iter().any(|a| a.eq_ignore_ascii_case("BENCH_SERVICE")) {
-        experiment_bench_service();
-    }
 }
 
 /// F1 — Figure 1: OPS coupler broadcast semantics.
@@ -146,6 +140,25 @@ fn experiment_f3() {
     );
 }
 
+/// The verdict column of a table row: "ok" when the row matches the
+/// paper's bound, else "MISMATCH", counted into `mismatches`.
+fn verdict(matches: bool, mismatches: &mut usize) -> &'static str {
+    if matches {
+        "ok"
+    } else {
+        *mismatches += 1;
+        "MISMATCH"
+    }
+}
+
+/// Fails the process once a printed table has `MISMATCH` rows.
+fn exit_on_mismatch(experiment: &str, mismatches: usize) {
+    if mismatches > 0 {
+        eprintln!("{experiment}: {mismatches} row(s) disagree with the paper's slot bound");
+        std::process::exit(1);
+    }
+}
+
 /// T1 — Theorem 2 slot counts across a (d, g) sweep of random
 /// permutations, every schedule simulated and verified.
 fn experiment_t1() {
@@ -172,6 +185,7 @@ fn experiment_t1() {
         (64, 64),
         (48, 32),
     ];
+    let mut mismatches = 0;
     for &(d, g) in shapes {
         let mut slots_seen = Vec::new();
         for _ in 0..5 {
@@ -188,14 +202,11 @@ fn experiment_t1() {
             d * g,
             slots_seen[0],
             theorem2_slots(d, g),
-            if slots_seen[0] == theorem2_slots(d, g) {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
+            verdict(slots_seen[0] == theorem2_slots(d, g), &mut mismatches)
         );
     }
     println!();
+    exit_on_mismatch("T1", mismatches);
 }
 
 /// T2 — Propositions 1–3: lower bounds vs achieved slots.
@@ -490,6 +501,7 @@ fn experiment_t7() {
         "d", "g", "h", "phases", "total slots", "= h*2ceil(d/g)"
     );
     let mut rng = SplitMix64::new(707);
+    let mut mismatches = 0;
     for &(d, g, h) in &[
         (4usize, 4usize, 2usize),
         (4, 4, 4),
@@ -513,13 +525,10 @@ fn experiment_t7() {
             h,
             routing.phases.len(),
             routing.schedule.slot_count(),
-            if routing.schedule.slot_count() == formula {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
+            verdict(routing.schedule.slot_count() == formula, &mut mismatches)
         );
     }
+    exit_on_mismatch("T7", mismatches);
     // Total exchange: the densest pattern, h = n-1.
     let topology = PopsTopology::new(3, 3);
     let routing = route_total_exchange(topology, ColorerKind::default());
@@ -958,778 +967,4 @@ fn experiment_t12() {
     println!("\nshape: Theorem 2 stays within its factor-2 band of the true");
     println!("optimum everywhere; the band is exactly attained on single-slot-");
     println!("routable derangements, and the corrected Prop-2 bound is tight.\n");
-}
-
-/// BENCH — machine-readable throughput baseline (`BENCH_routing.json`).
-///
-/// Measures plans/sec and slots/sec for warm-engine single-plan routing and
-/// for the chunk-based batch executor, at POPS(16, 16) and POPS(32, 32)
-/// over 64 random permutations each. Later PRs treat the committed JSON as
-/// the perf baseline to beat.
-fn experiment_bench_json() {
-    use std::num::NonZeroUsize;
-
-    println!("## BENCH — routing throughput baseline (BENCH_routing.json)\n");
-
-    let mut entries: Vec<String> = Vec::new();
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-
-    for (d, g) in [(16usize, 16usize), (32, 32)] {
-        let t = PopsTopology::new(d, g);
-        let n = d * g;
-        let count = 64usize;
-        let mut rng = SplitMix64::new(0xBE7C);
-        let perms: Vec<Permutation> = (0..count)
-            .map(|_| random_permutation(n, &mut rng))
-            .collect();
-        let slots_per_plan = theorem2_slots(d, g);
-
-        // Both executors are built and warmed up front, then measured in
-        // alternating windows so machine drift hits both modes equally.
-        //
-        // Single-plan: one warm engine, plan dropped per iteration (the
-        // zero-allocation alternating-path hot path, artefact export off).
-        // Batch: the persistent chunk-based engine-per-worker executor in
-        // its steady-state form — worker arenas warm once, and each call
-        // recycles the previous batch's plan buffers, so every batch
-        // re-emits into the same cache-warm allocations.
-        let mut engine = RoutingEngine::new(t);
-        for pi in &perms {
-            let plan = engine.plan_theorem2(pi);
-            assert_eq!(plan.schedule.slot_count(), slots_per_plan);
-        }
-        let mut batch_router = pops_core::BatchRouter::new(t, ColorerKind::AlternatingPath);
-        let mut plans = Vec::new();
-        batch_router.route_batch_into(&perms, None, &mut plans);
-        assert_eq!(plans.len(), count);
-
-        let mut single_plans = 0usize;
-        let mut single_secs = 0.0f64;
-        let mut batch_plans = 0usize;
-        let mut batch_secs = 0.0f64;
-        for _ in 0..3 {
-            let start = Instant::now();
-            while start.elapsed().as_millis() < 100 {
-                for pi in &perms {
-                    let plan = engine.plan_theorem2(pi);
-                    std::hint::black_box(&plan);
-                    single_plans += 1;
-                }
-            }
-            single_secs += start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            while start.elapsed().as_millis() < 100 {
-                batch_router.route_batch_into(&perms, None, &mut plans);
-                std::hint::black_box(&plans);
-                batch_plans += count;
-            }
-            batch_secs += start.elapsed().as_secs_f64();
-        }
-        let single_plans_per_sec = single_plans as f64 / single_secs;
-        let single_slots_per_sec = single_plans_per_sec * slots_per_plan as f64;
-        let batch_plans_per_sec = batch_plans as f64 / batch_secs;
-        let batch_slots_per_sec = batch_plans_per_sec * slots_per_plan as f64;
-
-        println!(
-            "POPS({d:>2}, {g:>2}) x {count} permutations: single {single_plans_per_sec:>10.0} \
-             plans/s ({single_slots_per_sec:.0} slots/s), batch {batch_plans_per_sec:>10.0} \
-             plans/s ({batch_slots_per_sec:.0} slots/s) on {threads} threads"
-        );
-
-        entries.push(format!(
-            "    {{\n      \"d\": {d},\n      \"g\": {g},\n      \"n\": {n},\n      \
-             \"permutations\": {count},\n      \"theorem2_slots\": {slots_per_plan},\n      \
-             \"single_plan\": {{\n        \"plans_per_sec\": {single_plans_per_sec:.1},\n        \
-             \"slots_per_sec\": {single_slots_per_sec:.1}\n      }},\n      \
-             \"batch\": {{\n        \"threads\": {threads},\n        \
-             \"plans_per_sec\": {batch_plans_per_sec:.1},\n        \
-             \"slots_per_sec\": {batch_slots_per_sec:.1}\n      }}\n    }}"
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"pops_routing_engine\",\n  \"description\": \
-         \"Warm RoutingEngine (alternating-path colourer) single-plan and \
-         chunk-based batch throughput; regenerate with `cargo run --release \
-         --bin experiments -- BENCH`\",\n  \"configs\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    match std::fs::write("BENCH_routing.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_routing.json\n"),
-        Err(e) => println!("\ncould not write BENCH_routing.json: {e}\n"),
-    }
-}
-
-/// BENCH_SERVICE — service-layer throughput baseline
-/// (`BENCH_service.json`): cold engine-per-plan vs one warm engine vs
-/// cache hits through the full [`pops_service::RoutingService`] front
-/// door (admission gate, canonical key, LRU, metrics), at POPS(16, 16)
-/// and POPS(32, 32) over 64 random permutations each. Every schedule the
-/// service returns is first verified on the conflict-checking simulator.
-fn experiment_bench_service() {
-    use pops_service::{Counter, RoutingService, ServiceConfig, ServiceRequest};
-
-    println!("## BENCH_SERVICE — routing-service throughput baseline (BENCH_service.json)\n");
-
-    let mut entries: Vec<String> = Vec::new();
-    for (d, g) in [(16usize, 16usize), (32, 32)] {
-        let t = PopsTopology::new(d, g);
-        let n = d * g;
-        let count = 64usize;
-        let mut rng = SplitMix64::new(0x5EC7);
-        let perms: Vec<Permutation> = (0..count)
-            .map(|_| random_permutation(n, &mut rng))
-            .collect();
-        let slots_per_plan = theorem2_slots(d, g);
-        let colorer = ColorerKind::AlternatingPath;
-
-        // Cold: a fresh engine per plan — what every consumer paid before
-        // the service existed.
-        let mut cold_plans = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for pi in &perms {
-                let outcome = RoutingService::route_cold(
-                    t,
-                    colorer,
-                    &ServiceRequest::Theorem2 { pi: pi.clone() },
-                )
-                .expect("routes");
-                std::hint::black_box(&outcome);
-                cold_plans += 1;
-            }
-        }
-        let cold_per_sec = cold_plans as f64 / start.elapsed().as_secs_f64();
-
-        // Warm: one warm engine replanning on its arenas (PR 1's hot path).
-        let mut engine = RoutingEngine::with_colorer(t, colorer);
-        engine.warm();
-        let mut warm_plans = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for pi in &perms {
-                let plan = engine.plan_theorem2(pi);
-                std::hint::black_box(&plan);
-                warm_plans += 1;
-            }
-        }
-        let warm_per_sec = warm_plans as f64 / start.elapsed().as_secs_f64();
-
-        // Cache hits: the full service front door answering repeats.
-        let service = RoutingService::with_config(
-            t,
-            ServiceConfig {
-                shards: 2,
-                cache_capacity: 2 * count,
-                max_in_flight: 4,
-                colorer,
-                ..ServiceConfig::default()
-            },
-        );
-        // Warm the cache, verifying every returned schedule on the
-        // simulator referee as we go.
-        for pi in &perms {
-            let reply = service
-                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                .expect("routes");
-            assert!(!reply.cache_hit);
-            let mut sim = Simulator::with_unit_packets(t);
-            sim.execute_schedule(reply.outcome.schedule())
-                .expect("legal");
-            sim.verify_delivery(pi.as_slice()).expect("delivers");
-        }
-        let mut hit_plans = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for pi in &perms {
-                let reply = service
-                    .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                    .expect("routes");
-                debug_assert!(reply.cache_hit);
-                std::hint::black_box(&reply);
-                hit_plans += 1;
-            }
-        }
-        let hit_per_sec = hit_plans as f64 / start.elapsed().as_secs_f64();
-        let snap = service.metrics();
-        assert_eq!(
-            snap.get(Counter::Misses),
-            count as u64,
-            "only the warm-up misses"
-        );
-        assert_eq!(snap.get(Counter::Hits), hit_plans as u64);
-
-        let speedup = hit_per_sec / cold_per_sec;
-        println!(
-            "POPS({d:>2}, {g:>2}) x {count} permutations: cold {cold_per_sec:>10.0} plans/s, \
-             warm {warm_per_sec:>10.0} plans/s, cache-hit {hit_per_sec:>10.0} plans/s \
-             ({speedup:.1}x vs cold)"
-        );
-        assert!(
-            speedup >= 5.0,
-            "acceptance: cache-hit throughput must be >= 5x cold (got {speedup:.1}x)"
-        );
-
-        // Phase reuse (level 2): fresh h-relations whose phases are
-        // already cached must beat the all-phase-miss path. Level 1 is
-        // disabled on both services so repeats re-assemble every time and
-        // the delta isolates exactly the per-phase cache.
-        let h = 4usize;
-        let rel_count = 8usize;
-        let relations: Vec<HRelation> = (0..rel_count)
-            .map(|_| {
-                let mut requests = Vec::with_capacity(n * h);
-                for _ in 0..h {
-                    let p = random_permutation(n, &mut rng);
-                    requests.extend((0..n).map(|s| (s, p.apply(s))));
-                }
-                HRelation::new(n, requests).expect("valid relation")
-            })
-            .collect();
-        let phase_service = |phase_cache_capacity: usize| {
-            RoutingService::with_config(
-                t,
-                ServiceConfig {
-                    shards: 2,
-                    cache_capacity: 0, // L1 off: isolate the phase cache
-                    phase_cache_capacity,
-                    max_in_flight: 4,
-                    colorer,
-                    ..ServiceConfig::default()
-                },
-            )
-        };
-
-        let cold_service = phase_service(0);
-        let mut cold_relations = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for relation in &relations {
-                let reply = cold_service
-                    .route(&ServiceRequest::HRelation {
-                        relation: relation.clone(),
-                    })
-                    .expect("routes");
-                debug_assert_eq!(reply.phase_hits, 0);
-                std::hint::black_box(&reply);
-                cold_relations += 1;
-            }
-        }
-        let cold_rel_per_sec = cold_relations as f64 / start.elapsed().as_secs_f64();
-
-        let warm_service = phase_service(4 * rel_count * h);
-        // Pre-route every phase of every relation as a plain theorem2
-        // request (the decomposition is deterministic, so the relations'
-        // phases hit these level-2 entries), verifying each phase block
-        // on the simulator referee.
-        let mut decomposer = RoutingEngine::with_colorer(t, colorer);
-        for relation in &relations {
-            for phase in decomposer.decompose_h_relation(relation) {
-                let completed = phase.complete();
-                let reply = warm_service
-                    .route(&ServiceRequest::Theorem2 {
-                        pi: completed.clone(),
-                    })
-                    .expect("routes");
-                let mut sim = Simulator::with_unit_packets(t);
-                sim.execute_schedule(reply.outcome.schedule())
-                    .expect("legal");
-                sim.verify_delivery(completed.as_slice()).expect("delivers");
-            }
-        }
-        let mut warm_relations = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for relation in &relations {
-                let reply = warm_service
-                    .route(&ServiceRequest::HRelation {
-                        relation: relation.clone(),
-                    })
-                    .expect("routes");
-                assert_eq!(
-                    reply.phase_hits, h as u64,
-                    "every phase must come from the level-2 cache"
-                );
-                std::hint::black_box(&reply);
-                warm_relations += 1;
-            }
-        }
-        let warm_rel_per_sec = warm_relations as f64 / start.elapsed().as_secs_f64();
-        let phase_speedup = warm_rel_per_sec / cold_rel_per_sec;
-        println!(
-            "POPS({d:>2}, {g:>2}) x {rel_count} h-relations (h = {h}): all-phase-miss \
-             {cold_rel_per_sec:>8.0} rel/s, phase-warm {warm_rel_per_sec:>8.0} rel/s \
-             ({phase_speedup:.1}x)"
-        );
-        assert!(
-            phase_speedup > 1.0,
-            "acceptance: phase-warm relations must beat the cold path \
-             (got {phase_speedup:.2}x)"
-        );
-
-        // Warm restart: spill the primed service's cache and reload it
-        // into a brand-new service — its first pass over the same
-        // permutations must be all cache hits, against a cold service
-        // paying every construction.
-        let cache_dir =
-            std::env::temp_dir().join(format!("pops-bench-cache-{}-{d}x{g}", std::process::id()));
-        std::fs::create_dir_all(&cache_dir).expect("temp cache dir");
-        let cache_path = cache_dir.join("plans.popscache");
-        let saved = service.save_cache(&cache_path).expect("spill");
-        assert_eq!(saved.l1_entries, count, "every warmed plan spills");
-
-        let cold_restart = RoutingService::with_config(
-            t,
-            ServiceConfig {
-                shards: 2,
-                cache_capacity: 2 * count,
-                max_in_flight: 4,
-                colorer,
-                ..ServiceConfig::default()
-            },
-        );
-        let start = Instant::now();
-        for pi in &perms {
-            let reply = cold_restart
-                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                .expect("routes");
-            assert!(!reply.cache_hit);
-            std::hint::black_box(&reply);
-        }
-        let cold_first_pass_per_sec = count as f64 / start.elapsed().as_secs_f64();
-
-        let warm_restart = RoutingService::with_config(
-            t,
-            ServiceConfig {
-                shards: 2,
-                cache_capacity: 2 * count,
-                max_in_flight: 4,
-                colorer,
-                ..ServiceConfig::default()
-            },
-        );
-        let restored = warm_restart.load_cache(&cache_path).expect("restore");
-        let start = Instant::now();
-        for (idx, pi) in perms.iter().enumerate() {
-            let reply = warm_restart
-                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                .expect("routes");
-            assert!(
-                reply.cache_hit,
-                "acceptance: request {idx} after a warm restart must hit"
-            );
-            std::hint::black_box(&reply);
-        }
-        let warm_first_pass_per_sec = count as f64 / start.elapsed().as_secs_f64();
-        let restart_speedup = warm_first_pass_per_sec / cold_first_pass_per_sec;
-        // Restored schedules still pass the simulator referee.
-        {
-            let pi = &perms[0];
-            let reply = warm_restart
-                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                .expect("routes");
-            let mut sim = Simulator::with_unit_packets(t);
-            sim.execute_schedule(reply.outcome.schedule())
-                .expect("legal");
-            sim.verify_delivery(pi.as_slice()).expect("delivers");
-        }
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        println!(
-            "POPS({d:>2}, {g:>2}) warm restart: {}+{} entries restored, first pass \
-             {warm_first_pass_per_sec:>9.0} plans/s vs cold {cold_first_pass_per_sec:>9.0} \
-             plans/s ({restart_speedup:.1}x)",
-            restored.l1_entries, restored.l2_entries
-        );
-        assert!(
-            restart_speedup > 1.0,
-            "acceptance: a warm restart's first pass must beat cold \
-             (got {restart_speedup:.2}x)"
-        );
-
-        entries.push(format!(
-            "    {{\n      \"d\": {d},\n      \"g\": {g},\n      \"n\": {n},\n      \
-             \"permutations\": {count},\n      \"theorem2_slots\": {slots_per_plan},\n      \
-             \"verified_on_simulator\": true,\n      \
-             \"cold\": {{\n        \"plans_per_sec\": {cold_per_sec:.1}\n      }},\n      \
-             \"warm_engine\": {{\n        \"plans_per_sec\": {warm_per_sec:.1}\n      }},\n      \
-             \"cache_hit\": {{\n        \"plans_per_sec\": {hit_per_sec:.1},\n        \
-             \"speedup_vs_cold\": {speedup:.1}\n      }},\n      \
-             \"phase_reuse\": {{\n        \"h\": {h},\n        \"relations\": {rel_count},\n        \
-             \"all_phase_miss_relations_per_sec\": {cold_rel_per_sec:.1},\n        \
-             \"phase_warm_relations_per_sec\": {warm_rel_per_sec:.1},\n        \
-             \"speedup\": {phase_speedup:.1}\n      }},\n      \
-             \"warm_restart\": {{\n        \"restored_plans\": {restored_l1},\n        \
-             \"restored_phases\": {restored_l2},\n        \
-             \"first_repeat_cache_hit\": true,\n        \
-             \"cold_first_pass_plans_per_sec\": {cold_first_pass_per_sec:.1},\n        \
-             \"warm_first_pass_plans_per_sec\": {warm_first_pass_per_sec:.1},\n        \
-             \"speedup\": {restart_speedup:.1}\n      }}\n    }}",
-            restored_l1 = restored.l1_entries,
-            restored_l2 = restored.l2_entries,
-        ));
-    }
-
-    let multi_topology = bench_multi_topology();
-    let wire_batch = bench_wire_batch();
-    let degraded_routing = bench_degraded_routing();
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"pops_routing_service\",\n  \"description\": \
-         \"RoutingService cold vs warm-engine vs cache-hit plan throughput, plus \
-         level-2 phase reuse (fresh h-relations assembled from cached phases vs \
-         all-phase-miss), warm restart from a cache spill (first pass all hits \
-         vs cold), mixed-shape traffic through one TopologyRouter, the wire \
-         batch op vs N single requests, and degraded routing (healthy vs \
-         one-coupler-down vs 5%-of-fabric-down on the fault-keyed cache); \
-         single client thread, alternating-path colourer; regenerate with \
-         `cargo run --release --bin experiments -- BENCH_SERVICE`\",\n  \"configs\": [\n{}\n  ],\n\
-         {multi_topology},\n{wire_batch},\n{degraded_routing}\n}}\n",
-        entries.join(",\n")
-    );
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_service.json\n"),
-        Err(e) => println!("\ncould not write BENCH_service.json: {e}\n"),
-    }
-}
-
-/// The multi-topology scenario: one [`pops_service::TopologyRouter`]
-/// serving round-robin traffic across three `(d, g)` shapes (two of them
-/// sharing `n`, so any keying mistake would cross-contaminate). Sampled
-/// schedules are verified on the simulator referee per shape, and the
-/// aggregate mixed-shape throughput is recorded.
-fn bench_multi_topology() -> String {
-    use pops_service::{ServiceConfig, ServiceRequest, TopologyRouter, TopologyRouterConfig};
-
-    const SHAPES: [(usize, usize); 3] = [(16, 16), (8, 32), (32, 8)];
-    let router = TopologyRouter::new(
-        PopsTopology::new(SHAPES[0].0, SHAPES[0].1),
-        TopologyRouterConfig {
-            service: ServiceConfig {
-                shards: 2,
-                cache_capacity: 256,
-                max_in_flight: 4,
-                ..ServiceConfig::default()
-            },
-            max_topologies: 4,
-            ..TopologyRouterConfig::default()
-        },
-    );
-    let mut rng = SplitMix64::new(0x307A);
-    let count = 64usize;
-    // Mixed-shape request stream, shapes interleaved.
-    let stream: Vec<((usize, usize), Permutation)> = (0..count)
-        .map(|i| {
-            let (d, g) = SHAPES[i % SHAPES.len()];
-            ((d, g), random_permutation(d * g, &mut rng))
-        })
-        .collect();
-    // Warm-up pass doubles as the correctness referee.
-    for ((d, g), pi) in &stream {
-        let service = router.get(*d, *g).expect("admitted");
-        let reply = service
-            .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-            .expect("routes");
-        assert_eq!(
-            reply.outcome.schedule().slot_count(),
-            theorem2_slots(*d, *g),
-            "POPS({d}, {g})"
-        );
-        let mut sim = Simulator::with_unit_packets(PopsTopology::new(*d, *g));
-        sim.execute_schedule(reply.outcome.schedule())
-            .expect("legal");
-        sim.verify_delivery(pi.as_slice()).expect("delivers");
-    }
-    assert_eq!(router.len(), SHAPES.len(), "every shape resident");
-    let mut plans = 0usize;
-    let start = Instant::now();
-    while start.elapsed().as_millis() < 300 {
-        for ((d, g), pi) in &stream {
-            let service = router.get(*d, *g).expect("admitted");
-            let reply = service
-                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-                .expect("routes");
-            std::hint::black_box(&reply);
-            plans += 1;
-        }
-    }
-    let per_sec = plans as f64 / start.elapsed().as_secs_f64();
-    let stats = router.stats();
-    assert_eq!(stats.evictions, 0, "no shape churn in steady state");
-    println!(
-        "multi-topology: {} shapes interleaved, {per_sec:>10.0} plans/s mixed-shape \
-         through one router ({} lookups hit a resident service)",
-        SHAPES.len(),
-        stats.hits,
-    );
-    format!(
-        "  \"multi_topology\": {{\n    \"shapes\": [[16, 16], [8, 32], [32, 8]],\n    \
-         \"verified_on_simulator\": true,\n    \
-         \"mixed_shape_plans_per_sec\": {per_sec:.1},\n    \
-         \"router_evictions\": {}\n  }}",
-        stats.evictions
-    )
-}
-
-/// The wire-batch scenario: one real TCP server, one client; the same
-/// 64 permutations sent as 64 single `route` ops vs one `{{"op":"batch"}}`
-/// op. Caches are disabled so both sides pay full planning — the delta
-/// isolates wire round-trips plus the batch fast path's worker-thread
-/// parallelism. Acceptance: the batch must beat the singles.
-fn bench_wire_batch() -> String {
-    use pops_service::{
-        serve_router, BatchItem, ServerConfig, ServiceClient, ServiceConfig, TopologyRouter,
-        TopologyRouterConfig,
-    };
-    use std::net::TcpListener;
-    use std::sync::Arc;
-
-    let (d, g) = (16usize, 16usize);
-    let n = d * g;
-    let count = 64usize;
-    let router = Arc::new(TopologyRouter::new(
-        PopsTopology::new(d, g),
-        TopologyRouterConfig {
-            service: ServiceConfig {
-                cache_capacity: 0, // both modes pay full planning
-                phase_cache_capacity: 0,
-                ..ServiceConfig::default()
-            },
-            ..TopologyRouterConfig::default()
-        },
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    // Nagle off on both ends: the singles side sends one small line per
-    // round trip, and delayed-ACK stalls would swamp the comparison.
-    let config = ServerConfig {
-        tcp_nodelay: true,
-        ..ServerConfig::default()
-    };
-    let server = std::thread::spawn(move || serve_router(listener, router, config));
-
-    let mut rng = SplitMix64::new(0xBA7C);
-    let perms: Vec<Permutation> = (0..count)
-        .map(|_| random_permutation(n, &mut rng))
-        .collect();
-    let items: Vec<BatchItem> = perms
-        .iter()
-        .map(|pi| BatchItem {
-            pi: pi.clone(),
-            shape: None,
-            faults: Vec::new(),
-        })
-        .collect();
-    // Pre-rendered single-request lines (no schedule bodies) so the
-    // singles side measures the wire, not client-side JSON building.
-    let singles: Vec<String> = perms
-        .iter()
-        .map(|pi| {
-            let image: Vec<String> = pi.as_slice().iter().map(|v| v.to_string()).collect();
-            format!(
-                r#"{{"op":"route","kind":"theorem2","want_schedule":false,"perm":[{}]}}"#,
-                image.join(",")
-            )
-        })
-        .collect();
-
-    let mut client = ServiceClient::connect(addr).expect("connect");
-    client.set_nodelay(true).expect("nodelay");
-    // Warm-up (engine arenas, TCP slow start) — one pass each.
-    for line in &singles {
-        client.call_raw(line).expect("routes");
-    }
-    client.batch(&items, false).expect("routes");
-
-    // Time-boxed at whole-cycle granularity: every measured cycle routes
-    // the identical 64 permutations, as N singles or as one batch.
-    let mut single_plans = 0usize;
-    let start = Instant::now();
-    while start.elapsed().as_millis() < 300 {
-        for line in &singles {
-            let doc = client.call_raw(line).expect("routes");
-            std::hint::black_box(&doc);
-            single_plans += 1;
-        }
-    }
-    let singles_secs = start.elapsed().as_secs_f64();
-    let mut json_batch_plans = 0usize;
-    let start = Instant::now();
-    while start.elapsed().as_millis() < 300 {
-        let reply = client.batch(&items, false).expect("routes");
-        assert_eq!(reply.summary.routed, count);
-        std::hint::black_box(&reply);
-        json_batch_plans += count;
-    }
-    let json_batch_secs = start.elapsed().as_secs_f64();
-
-    // The same batch over the negotiated binary framing: raw u32 bodies
-    // in, dense batch-item frames out — the production miss path.
-    let mut binary = ServiceClient::connect(addr).expect("connect");
-    binary.set_nodelay(true).expect("nodelay");
-    binary
-        .set_format(pops_service::WireFormat::Binary)
-        .expect("hello");
-    binary.batch(&items, false).expect("routes");
-    let mut binary_batch_plans = 0usize;
-    let start = Instant::now();
-    while start.elapsed().as_millis() < 300 {
-        let reply = binary.batch(&items, false).expect("routes");
-        assert_eq!(reply.summary.routed, count);
-        std::hint::black_box(&reply);
-        binary_batch_plans += count;
-    }
-    let binary_batch_secs = start.elapsed().as_secs_f64();
-    binary.shutdown().expect("shutdown");
-    drop(client);
-    server.join().expect("server thread").expect("serve");
-
-    let singles_per_sec = single_plans as f64 / singles_secs;
-    let json_batch_per_sec = json_batch_plans as f64 / json_batch_secs;
-    let batch_per_sec = binary_batch_plans as f64 / binary_batch_secs;
-    let json_speedup = json_batch_per_sec / singles_per_sec;
-    let speedup = batch_per_sec / singles_per_sec;
-    println!(
-        "wire batch: {count} perms on POPS({d}, {g}) — {singles_per_sec:>8.0} plans/s as \
-         single requests, {json_batch_per_sec:>8.0} plans/s as one JSON batch op \
-         ({json_speedup:.1}x), {batch_per_sec:>8.0} plans/s as one binary batch op \
-         ({speedup:.1}x)"
-    );
-    // The JSON ratio is reported but not asserted: the faster the
-    // kernel makes planning, the more the JSON batch path is dominated
-    // by serialize/parse overhead (the singles side uses pre-rendered
-    // lines), and on fast machines it can dip to parity with singles —
-    // which is precisely what the binary framing exists to fix.
-    assert!(
-        speedup > 1.0,
-        "acceptance: the binary batch op must beat N single requests \
-         (got {speedup:.2}x)"
-    );
-    assert!(
-        speedup > json_speedup,
-        "acceptance: the binary framing must beat the JSON batch path \
-         (binary {speedup:.2}x vs JSON {json_speedup:.2}x)"
-    );
-    format!(
-        "  \"wire_batch\": {{\n    \"d\": {d},\n    \"g\": {g},\n    \
-         \"permutations\": {count},\n    \"tcp_nodelay\": true,\n    \
-         \"batch_format\": \"binary\",\n    \
-         \"single_requests_plans_per_sec\": {singles_per_sec:.1},\n    \
-         \"json_batch_plans_per_sec\": {json_batch_per_sec:.1},\n    \
-         \"json_batch_speedup\": {json_speedup:.1},\n    \
-         \"batch_op_plans_per_sec\": {batch_per_sec:.1},\n    \
-         \"speedup\": {speedup:.1}\n  }}"
-    )
-}
-
-/// The degraded-fabric scenario: the same permutations planned on a
-/// healthy POPS(32, 32), with one coupler down, and with 5% of the
-/// fabric down — cold (full fault-aware construction per plan) and from
-/// the fault-keyed plan cache. Every degraded schedule is verified on a
-/// simulator with the same couplers failed, and each scenario warms (and
-/// hits) its own cache entries, since healthy and degraded plans never
-/// share a key.
-fn bench_degraded_routing() -> String {
-    use pops_network::FaultSet;
-    use pops_service::{RoutingService, ServiceConfig, ServiceRequest};
-
-    let (d, g) = (32usize, 32usize);
-    let t = PopsTopology::new(d, g);
-    let n = d * g;
-    let count = 32usize;
-    let mut rng = SplitMix64::new(0xFA17);
-    let perms: Vec<Permutation> = (0..count)
-        .map(|_| random_permutation(n, &mut rng))
-        .collect();
-    let colorer = ColorerKind::AlternatingPath;
-
-    // Three fabrics: healthy, one coupler down, 5% of the 1024 couplers
-    // down (spread deterministically across the fabric).
-    let five_percent: Vec<usize> = (0..t.coupler_count() / 20).map(|k| k * 20).collect();
-    let scenarios: [(&str, Vec<usize>); 3] = [
-        ("healthy", Vec::new()),
-        ("one_coupler_down", vec![0]),
-        ("five_percent_down", five_percent),
-    ];
-
-    let mut fragments = Vec::new();
-    for (name, ids) in &scenarios {
-        let mut faults = FaultSet::none(&t);
-        for &c in ids {
-            faults.fail_coupler(c);
-        }
-        assert!(faults.fully_routable(&t), "{name} must stay routable");
-        let request = |pi: &Permutation| {
-            if ids.is_empty() {
-                ServiceRequest::Theorem2 { pi: pi.clone() }
-            } else {
-                ServiceRequest::WithFaults {
-                    pi: pi.clone(),
-                    faults: faults.clone(),
-                }
-            }
-        };
-
-        // Cold: every plan pays full (fault-aware) construction.
-        let mut cold_plans = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for pi in &perms {
-                let outcome = RoutingService::route_cold(t, colorer, &request(pi)).expect("routes");
-                std::hint::black_box(&outcome);
-                cold_plans += 1;
-            }
-        }
-        let cold_per_sec = cold_plans as f64 / start.elapsed().as_secs_f64();
-
-        // Warm the fault-keyed cache, refereeing every schedule on a
-        // simulator with the same couplers failed.
-        let service = RoutingService::with_config(
-            t,
-            ServiceConfig {
-                shards: 2,
-                cache_capacity: 2 * count,
-                max_in_flight: 4,
-                colorer,
-                ..ServiceConfig::default()
-            },
-        );
-        for pi in &perms {
-            let reply = service.route(&request(pi)).expect("routes");
-            assert!(!reply.cache_hit);
-            assert_eq!(reply.degraded, !ids.is_empty());
-            let mut sim = Simulator::with_unit_packets_and_faults(t, faults.clone());
-            sim.execute_schedule(reply.outcome.schedule())
-                .expect("legal");
-            sim.verify_delivery(pi.as_slice()).expect("delivers");
-        }
-        let mut hit_plans = 0usize;
-        let start = Instant::now();
-        while start.elapsed().as_millis() < 300 {
-            for pi in &perms {
-                let reply = service.route(&request(pi)).expect("routes");
-                debug_assert!(reply.cache_hit);
-                std::hint::black_box(&reply);
-                hit_plans += 1;
-            }
-        }
-        let hit_per_sec = hit_plans as f64 / start.elapsed().as_secs_f64();
-
-        println!(
-            "degraded routing [{name:>17}]: {:>2} coupler(s) down — cold {cold_per_sec:>9.0} \
-             plans/s, cache-hit {hit_per_sec:>10.0} plans/s",
-            ids.len()
-        );
-        fragments.push(format!(
-            "    \"{name}\": {{\n      \"failed_couplers\": {},\n      \
-             \"cold_plans_per_sec\": {cold_per_sec:.1},\n      \
-             \"cache_hit_plans_per_sec\": {hit_per_sec:.1}\n    }}",
-            ids.len()
-        ));
-    }
-    format!(
-        "  \"degraded_routing\": {{\n    \"d\": {d},\n    \"g\": {g},\n    \"n\": {n},\n    \
-         \"permutations\": {count},\n    \"verified_on_faulted_simulator\": true,\n{}\n  }}",
-        fragments.join(",\n")
-    )
 }

@@ -46,7 +46,8 @@ pub fn proposition1(pi: &Permutation, d: usize, g: usize) -> Option<usize> {
 /// one packet per slot, so `t ≥ ⌈dg / (g(g−1))⌉ = ⌈d/(g−1)⌉`. For the
 /// shapes on which the prior literature proves `2⌈d/g⌉` attained (even
 /// `g` dividing `d`, e.g. vector reversal on POPS(4, 2)), this corrected
-/// bound coincides with the stated one; see EXPERIMENTS.md (T2, T12).
+/// bound coincides with the stated one; experiments T2 and T12 of the
+/// `experiments` harness (`crates/bench/src/main.rs`) tabulate both.
 ///
 /// Note `d = 1` needs no special guard here: the bound degrades to 1,
 /// consistent with Theorem 2's one-slot routing.
@@ -63,8 +64,8 @@ pub fn proposition2(pi: &Permutation, d: usize, g: usize) -> Option<usize> {
 /// `t·g² ≥ g·t + 2g(d−t)`, hence `t ≥ 2d/(1+g)` — yields `⌈2d/(1+g)⌉`,
 /// which is weaker for some shapes (e.g. `d = 4, g = 2`: derivation gives
 /// 3, the stated form 4) and, unlike the stated form, consistent with the
-/// 1-slot `d = 1` routing. We implement the derivation-sound version; see
-/// EXPERIMENTS.md.
+/// 1-slot `d = 1` routing. We implement the derivation-sound version;
+/// experiment T2 of the `experiments` harness tabulates it.
 pub fn proposition3(pi: &Permutation, d: usize, g: usize) -> Option<usize> {
     check_shape(pi, d, g);
     (pi.is_derangement() && pi.is_group_uniform(d)).then(|| (2 * d).div_ceil(1 + g))

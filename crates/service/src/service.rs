@@ -38,8 +38,8 @@ use std::time::Instant;
 
 use pops_bipartite::ColorerKind;
 use pops_core::{
-    BatchRouter, FaultRoutingError, HRelation, HRelationRouting, Router, RoutingEngine,
-    RoutingError, RoutingOutcome, RoutingPlan, RoutingRequest,
+    BatchRouter, FaultRoutingError, HRelation, HRelationRouting, Router, RoutingError,
+    RoutingOutcome, RoutingPlan, RoutingRequest,
 };
 use pops_network::{FaultSet, PopsTopology, UNREACHABLE};
 use pops_permutation::{PartialPermutation, Permutation};
@@ -536,7 +536,7 @@ impl RoutingService {
     /// and only the missing phases are planned on the pool, each straight
     /// into its level-2 entry. The relation's entry is its phases' entries
     /// joined, so it is byte-identical to the encoded
-    /// [`RoutingEngine::plan_h_relation`] schedule: both routes plan
+    /// [`pops_core::RoutingEngine::plan_h_relation`] schedule: both routes plan
     /// phases with the same deterministic construction. Returns the
     /// outcome, carrying the phases, and how many phases were level-2
     /// hits.
@@ -704,17 +704,6 @@ impl RoutingService {
         self.metrics.record_batch(plans.len(), slots);
         plans
     }
-
-    /// Plans one request on a caller-owned scratch engine, bypassing
-    /// admission, cache, and pool — the yardstick the benches use to
-    /// price the service layers against a bare cold engine.
-    pub fn route_cold(
-        topology: PopsTopology,
-        colorer: ColorerKind,
-        req: &ServiceRequest,
-    ) -> Result<RoutingOutcome, RoutingError> {
-        RoutingEngine::with_colorer(topology, colorer).plan(&req.as_routing_request())
-    }
 }
 
 /// Each spilled entry's key bytes with its encoded schedule.
@@ -744,7 +733,7 @@ fn disconnected_pair(faults: &FaultSet, topology: &PopsTopology) -> Option<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pops_core::theorem2_slots;
+    use pops_core::{theorem2_slots, RoutingEngine};
     use pops_network::{Schedule, Simulator};
     use pops_permutation::families::{random_permutation, vector_reversal};
     use pops_permutation::SplitMix64;

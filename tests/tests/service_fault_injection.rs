@@ -120,8 +120,9 @@ fn concurrent_mixed_traffic_with_midflight_fault_flips() {
 
 #[test]
 fn healthy_and_degraded_plans_never_share_a_cache_entry() {
-    let (d, g) = (4usize, 4usize);
-    let (addr, _service, handle) = spawn_server(PopsTopology::new(d, g), ServerConfig::default());
+    let (d, g) = (8usize, 8usize);
+    let t = PopsTopology::new(d, g);
+    let (addr, _service, handle) = spawn_server(t, ServerConfig::default());
     let mut rng = SplitMix64::new(0x5EED);
     let pi = random_permutation(d * g, &mut rng);
     let mut client = ServiceClient::connect(addr).unwrap();
@@ -131,22 +132,28 @@ fn healthy_and_degraded_plans_never_share_a_cache_entry() {
             .route_permutation_with_faults("theorem2", &pi, Some((d, g)), faults)
             .unwrap()
     };
-    // Same permutation under three fault sets: three distinct entries,
-    // each hitting only its own key on repeat.
-    assert!(!route(&mut client, &[]).cache_hit);
-    assert!(
-        !route(&mut client, &[1]).cache_hit,
-        "degraded must not alias healthy"
-    );
-    assert!(
-        !route(&mut client, &[1, 2]).cache_hit,
-        "supersets get their own entry"
-    );
-    assert_eq!(l1_entries(&mut client), 3);
-    assert!(route(&mut client, &[]).cache_hit);
-    assert!(route(&mut client, &[1]).cache_hit);
-    assert!(route(&mut client, &[1, 2]).cache_hit);
-    assert_eq!(l1_entries(&mut client), 3, "repeats add no entries");
+    // Same permutation under four fault sets (healthy, one coupler, a
+    // superset of it, and every 20th coupler: 5% of the fabric): four
+    // distinct entries, each planned around its own faults and hitting
+    // only its own key on repeat.
+    let five_percent: Vec<usize> = (0..t.coupler_count() / 20).map(|k| k * 20).collect();
+    let fault_sets: [&[usize]; 4] = [&[], &[1], &[1, 2], &five_percent];
+    for faults in fault_sets {
+        let reply = route(&mut client, faults);
+        assert!(
+            !reply.cache_hit,
+            "faults {faults:?} must get their own entry"
+        );
+        assert_eq!(reply.degraded, !faults.is_empty(), "faults {faults:?}");
+        verify_schedule_under_faults(t, faults, &reply.schedule, &pi);
+    }
+    assert_eq!(l1_entries(&mut client), 4);
+    for faults in fault_sets {
+        let reply = route(&mut client, faults);
+        assert!(reply.cache_hit, "faults {faults:?} must hit their entry");
+        assert_eq!(reply.degraded, !faults.is_empty(), "faults {faults:?}");
+    }
+    assert_eq!(l1_entries(&mut client), 4, "repeats add no entries");
     // A permuted, duplicated wire spelling of {1, 2} canonicalizes to the
     // same key.
     assert!(route(&mut client, &[2, 1, 2]).cache_hit);

@@ -145,11 +145,22 @@ fn warm_restart_preserves_recency_under_truncation() {
     let perms: Vec<_> = (0..8)
         .map(|_| random_permutation(d * g, &mut rng))
         .collect();
-    for pi in &perms {
-        first
-            .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
-            .unwrap();
+    // Warm-up misses once per permutation; a repeat in the same order
+    // hits every entry and leaves the recency order as it was.
+    for pass in 0..2 {
+        for pi in &perms {
+            let reply = first
+                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+                .unwrap();
+            assert_eq!(reply.cache_hit, pass == 1);
+        }
     }
+    let snap = first.metrics();
+    assert_eq!(
+        (snap.get(Counter::Hits), snap.get(Counter::Misses)),
+        (8, 8),
+        "only the warm-up misses"
+    );
     let saved = first.save_cache(&path).unwrap();
     assert_eq!((saved.l1_entries, saved.l2_entries), (8, 8));
 
