@@ -9,7 +9,6 @@
 //! the machine-model simulator** (so the movement is proven legal, not
 //! assumed), counts the slots, and then applies the movement to the values.
 
-use pops_bipartite::ColorerKind;
 use pops_core::router::theorem2_slots;
 use pops_core::verify::{route_and_verify, RoutingFailure};
 use pops_network::PopsTopology;
@@ -21,7 +20,6 @@ pub struct ValueMachine<T> {
     topology: PopsTopology,
     values: Vec<T>,
     slots_used: usize,
-    colorer: ColorerKind,
 }
 
 impl<T: Clone> ValueMachine<T> {
@@ -36,7 +34,6 @@ impl<T: Clone> ValueMachine<T> {
             topology,
             values,
             slots_used: 0,
-            colorer: ColorerKind::default(),
         }
     }
 
@@ -84,7 +81,7 @@ impl<T: Clone> ValueMachine<T> {
     /// router never produces one — this is the safety net).
     pub fn permute(&mut self, pi: &Permutation) -> Result<(), RoutingFailure> {
         assert_eq!(pi.len(), self.values.len(), "permutation size mismatch");
-        let verdict = route_and_verify(pi, self.topology.d(), self.topology.g(), self.colorer)?;
+        let verdict = route_and_verify(pi, self.topology.d(), self.topology.g())?;
         self.slots_used += verdict.slots;
         let mut moved = self.values.clone();
         for (i, v) in self.values.iter().enumerate() {
@@ -119,7 +116,7 @@ impl<T: Clone> ValueMachine<T> {
         mut combine: impl FnMut(usize, &T, &T) -> T,
     ) -> Result<(), RoutingFailure> {
         assert_eq!(pi.len(), self.values.len(), "permutation size mismatch");
-        let verdict = route_and_verify(pi, self.topology.d(), self.topology.g(), self.colorer)?;
+        let verdict = route_and_verify(pi, self.topology.d(), self.topology.g())?;
         self.slots_used += verdict.slots;
         let old = self.values.clone();
         for (i, v) in old.iter().enumerate() {

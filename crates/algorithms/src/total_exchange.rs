@@ -10,7 +10,6 @@
 //! which partition the off-diagonal pairs), each routed in the unified
 //! Theorem-2 slot count, for `(n−1)·theorem2_slots(d, g)` slots total.
 
-use pops_bipartite::ColorerKind;
 use pops_core::h_relation::{route_h_relation, HRelation, HRelationRouting};
 use pops_network::PopsTopology;
 
@@ -26,9 +25,9 @@ pub fn total_exchange_relation(n: usize) -> HRelation {
 /// Routes the total exchange on `topology`; the schedule has
 /// `(n−1) · theorem2_slots(d, g)` slots (one permutation phase per
 /// decomposition colour).
-pub fn route_total_exchange(topology: PopsTopology, colorer: ColorerKind) -> HRelationRouting {
+pub fn route_total_exchange(topology: PopsTopology) -> HRelationRouting {
     let relation = total_exchange_relation(topology.n());
-    route_h_relation(&relation, topology, colorer)
+    route_h_relation(&relation, topology)
 }
 
 #[cfg(test)]
@@ -49,7 +48,7 @@ mod tests {
         for (d, g) in [(2usize, 3usize), (3, 2), (1, 5), (2, 2)] {
             let n = d * g;
             let topology = PopsTopology::new(d, g);
-            let routing = route_total_exchange(topology, ColorerKind::default());
+            let routing = route_total_exchange(topology);
             assert_eq!(routing.phases.len(), n - 1, "d={d} g={g}");
             assert_eq!(
                 routing.schedule.slot_count(),
@@ -62,7 +61,7 @@ mod tests {
     #[test]
     fn every_ordered_pair_served_once() {
         let topology = PopsTopology::new(2, 3);
-        let routing = route_total_exchange(topology, ColorerKind::default());
+        let routing = route_total_exchange(topology);
         let mut served: Vec<(usize, usize)> = routing
             .phases
             .iter()
@@ -82,7 +81,7 @@ mod tests {
     #[test]
     fn phases_execute_on_the_simulator() {
         let topology = PopsTopology::new(2, 2);
-        let routing = route_total_exchange(topology, ColorerKind::default());
+        let routing = route_total_exchange(topology);
         let per_phase = routing.slots_per_phase;
         for (idx, phase) in routing.phases.iter().enumerate() {
             let completed = phase.complete();

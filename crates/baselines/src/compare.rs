@@ -1,7 +1,6 @@
 //! Side-by-side comparison of every router on one instance — the data rows
 //! of experiments T3 and T6.
 
-use pops_bipartite::ColorerKind;
 use pops_core::single_slot::is_single_slot_routable;
 use pops_core::verify::route_and_verify;
 use pops_core::{lower_bound, theorem2_slots};
@@ -44,7 +43,7 @@ pub struct Comparison {
 pub fn compare(pi: &Permutation, d: usize, g: usize) -> Comparison {
     let topology = PopsTopology::new(d, g);
 
-    let general = route_and_verify(pi, d, g, ColorerKind::default())
+    let general = route_and_verify(pi, d, g)
         .unwrap_or_else(|e| panic!("general router failed on d={d} g={g}: {e}"));
 
     let direct_schedule = route_direct(pi, &topology);

@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pops_baselines::{route_direct, route_structured};
-use pops_bipartite::ColorerKind;
 use pops_core::router::route;
 use pops_network::PopsTopology;
 use pops_permutation::families::group_rotation;
@@ -22,7 +21,7 @@ fn bench_routers_on_group_rotation(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("general", format!("d{d}_g{g}")),
             &pi,
-            |b, pi| b.iter(|| route(black_box(pi), t, ColorerKind::default())),
+            |b, pi| b.iter(|| route(black_box(pi), t)),
         );
         group.bench_with_input(
             BenchmarkId::new("structured", format!("d{d}_g{g}")),

@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pops_bipartite::ColorerKind;
 use pops_core::router::route;
 use pops_network::PopsTopology;
 use pops_permutation::families::{
@@ -33,7 +32,7 @@ fn bench_families(c: &mut Criterion) {
     let t = PopsTopology::new(8, 8);
     for (name, pi) in family_instances() {
         group.bench_with_input(BenchmarkId::from_parameter(name), &pi, |b, pi| {
-            b.iter(|| route(black_box(pi), t, ColorerKind::default()));
+            b.iter(|| route(black_box(pi), t));
         });
     }
     group.finish();

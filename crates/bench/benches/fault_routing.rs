@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pops_bipartite::ColorerKind;
 use pops_core::fault_routing::{route_greedy, route_with_faults};
 use pops_core::router::route;
 use pops_network::{FaultSet, PopsTopology};
@@ -62,7 +61,7 @@ fn bench_greedy_vs_theorem2(c: &mut Criterion) {
         b.iter(|| route_greedy(black_box(&pi), t));
     });
     group.bench_function("theorem2", |b| {
-        b.iter(|| route(black_box(&pi), t, ColorerKind::default()));
+        b.iter(|| route(black_box(&pi), t));
     });
     group.finish();
 }

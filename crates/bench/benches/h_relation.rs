@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pops_bipartite::ColorerKind;
 use pops_core::h_relation::{route_h_relation, HRelation};
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
@@ -28,7 +27,7 @@ fn bench_by_h(c: &mut Criterion) {
     for h in [1usize, 2, 4, 8] {
         let relation = random_relation(d * g, h, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(h), &relation, |b, rel| {
-            b.iter(|| route_h_relation(black_box(rel), topology, ColorerKind::default()));
+            b.iter(|| route_h_relation(black_box(rel), topology));
         });
     }
     group.finish();
@@ -43,7 +42,7 @@ fn bench_by_n(c: &mut Criterion) {
         let topology = PopsTopology::new(s, s);
         let relation = random_relation(s * s, h, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(s * s), &relation, |b, rel| {
-            b.iter(|| route_h_relation(black_box(rel), topology, ColorerKind::default()));
+            b.iter(|| route_h_relation(black_box(rel), topology));
         });
     }
     group.finish();

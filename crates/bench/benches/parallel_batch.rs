@@ -5,9 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
-use pops_core::parallel::route_batch;
+use pops_core::parallel::route_batch_with;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
@@ -28,12 +27,7 @@ fn bench_batch_routing(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &batch, |b, batch| {
             b.iter(|| {
-                route_batch(
-                    black_box(batch),
-                    topology,
-                    ColorerKind::default(),
-                    NonZeroUsize::new(threads),
-                )
+                route_batch_with(black_box(batch), topology, NonZeroUsize::new(threads), true)
             });
         });
     }

@@ -8,7 +8,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
 use pops_core::router::route;
 use pops_network::PopsTopology;
@@ -23,7 +22,7 @@ fn bench_square_shapes(c: &mut Criterion) {
         let pi = random_permutation(s * s, &mut rng);
         let t = PopsTopology::new(s, s);
         group.bench_with_input(BenchmarkId::from_parameter(s * s), &pi, |b, pi| {
-            b.iter(|| route(black_box(pi), t, ColorerKind::default()));
+            b.iter(|| route(black_box(pi), t));
         });
     }
     group.finish();
@@ -41,24 +40,9 @@ fn bench_aspect_ratios(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("d{d}_g{g}")),
             &pi,
             |b, pi| {
-                b.iter(|| route(black_box(pi), t, ColorerKind::default()));
+                b.iter(|| route(black_box(pi), t));
             },
         );
-    }
-    group.finish();
-}
-
-fn bench_engines_on_routing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("route/engine");
-    group.sample_size(20);
-    let mut rng = SplitMix64::new(44);
-    let (d, g) = (32usize, 32usize);
-    let pi = random_permutation(d * g, &mut rng);
-    let t = PopsTopology::new(d, g);
-    for kind in ColorerKind::ALL {
-        group.bench_with_input(BenchmarkId::from_parameter(kind.name()), &pi, |b, pi| {
-            b.iter(|| route(black_box(pi), t, kind));
-        });
     }
     group.finish();
 }
@@ -73,7 +57,7 @@ fn bench_warm_engine_vs_free_function(c: &mut Criterion) {
         let pi = random_permutation(s * s, &mut rng);
         let t = PopsTopology::new(s, s);
         group.bench_with_input(BenchmarkId::new("free_fn", s * s), &pi, |b, pi| {
-            b.iter(|| route(black_box(pi), t, ColorerKind::AlternatingPath));
+            b.iter(|| route(black_box(pi), t));
         });
         let mut engine = RoutingEngine::new(t);
         let _ = engine.plan_theorem2(&pi);
@@ -100,7 +84,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_square_shapes, bench_aspect_ratios, bench_engines_on_routing,
-        bench_warm_engine_vs_free_function
+    targets = bench_square_shapes, bench_aspect_ratios, bench_warm_engine_vs_free_function
 }
 criterion_main!(benches);

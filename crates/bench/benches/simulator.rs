@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pops_bipartite::ColorerKind;
 use pops_core::router::route;
 use pops_network::{PopsTopology, Simulator};
 use pops_permutation::families::random_permutation;
@@ -17,7 +16,7 @@ fn bench_schedule_execution(c: &mut Criterion) {
     for s in [16usize, 32, 64] {
         let t = PopsTopology::new(s, s);
         let pi = random_permutation(s * s, &mut rng);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         group.bench_with_input(
             BenchmarkId::from_parameter(s * s),
             &plan.schedule,
@@ -40,7 +39,7 @@ fn bench_validation_only(c: &mut Criterion) {
     let s = 32usize;
     let t = PopsTopology::new(s, s);
     let pi = random_permutation(s * s, &mut rng);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     let sim = Simulator::with_unit_packets(t);
     group.bench_function("first_slot", |b| {
         b.iter(|| sim.validate_frame(black_box(&plan.schedule.slots[0])))

@@ -125,7 +125,7 @@ fn experiment_f3() {
     println!("## F3 — Figure 3: fair distribution on POPS(3, 3)\n");
     let pi = Permutation::new(vec![5, 1, 7, 2, 0, 6, 3, 8, 4]).expect("figure permutation");
     let t = PopsTopology::new(3, 3);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     let mut sim = Simulator::with_unit_packets(t);
     println!("initial (paper, left panel):");
     print!("{}", viz::render_placement(&sim, pi.as_slice()));
@@ -190,7 +190,7 @@ fn experiment_t1() {
         let mut slots_seen = Vec::new();
         for _ in 0..5 {
             let pi = random_permutation(d * g, &mut rng);
-            let v = route_and_verify(&pi, d, g, ColorerKind::default()).expect("routes");
+            let v = route_and_verify(&pi, d, g).expect("routes");
             slots_seen.push(v.slots);
         }
         let all_equal = slots_seen.iter().all(|&s| s == slots_seen[0]);
@@ -218,7 +218,7 @@ fn experiment_t2() {
     );
     let mut rng = SplitMix64::new(202);
     let row = |name: &str, pi: &Permutation, d: usize, g: usize| {
-        let v = route_and_verify(pi, d, g, ColorerKind::default()).expect("routes");
+        let v = route_and_verify(pi, d, g).expect("routes");
         let p1 = proposition1(pi, d, g);
         let p2 = proposition2(pi, d, g);
         let p3 = proposition3(pi, d, g);
@@ -395,7 +395,7 @@ fn experiment_t4() {
 
 /// T5 — routing-computation scaling (the §3.2 complexity discussion).
 fn experiment_t5() {
-    println!("## T5 — routing computation time vs n (default engine)\n");
+    println!("## T5 — routing computation time vs n\n");
     println!(
         "{:>6} {:>6} {:>9} {:>14} {:>14} {:>14}",
         "d", "g", "n", "route time", "per packet", "warm engine"
@@ -415,13 +415,13 @@ fn experiment_t5() {
         let pi = random_permutation(d * g, &mut rng);
         let t = PopsTopology::new(d, g);
         let start = Instant::now();
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let elapsed = start.elapsed();
         assert_eq!(plan.schedule.slot_count(), theorem2_slots(d, g));
         // A warm engine re-plans on preallocated arenas (the production
-        // shape: one topology, many permutations) — same colourer as the
-        // cold column so the delta is arena reuse, not algorithm choice.
-        let mut engine = RoutingEngine::with_colorer(t, ColorerKind::default());
+        // shape: one topology, many permutations); the cold column runs
+        // the same construction, so the delta is arena reuse.
+        let mut engine = RoutingEngine::new(t);
         let _ = engine.plan_theorem2(&pi);
         let start = Instant::now();
         let warm_plan = engine.plan_theorem2(&pi);
@@ -477,7 +477,7 @@ fn experiment_t6() {
     let pi = group_rotation(d, g, 1);
     let t = PopsTopology::new(d, g);
     let direct = pops_baselines::route_direct(&pi, &t);
-    let two_hop = route(&pi, t, ColorerKind::default()).schedule;
+    let two_hop = route(&pi, t).schedule;
     let load_direct = pops_network::CouplerLoad::from_schedule(&t, &direct);
     let load_two_hop = pops_network::CouplerLoad::from_schedule(&t, &two_hop);
     println!(
@@ -516,7 +516,7 @@ fn experiment_t7() {
             requests.extend((0..n).map(|s| (s, p.apply(s))));
         }
         let relation = HRelation::new(n, requests).expect("valid relation");
-        let routing = route_h_relation(&relation, PopsTopology::new(d, g), ColorerKind::default());
+        let routing = route_h_relation(&relation, PopsTopology::new(d, g));
         let formula = h * theorem2_slots(d, g);
         println!(
             "{:>4} {:>4} {:>4} {:>8} {:>12} {:>14}",
@@ -531,7 +531,7 @@ fn experiment_t7() {
     exit_on_mismatch("T7", mismatches);
     // Total exchange: the densest pattern, h = n-1.
     let topology = PopsTopology::new(3, 3);
-    let routing = route_total_exchange(topology, ColorerKind::default());
+    let routing = route_total_exchange(topology);
     println!(
         "\ntotal exchange on POPS(3, 3): {} phases, {} slots (= (n-1)*2ceil(d/g))\n",
         routing.phases.len(),
@@ -628,7 +628,7 @@ fn experiment_t9() {
     let mut rng = SplitMix64::new(909);
     let row = |name: &str, pi: &Permutation, d: usize, g: usize| {
         let topology = PopsTopology::new(d, g);
-        let plan = route(pi, topology, ColorerKind::default());
+        let plan = route(pi, topology);
         let compressed = compress_schedule(&plan.schedule);
         // Must still execute and deliver.
         let mut sim = Simulator::with_unit_packets(topology);
@@ -662,7 +662,7 @@ fn experiment_t9() {
     let (d, g) = (4usize, 4usize);
     let pi = random_permutation(d * g, &mut rng);
     let topology = PopsTopology::new(d, g);
-    let plan = route(&pi, topology, ColorerKind::default());
+    let plan = route(&pi, topology);
     let mut fragmented = pops_network::Schedule::new();
     for frame in &plan.schedule.slots {
         for t in &frame.transmissions {
@@ -870,7 +870,7 @@ fn experiment_t11() {
         .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
         .collect();
     let relation = HRelation::new(n, pairs).expect("valid");
-    let routing = route_h_relation(&relation, t, ColorerKind::default());
+    let routing = route_h_relation(&relation, t);
     println!(
         "{:<22} {:>8} {:>12}  (König phases: {})",
         "all-to-all (h-rel)",

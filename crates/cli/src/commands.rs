@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pops_baselines::compare;
-use pops_bipartite::ColorerKind;
 use pops_core::bounds::{proposition1, proposition2, proposition3};
 use pops_core::diagnostics::render_plan;
 use pops_core::engine::RoutingEngine;
@@ -38,7 +37,7 @@ USAGE: pops <command> [--option value]...
 
 COMMANDS
   topology  --d D --g G                      render the wiring (Figure 2 style)
-  route     --d D --g G [perm] [--engine E]  route a permutation (Theorem 2)
+  route     --d D --g G [perm]               route a permutation (Theorem 2)
             [--schedule] [--compare] [--gantt]
   bounds    --d D --g G [perm]               Propositions 1-3 lower bounds
   optimal   --d D --g G [perm] [--budget B]  exact minimum slots (tiny n)
@@ -113,8 +112,6 @@ PERMUTATION SELECTION ([perm] above)
   --perm 5,4,3,2,1,0       explicit image vector (length d*g)
   --family NAME            a named family (see `pops families`)
   --seed S                 seed for the random families (default 42)
-
-ENGINES (--engine): koenig | alternating | euler (default)
 ";
 
 /// Dispatches a parsed command line.
@@ -151,17 +148,6 @@ fn shape(opts: &Opts) -> Result<PopsTopology, CliError> {
     Ok(PopsTopology::new(d, g))
 }
 
-fn engine(opts: &Opts) -> Result<ColorerKind, CliError> {
-    match opts.get("engine").unwrap_or("euler") {
-        "koenig" => Ok(ColorerKind::Koenig),
-        "alternating" => Ok(ColorerKind::AlternatingPath),
-        "euler" => Ok(ColorerKind::EulerSplit),
-        other => Err(err(format!(
-            "unknown engine '{other}' (koenig|alternating|euler)"
-        ))),
-    }
-}
-
 fn cmd_topology(opts: &Opts) -> Result<String, CliError> {
     let t = shape(opts)?;
     let mut out = viz::render_topology(&t);
@@ -179,8 +165,7 @@ fn cmd_topology(opts: &Opts) -> Result<String, CliError> {
 fn cmd_route(opts: &Opts) -> Result<String, CliError> {
     let t = shape(opts)?;
     let pi = spec::resolve(opts, t.d(), t.g())?;
-    let kind = engine(opts)?;
-    let plan = RoutingEngine::with_colorer(t, kind)
+    let plan = RoutingEngine::new(t)
         .emit_artefacts(true)
         .plan_theorem2(&pi);
     let mut sim = Simulator::with_unit_packets(t);
@@ -193,10 +178,9 @@ fn cmd_route(opts: &Opts) -> Result<String, CliError> {
     let _ = writeln!(out, "{t}: routed in {} slot(s)", plan.schedule.slot_count());
     let _ = writeln!(
         out,
-        "theorem-2 bound: {}   lower bound: {}   engine: {}",
+        "theorem-2 bound: {}   lower bound: {}",
         theorem2_slots(t.d(), t.g()),
         lower_bound(&pi, t.d(), t.g()),
-        kind.name()
     );
     let _ = writeln!(out, "delivery verified on the slot-level simulator");
     if opts.flag("compare") {
@@ -367,7 +351,7 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         for g in 1..=max_g {
             let t = PopsTopology::new(d, g);
             let pi = random_permutation(t.n(), &mut rng);
-            let plan = RoutingEngine::with_colorer(t, ColorerKind::default()).plan_theorem2(&pi);
+            let plan = RoutingEngine::new(t).plan_theorem2(&pi);
             let mut sim = Simulator::with_unit_packets(t);
             sim.execute_schedule(&plan.schedule)
                 .map_err(|(slot, e)| err(format!("slot {slot}: {e}")))?;
@@ -398,7 +382,6 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
 /// so scripted throughput runs stop paying the per-plan artefact clones.
 fn cmd_batch(opts: &Opts) -> Result<String, CliError> {
     let t = shape(opts)?;
-    let kind = engine(opts)?;
     let count = opts.usize_or("count", 64)?;
     if count == 0 {
         return Err(err("--count must be positive"));
@@ -418,7 +401,7 @@ fn cmd_batch(opts: &Opts) -> Result<String, CliError> {
         .collect();
 
     let start = Instant::now();
-    let plans = route_batch_with(&perms, t, kind, threads, emit_artefacts);
+    let plans = route_batch_with(&perms, t, threads, emit_artefacts);
     let elapsed = start.elapsed();
 
     // Referee spot-check: first and last plan execute and deliver.
@@ -442,10 +425,9 @@ fn cmd_batch(opts: &Opts) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "threads: {}   artefacts: {}   engine: {}",
+        "threads: {}   artefacts: {}",
         threads.map_or("auto".to_string(), |n| n.to_string()),
         if emit_artefacts { "on" } else { "off" },
-        kind.name()
     );
     let _ = writeln!(
         out,
@@ -581,13 +563,6 @@ fn parse_request_faults(opts: &Opts, t: &PopsTopology) -> Result<Vec<usize>, Cli
 /// requests may select any shape up to the `--max-topologies` LRU bound.
 fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
     let t = shape(opts)?;
-    // The service defaults to the alternating-path colourer — the one with
-    // the zero-allocation warm-engine implementation — unlike the one-shot
-    // commands, which keep the legacy euler default.
-    let kind = match opts.get("engine") {
-        None => ColorerKind::AlternatingPath,
-        Some(_) => engine(opts)?,
-    };
     let port = opts.usize_or("port", 0)?;
     if port > u16::MAX as usize {
         return Err(err("--port must be at most 65535"));
@@ -749,7 +724,7 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
                 phase_cache_capacity,
                 cache_shards,
                 max_in_flight,
-                colorer: kind,
+                ..defaults
             },
             max_topologies,
             ..router_defaults
@@ -826,10 +801,9 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
         "pops-service listening on {addr} ({t} default, topologies [{}] of max {max_topologies}, \
          {shards} shard(s), cache {cache_capacity}, \
          phase cache {phase_cache_capacity}, {cache_shards} cache shard(s), \
-         max in-flight {max_in_flight}, engine {}, read timeout {}, write timeout {}, \
+         max in-flight {max_in_flight}, read timeout {}, write timeout {}, \
          line cap {} bytes, max conns {}, batch cap {} item(s){obs_note}{warm_note})",
         shapes.join(", "),
-        kind.name(),
         fmt_ms(server_config.read_timeout),
         fmt_ms(server_config.write_timeout),
         server_config.max_line_bytes,
@@ -1789,7 +1763,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -1826,7 +1799,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -1890,7 +1862,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -2055,7 +2026,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -2120,7 +2090,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -2229,17 +2198,5 @@ mod tests {
         assert!(err.0.contains("timed out"), "{err}");
         assert!(start.elapsed() < Duration::from_secs(10));
         drop(hold);
-    }
-
-    #[test]
-    fn engine_selection() {
-        for eng in ["koenig", "alternating", "euler"] {
-            let out = run_words(&[
-                "route", "--d", "3", "--g", "3", "--family", "random", "--engine", eng,
-            ])
-            .unwrap();
-            assert!(out.contains("routed in 2 slot(s)"), "{eng}: {out}");
-        }
-        assert!(run_words(&["route", "--d", "2", "--g", "2", "--engine", "x"]).is_err());
     }
 }

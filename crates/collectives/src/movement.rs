@@ -6,7 +6,6 @@
 //! unit tests and by the [`crate::values`] layer. Slot counts equal the
 //! [`crate::cost`] model exactly.
 
-use pops_bipartite::ColorerKind;
 use pops_core::router::{route, RoutingPlan};
 use pops_network::patterns::{all_to_all_broadcast, one_to_all};
 use pops_network::{PopsTopology, ProcessorId, Schedule, SlotFrame, Transmission};
@@ -139,13 +138,13 @@ pub fn barrier(topology: &PopsTopology, root: ProcessorId) -> Schedule {
 /// Panics if `amount % n == 0` would make this the identity **and**
 /// `n > 1`; shifting by zero is a no-op the caller should elide (the
 /// Theorem-2 schedule would still spend `2⌈d/g⌉` slots moving nothing).
-pub fn circular_shift(topology: &PopsTopology, amount: usize, colorer: ColorerKind) -> RoutingPlan {
+pub fn circular_shift(topology: &PopsTopology, amount: usize) -> RoutingPlan {
     let n = topology.n();
     assert!(
         n == 1 || !amount.is_multiple_of(n),
         "zero shift is the identity; elide it instead of routing it"
     );
-    route(&rotation(n, amount % n), *topology, colorer)
+    route(&rotation(n, amount % n), *topology)
 }
 
 /// The rotation-based **all-to-all personalized exchange**: `n − 1` routed
@@ -175,11 +174,9 @@ impl AllToAllPlan {
 /// `i` addresses to `(i + k) mod n`; rounds use disjoint batches, so each
 /// round is validated on a fresh simulator (same convention as
 /// `pops_core::h_relation`).
-pub fn all_to_all_personalized(topology: &PopsTopology, colorer: ColorerKind) -> AllToAllPlan {
+pub fn all_to_all_personalized(topology: &PopsTopology) -> AllToAllPlan {
     let n = topology.n();
-    let rounds = (1..n)
-        .map(|k| circular_shift(topology, k, colorer))
-        .collect();
+    let rounds = (1..n).map(|k| circular_shift(topology, k)).collect();
     AllToAllPlan { rounds }
 }
 
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn circular_shift_routes_and_delivers() {
         let t = PopsTopology::new(3, 2);
-        let plan = circular_shift(&t, 2, ColorerKind::default());
+        let plan = circular_shift(&t, 2);
         assert_eq!(plan.schedule.slot_count(), cost::shift_slots(&t));
         let mut sim = Simulator::with_unit_packets(t);
         sim.execute_schedule(&plan.schedule).unwrap();
@@ -283,14 +280,14 @@ mod tests {
     #[should_panic(expected = "zero shift")]
     fn zero_shift_is_rejected() {
         let t = PopsTopology::new(2, 2);
-        let _ = circular_shift(&t, 4, ColorerKind::default());
+        let _ = circular_shift(&t, 4);
     }
 
     #[test]
     fn all_to_all_plan_covers_every_ordered_pair() {
         let t = PopsTopology::new(2, 3);
         let n = t.n();
-        let plan = all_to_all_personalized(&t, ColorerKind::default());
+        let plan = all_to_all_personalized(&t);
         assert_eq!(plan.rounds.len(), n - 1);
         assert_eq!(plan.total_slots(), cost::all_to_all_slots(&t));
         // Round k moves i → i + k; across rounds every ordered pair (i, j)

@@ -11,7 +11,6 @@
 
 use std::fmt;
 
-use pops_bipartite::ColorerKind;
 use pops_network::{DeliveryError, PopsTopology, ProcessorId, Schedule, SimError, Simulator};
 
 use crate::movement;
@@ -54,22 +53,14 @@ impl From<DeliveryError> for CollectiveError {
 #[derive(Debug, Clone)]
 pub struct CollectiveEngine {
     topology: PopsTopology,
-    colorer: ColorerKind,
     slots_used: usize,
 }
 
 impl CollectiveEngine {
-    /// An engine on `topology` with the default 1-factorization engine.
+    /// An engine on `topology`.
     pub fn new(topology: PopsTopology) -> Self {
-        Self::with_colorer(topology, ColorerKind::default())
-    }
-
-    /// An engine with an explicit 1-factorization engine (slot counts are
-    /// engine-independent; this only affects route-computation time).
-    pub fn with_colorer(topology: PopsTopology, colorer: ColorerKind) -> Self {
         Self {
             topology,
-            colorer,
             slots_used: 0,
         }
     }
@@ -230,7 +221,7 @@ impl CollectiveEngine {
         for (i, row) in sends.iter().enumerate() {
             assert_eq!(row.len(), n, "send row {i} must have n entries");
         }
-        let plan = movement::all_to_all_personalized(&self.topology, self.colorer);
+        let plan = movement::all_to_all_personalized(&self.topology);
         for (idx, round) in plan.rounds.iter().enumerate() {
             let k = idx + 1;
             let mut sim = Simulator::with_unit_packets(self.topology);
@@ -266,7 +257,7 @@ impl CollectiveEngine {
         if n == 1 || amount.is_multiple_of(n) {
             return Ok(values);
         }
-        let plan = movement::circular_shift(&self.topology, amount, self.colorer);
+        let plan = movement::circular_shift(&self.topology, amount);
         let mut sim = Simulator::with_unit_packets(self.topology);
         self.run(&mut sim, &plan.schedule)?;
         let dest: Vec<usize> = (0..n).map(|i| (i + amount) % n).collect();

@@ -99,14 +99,13 @@ pub fn compress_schedule(schedule: &Schedule) -> Schedule {
 mod tests {
     use super::*;
     use crate::router::route;
-    use pops_bipartite::ColorerKind;
     use pops_network::{PopsTopology, Simulator};
     use pops_permutation::families::{random_permutation, vector_reversal};
     use pops_permutation::SplitMix64;
 
     fn roundtrip(pi: &pops_permutation::Permutation, d: usize, g: usize) -> (usize, usize) {
         let topology = PopsTopology::new(d, g);
-        let plan = route(pi, topology, ColorerKind::default());
+        let plan = route(pi, topology);
         let compressed = compress_schedule(&plan.schedule);
         assert!(compressed.slot_count() <= plan.schedule.slot_count());
         let mut sim = Simulator::with_unit_packets(topology);
@@ -164,7 +163,7 @@ mod tests {
         let (d, g) = (6usize, 3usize);
         let pi = random_permutation(d * g, &mut rng);
         let topology = PopsTopology::new(d, g);
-        let plan = route(&pi, topology, ColorerKind::default());
+        let plan = route(&pi, topology);
         let compressed = compress_schedule(&plan.schedule);
         // For each packet, the sequence of couplers must be identical.
         let path = |s: &Schedule| {

@@ -153,7 +153,6 @@ pub fn render_gantt(schedule: &Schedule, topology: &pops_network::PopsTopology) 
 mod tests {
     use super::*;
     use crate::router::route;
-    use pops_bipartite::ColorerKind;
     use pops_network::PopsTopology;
     use pops_permutation::families::vector_reversal;
 
@@ -161,7 +160,7 @@ mod tests {
     fn summaries_report_full_utilization_for_d_le_g_slot1() {
         let pi = vector_reversal(16);
         let t = PopsTopology::new(4, 4);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let summaries = summarize_schedule(&plan.schedule, t.coupler_count());
         assert_eq!(summaries.len(), 2);
         // Slot 1 of the d<=g case moves all n packets over n couplers.
@@ -174,7 +173,7 @@ mod tests {
     fn render_plan_mentions_case_and_slots() {
         let pi = vector_reversal(12);
         let t = PopsTopology::new(3, 4);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let text = render_plan(&plan, &pi);
         assert!(text.contains("1 < d <= g"));
         assert!(text.contains("slot 0"));
@@ -187,7 +186,7 @@ mod tests {
     fn render_plan_d1_case() {
         let pi = vector_reversal(5);
         let t = PopsTopology::new(1, 5);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let text = render_plan(&plan, &pi);
         assert!(text.contains("d = 1"));
         assert!(!text.contains("fair distribution targets"));
@@ -197,7 +196,7 @@ mod tests {
     fn render_plan_multi_round_case() {
         let pi = vector_reversal(12);
         let t = PopsTopology::new(6, 2);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let text = render_plan(&plan, &pi);
         assert!(text.contains("d > g"));
         // 2*ceil(6/2) = 6 slots.
@@ -209,7 +208,7 @@ mod tests {
         // d = g: both Theorem-2 slots drive all g² couplers.
         let pi = vector_reversal(16);
         let t = PopsTopology::new(4, 4);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let text = render_gantt(&plan.schedule, &t);
         assert!(text.contains("16 couplers x 2 slots"));
         assert!(text.contains("|##|"));
@@ -246,7 +245,7 @@ mod tests {
     fn render_slot_sorts_by_coupler() {
         let pi = vector_reversal(9);
         let t = PopsTopology::new(3, 3);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let text = render_slot(&plan.schedule.slots[0], &t);
         // Couplers must appear in nondecreasing (b, a) order.
         let positions: Vec<usize> = (0..3)

@@ -33,16 +33,17 @@
 //!
 //! # The zero-allocation hot path
 //!
-//! With the default [`ColorerKind::AlternatingPath`] colourer the entire
-//! Theorem-2 construction — list system, Theorem-1 padding, proper edge
-//! colouring, fair distribution — runs in the engine's arenas: after the
-//! first (warming) call, [`RoutingEngine::fair_distribution_targets`]
-//! performs **zero** heap allocations (asserted by the allocation-counting
-//! integration test `engine_allocations.rs`). The edge colouring is
+//! The entire Theorem-2 construction — list system, Theorem-1 padding,
+//! proper edge colouring, fair distribution — runs in the engine's arenas:
+//! after the first (warming) call,
+//! [`RoutingEngine::fair_distribution_targets`] performs **zero** heap
+//! allocations (asserted by the allocation-counting integration test
+//! `engine_allocations.rs`). The edge colouring is
 //! [`pops_bipartite::coloring::bitset::color_into`] run on the engine's
-//! arenas, byte-identical to [`pops_bipartite::coloring::alternating`];
-//! the Koenig/Euler-split engines fall back to the allocating legacy
-//! pipeline (identical output to the pre-engine free functions).
+//! arenas, byte-identical to [`pops_bipartite::coloring::alternating`].
+//! It is the engine's only colourer: by the paper's Remark 1 any
+//! 1-factorisation yields the same `2⌈d/g⌉` slots, so the choice changes
+//! planning time, never a plan's cost.
 //!
 //! One emission walk writes a plan's transmissions, slot by slot, to
 //! either of two outputs. [`RoutingEngine::plan_theorem2`] collects them
@@ -66,14 +67,13 @@
 //! | [`RoutingRequest::DirectBaseline`] | `pops_baselines::route_direct` | [`RoutingOutcome::Schedule`] |
 //! | [`RoutingRequest::StructuredBaseline`] | `pops_baselines::route_structured` | [`RoutingOutcome::Schedule`] |
 //!
-//! All legacy free functions are now thin wrappers over a fresh engine, so
-//! engine-produced schedules are byte-identical to the historical output —
-//! the `engine_equivalence.rs` integration suite sweeps `(d, g)` shapes and
-//! permutation families asserting exactly that, warm engine included.
+//! All legacy free functions are thin wrappers over a fresh engine, so
+//! they return exactly the engine's plans — the `engine_equivalence.rs`
+//! integration suite sweeps `(d, g)` shapes and permutation families
+//! asserting exactly that, warm engine included.
 
 use pops_bipartite::coloring::bitset::{self, Side};
 use pops_bipartite::BipartiteMultigraph;
-use pops_bipartite::ColorerKind;
 use pops_network::fault::FaultSet;
 use pops_network::{codec, PopsTopology, Schedule, SlotFrame, Transmission};
 use pops_permutation::{PartialPermutation, Permutation};
@@ -303,31 +303,21 @@ fn ensure<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
-/// The unified routing engine: one topology, one colourer choice, reusable
-/// scratch arenas for every routing path. See the [module docs](self).
+/// The unified routing engine: one topology, reusable scratch arenas for
+/// every routing path. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct RoutingEngine {
     topology: PopsTopology,
-    colorer: ColorerKind,
     emit_artefacts: bool,
     scratch: Scratch,
 }
 
 impl RoutingEngine {
-    /// Creates an engine for `topology` with the
-    /// [`ColorerKind::AlternatingPath`] colourer — the colourer with the
-    /// allocation-free arena implementation, hence the engine default (the
-    /// free functions keep [`ColorerKind::default`]).
+    /// Creates an engine for `topology`. Every routing entry point of the
+    /// workspace plans through one, so they all serve the same plans.
     pub fn new(topology: PopsTopology) -> Self {
-        Self::with_colorer(topology, ColorerKind::AlternatingPath)
-    }
-
-    /// Creates an engine using a specific 1-factorization engine for the
-    /// Theorem-1 construction.
-    pub fn with_colorer(topology: PopsTopology, colorer: ColorerKind) -> Self {
         Self {
             topology,
-            colorer,
             emit_artefacts: false,
             scratch: Scratch::default(),
         }
@@ -433,13 +423,8 @@ impl RoutingEngine {
         self.topology
     }
 
-    /// The engine's colourer.
-    pub fn colorer(&self) -> ColorerKind {
-        self.colorer
-    }
-
     /// Routes `pi` per Theorem 2, byte-identical to
-    /// [`crate::router::route`] with the same colourer.
+    /// [`crate::router::route`].
     ///
     /// # Panics
     ///
@@ -498,8 +483,7 @@ impl RoutingEngine {
     /// the engine arenas and returns it as the flat slice `f(h, i)` at
     /// `h·d + i` (empty for `d = 1`, which needs no fair distribution).
     ///
-    /// This is the zero-allocation hot path: with the
-    /// [`ColorerKind::AlternatingPath`] colourer a warm engine performs no
+    /// This is the zero-allocation hot path: a warm engine performs no
     /// heap allocation here at all.
     ///
     /// # Panics
@@ -688,7 +672,7 @@ impl RoutingEngine {
     /// phase; completing a phase and routing it by Theorem 2 yields the
     /// phase's slot block.
     ///
-    /// The decomposition is deterministic for a given colourer, so callers
+    /// The decomposition is deterministic, so callers
     /// (e.g. the service's per-phase plan cache) may key each phase by its
     /// completed permutation and route or cache phases individually:
     ///
@@ -727,13 +711,7 @@ impl RoutingEngine {
         for &(src, dst) in relation.requests() {
             graph.add_edge(src, dst);
         }
-        // The bitset kernel is a byte-identical drop-in for the
-        // alternating-path colourer, so the request multigraph gets the
-        // engine's kernel too; other colourers are untouched.
-        let coloring = match self.colorer {
-            ColorerKind::AlternatingPath => bitset::color(graph),
-            _ => self.colorer.color(graph),
-        };
+        let coloring = bitset::color(graph);
         let (offsets, flat) = coloring.classes_flat();
         (0..coloring.num_colors)
             .map(|phase| {
@@ -751,7 +729,7 @@ impl RoutingEngine {
     /// Routes an h-relation: [`RoutingEngine::decompose_h_relation`] into
     /// phases, complete each, and route every phase through this engine's
     /// Theorem-2 arenas. Byte-identical to
-    /// [`crate::h_relation::route_h_relation`] with the same colourer.
+    /// [`crate::h_relation::route_h_relation`].
     ///
     /// # Panics
     ///
@@ -856,50 +834,22 @@ impl RoutingEngine {
         pi: &Permutation,
         want_artefacts: bool,
     ) -> Option<(ListSystem, FairDistribution)> {
-        let t = self.topology;
-        let (d, g) = (t.d(), t.g());
-        let n2 = g.max(d);
-        match self.colorer {
-            ColorerKind::AlternatingPath => {
-                self.compute_fair_distribution(pi);
-                want_artefacts.then(|| {
-                    let scratch = &self.scratch;
-                    let lists: Vec<Vec<usize>> = (0..g)
-                        .map(|h| scratch.dest_group[h * d..(h + 1) * d].to_vec())
-                        .collect();
-                    let assignments: Vec<Vec<usize>> = (0..g)
-                        .map(|h| scratch.fd_targets[h * d..(h + 1) * d].to_vec())
-                        .collect();
-                    let ls = ListSystem::new(n2, lists)
-                        .expect("routing list systems are always well-formed");
-                    (ls, FairDistribution::from_assignments(n2, assignments))
-                })
-            }
-            _ => {
-                let (ls, fd) = self.legacy_fair_distribution_into_scratch(pi);
-                want_artefacts.then_some((ls, fd))
-            }
-        }
-    }
-
-    /// The allocating legacy pipeline — identical to the pre-engine free
-    /// functions for the Koenig and Euler-split engines. Computes the fair
-    /// distribution with [`FairDistribution::compute`], mirrors it into
-    /// `scratch.fd_targets`, and returns the artefact objects.
-    fn legacy_fair_distribution_into_scratch(
-        &mut self,
-        pi: &Permutation,
-    ) -> (ListSystem, FairDistribution) {
-        let t = self.topology;
-        let (d, g) = (t.d(), t.g());
-        let ls = ListSystem::for_routing(pi, d, g);
-        let fd = FairDistribution::compute(&ls, self.colorer);
-        let scratch = &mut self.scratch;
-        ensure(&mut scratch.fd_targets, g * d);
-        for h in 0..g {
-            scratch.fd_targets[h * d..(h + 1) * d].copy_from_slice(fd.targets_of(h));
-        }
-        (ls, fd)
+        self.compute_fair_distribution(pi);
+        want_artefacts.then(|| {
+            let t = self.topology;
+            let (d, g) = (t.d(), t.g());
+            let n2 = g.max(d);
+            let scratch = &self.scratch;
+            let lists: Vec<Vec<usize>> = (0..g)
+                .map(|h| scratch.dest_group[h * d..(h + 1) * d].to_vec())
+                .collect();
+            let assignments: Vec<Vec<usize>> = (0..g)
+                .map(|h| scratch.fd_targets[h * d..(h + 1) * d].to_vec())
+                .collect();
+            let ls =
+                ListSystem::new(n2, lists).expect("routing list systems are always well-formed");
+            (ls, FairDistribution::from_assignments(n2, assignments))
+        })
     }
 
     /// Fills `scratch.group_lut` with `p ↦ p / d` if it is not already at
@@ -915,18 +865,13 @@ impl RoutingEngine {
         }
     }
 
-    /// Fills `scratch.fd_targets` for `pi` on a `d > 1` topology using the
-    /// engine's colourer; allocation-free when warm for the
-    /// alternating-path colourer.
+    /// Fills `scratch.fd_targets` for `pi` on a `d > 1` topology with the
+    /// bitset kernel; allocation-free when warm.
     fn compute_fair_distribution(&mut self, pi: &Permutation) {
         let t = self.topology;
         let (d, g) = (t.d(), t.g());
         debug_assert!(d > 1);
         self.ensure_group_lut();
-        if self.colorer != ColorerKind::AlternatingPath {
-            let _ = self.legacy_fair_distribution_into_scratch(pi);
-            return;
-        }
 
         let n2 = g.max(d);
         let m_real = g * d;
@@ -954,8 +899,8 @@ impl RoutingEngine {
             scratch.dest_group[p] = scratch.group_lut[pi.apply(p)] as usize;
         }
         // Real demand edges in (h, i) lexicographic order: edge h·d + i is
-        // (h, L(h, i)) — the same ids the legacy pipeline assigns. The
-        // left endpoint e / d is again a group-table read (m_real = n).
+        // (h, L(h, i)) — the same ids `FairDistribution::compute` assigns.
+        // The left endpoint e / d is again a group-table read (m_real = n).
         for (e, &dest) in scratch.dest_group[..m_real].iter().enumerate() {
             scratch.edge_u[e] = scratch.group_lut[e];
             scratch.edge_v[e] = dest as u32;
@@ -1312,25 +1257,22 @@ mod tests {
     ];
 
     #[test]
-    fn warm_engine_matches_legacy_route_for_all_colorers() {
+    fn warm_engine_matches_free_route() {
         let mut rng = SplitMix64::new(900);
-        for kind in ColorerKind::ALL {
-            for (d, g) in SHAPES {
-                let t = PopsTopology::new(d, g);
-                let mut engine = RoutingEngine::with_colorer(t, kind).emit_artefacts(true);
-                for _ in 0..3 {
-                    let pi = random_permutation(d * g, &mut rng);
-                    let legacy = crate::router::route(&pi, t, kind);
-                    let from_engine = engine.plan_theorem2(&pi);
-                    assert_eq!(
-                        legacy.schedule,
-                        from_engine.schedule,
-                        "{} d={d} g={g}",
-                        kind.name()
-                    );
-                    assert_eq!(legacy.intermediate, from_engine.intermediate);
-                    assert_eq!(legacy.fair_distribution, from_engine.fair_distribution);
-                    assert_eq!(legacy.list_system, from_engine.list_system);
+        for (d, g) in SHAPES {
+            let t = PopsTopology::new(d, g);
+            let mut engine = RoutingEngine::new(t).emit_artefacts(true);
+            for _ in 0..3 {
+                let pi = random_permutation(d * g, &mut rng);
+                let fresh = crate::router::route(&pi, t);
+                let from_engine = engine.plan_theorem2(&pi);
+                assert_eq!(fresh.schedule, from_engine.schedule, "d={d} g={g}");
+                assert_eq!(fresh.intermediate, from_engine.intermediate);
+                assert_eq!(fresh.fair_distribution, from_engine.fair_distribution);
+                assert_eq!(fresh.list_system, from_engine.list_system);
+                if d > 1 {
+                    let ls = ListSystem::for_routing(&pi, d, g);
+                    assert_eq!(from_engine.list_system.as_ref(), Some(&ls));
                 }
             }
         }
@@ -1348,7 +1290,8 @@ mod tests {
             for _ in 0..3 {
                 let pi = random_permutation(d * g, &mut rng);
                 let ls = ListSystem::for_routing(&pi, d, g);
-                let fd = FairDistribution::compute(&ls, ColorerKind::AlternatingPath);
+                let fd =
+                    FairDistribution::compute(&ls, pops_bipartite::ColorerKind::AlternatingPath);
                 let targets = engine.fair_distribution_targets(&pi);
                 for h in 0..g {
                     assert_eq!(

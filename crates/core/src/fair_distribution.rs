@@ -103,7 +103,10 @@ impl FairDistribution {
     /// constructive Theorem 1.
     ///
     /// `colorer` selects the 1-factorization engine (Remark 1 of the paper
-    /// discusses the asymptotics; all engines give valid results).
+    /// discusses the asymptotics; all engines give valid results). This is
+    /// the allocating reference construction: the routing engine builds
+    /// the same padded graph in its arenas and colours it with the bitset
+    /// kernel, matching `ColorerKind::AlternatingPath` here byte for byte.
     ///
     /// # Panics
     ///

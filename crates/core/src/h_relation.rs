@@ -18,7 +18,6 @@
 
 use std::fmt;
 
-use pops_bipartite::ColorerKind;
 use pops_network::{PopsTopology, Schedule};
 use pops_permutation::PartialPermutation;
 
@@ -157,12 +156,8 @@ impl HRelationRouting {
 /// # Panics
 ///
 /// Panics if `relation.n() != topology.n()`.
-pub fn route_h_relation(
-    relation: &HRelation,
-    topology: PopsTopology,
-    colorer: ColorerKind,
-) -> HRelationRouting {
-    crate::engine::RoutingEngine::with_colorer(topology, colorer).plan_h_relation(relation)
+pub fn route_h_relation(relation: &HRelation, topology: PopsTopology) -> HRelationRouting {
+    crate::engine::RoutingEngine::new(topology).plan_h_relation(relation)
 }
 
 #[cfg(test)]
@@ -188,7 +183,7 @@ mod tests {
     /// every request is satisfied in its phase.
     fn check(relation: &HRelation, d: usize, g: usize) -> HRelationRouting {
         let topology = PopsTopology::new(d, g);
-        let routing = route_h_relation(relation, topology, ColorerKind::default());
+        let routing = route_h_relation(relation, topology);
         assert_eq!(
             routing.schedule.slot_count(),
             routing.phases.len() * routing.slots_per_phase
@@ -235,7 +230,7 @@ mod tests {
     fn every_request_covered_exactly_once() {
         let mut rng = SplitMix64::new(52);
         let relation = random_h_relation(8, 3, &mut rng);
-        let routing = route_h_relation(&relation, PopsTopology::new(2, 4), ColorerKind::default());
+        let routing = route_h_relation(&relation, PopsTopology::new(2, 4));
         // Multisets of requests == union of the phases.
         let mut from_phases: Vec<(usize, usize)> = routing
             .phases
@@ -275,7 +270,7 @@ mod tests {
     fn empty_relation() {
         let relation = HRelation::new(4, vec![]).unwrap();
         assert_eq!(relation.h(), 0);
-        let routing = route_h_relation(&relation, PopsTopology::new(2, 2), ColorerKind::default());
+        let routing = route_h_relation(&relation, PopsTopology::new(2, 2));
         assert_eq!(routing.phases.len(), 0);
         assert_eq!(routing.schedule.slot_count(), 0);
     }

@@ -37,14 +37,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use pops_bipartite::ColorerKind;
 //! use pops_core::verify::route_and_verify;
 //! use pops_permutation::families::vector_reversal;
 //!
 //! // Route vector reversal on POPS(4, 4): Theorem 2 says 2 slots,
 //! // Proposition 2 says no algorithm can do better.
 //! let pi = vector_reversal(16);
-//! let verdict = route_and_verify(&pi, 4, 4, ColorerKind::default()).unwrap();
+//! let verdict = route_and_verify(&pi, 4, 4).unwrap();
 //! assert_eq!(verdict.slots, 2);
 //! assert_eq!(verdict.lower_bound, 2);
 //! ```
@@ -74,7 +73,7 @@ pub use fault_routing::{route_greedy, route_with_faults, FaultRouting, FaultRout
 pub use h_relation::{route_h_relation, HRelation, HRelationRouting};
 pub use list_system::{ListSystem, ListSystemError};
 pub use optimal::{min_slots_two_hop, routable_in, SearchOutcome};
-pub use parallel::{route_batch, route_batch_with, BatchRouter};
+pub use parallel::{route_batch_with, BatchRouter};
 pub use router::{route, theorem2_slots, RoutingPlan};
 pub use single_slot::{is_single_slot_routable, route_single_slot};
 pub use verify::{route_and_verify, RoutingFailure, VerifiedRouting};

@@ -21,14 +21,12 @@
 //! [`BatchRouter::route_batch_into`], which recycles the previous batch's
 //! plan buffers into the engines — the whole batch then re-emits into the
 //! same cache-warm allocations, keeping 1-thread batch throughput at
-//! single-plan level. The free functions ([`route_batch`],
-//! [`route_batch_with`]) build a transient router per call — correct, but
-//! they pay the arena growth every time; callers issuing repeated batches
-//! should hold a `BatchRouter`.
+//! single-plan level. The free function [`route_batch_with`] builds a
+//! transient router per call — correct, but it pays the arena growth every
+//! time; callers issuing repeated batches should hold a `BatchRouter`.
 
 use std::num::NonZeroUsize;
 
-use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::Permutation;
 
@@ -43,7 +41,6 @@ use crate::router::RoutingPlan;
 #[derive(Debug)]
 pub struct BatchRouter {
     topology: PopsTopology,
-    colorer: ColorerKind,
     emit_artefacts: bool,
     engines: Vec<RoutingEngine>,
 }
@@ -51,10 +48,9 @@ pub struct BatchRouter {
 impl BatchRouter {
     /// Creates an executor for `topology`; no engines are built until the
     /// first batch arrives (their count depends on the thread budget).
-    pub fn new(topology: PopsTopology, colorer: ColorerKind) -> Self {
+    pub fn new(topology: PopsTopology) -> Self {
         Self {
             topology,
-            colorer,
             emit_artefacts: false,
             engines: Vec::new(),
         }
@@ -117,8 +113,7 @@ impl BatchRouter {
             .map_or(1, NonZeroUsize::get)
             .min(batch.len().max(1));
         while self.engines.len() < worker_count {
-            self.engines
-                .push(RoutingEngine::with_colorer(self.topology, self.colorer));
+            self.engines.push(RoutingEngine::new(self.topology));
         }
         let emit = self.emit_artefacts;
         for engine in &mut self.engines[..worker_count] {
@@ -173,36 +168,22 @@ impl BatchRouter {
 
 /// Routes every permutation in `batch` on `topology`, using up to
 /// `threads` worker threads (defaults to the machine's available
-/// parallelism when `None`). Results are in input order, with construction
-/// artefacts attached (the legacy contract of this function). Hot-path
-/// callers that only consume schedules should use [`route_batch_with`]
-/// with `emit_artefacts = false` and skip the per-plan artefact clones.
+/// parallelism when `None`). Results are in input order. With
+/// `emit_artefacts = false` the workers' plans carry schedule +
+/// intermediate placements only — no per-plan list-system or
+/// fair-distribution clones on the hot path.
 ///
 /// # Panics
 ///
 /// Panics (propagating the worker's panic) if any permutation's length
 /// does not match the topology.
-pub fn route_batch(
-    batch: &[Permutation],
-    topology: PopsTopology,
-    colorer: ColorerKind,
-    threads: Option<NonZeroUsize>,
-) -> Vec<RoutingPlan> {
-    route_batch_with(batch, topology, colorer, threads, true)
-}
-
-/// [`route_batch`] with explicit control over artefact export. With
-/// `emit_artefacts = false` the workers' plans carry schedule +
-/// intermediate placements only — no per-plan list-system or
-/// fair-distribution clones on the hot path.
 pub fn route_batch_with(
     batch: &[Permutation],
     topology: PopsTopology,
-    colorer: ColorerKind,
     threads: Option<NonZeroUsize>,
     emit_artefacts: bool,
 ) -> Vec<RoutingPlan> {
-    BatchRouter::new(topology, colorer)
+    BatchRouter::new(topology)
         .emit_artefacts(emit_artefacts)
         .route_batch(batch, threads)
 }
@@ -225,11 +206,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let topology = PopsTopology::new(4, 4);
         let perms = batch(16, 24, 70);
-        let seq: Vec<_> = perms
-            .iter()
-            .map(|pi| route(pi, topology, ColorerKind::default()))
-            .collect();
-        let par = route_batch(&perms, topology, ColorerKind::default(), None);
+        let seq: Vec<_> = perms.iter().map(|pi| route(pi, topology)).collect();
+        let par = route_batch_with(&perms, topology, None, true);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.schedule, b.schedule, "plans must be deterministic");
@@ -240,12 +218,7 @@ mod tests {
     fn single_thread_fallback() {
         let topology = PopsTopology::new(2, 3);
         let perms = batch(6, 5, 71);
-        let plans = route_batch(
-            &perms,
-            topology,
-            ColorerKind::default(),
-            NonZeroUsize::new(1),
-        );
+        let plans = route_batch_with(&perms, topology, NonZeroUsize::new(1), true);
         assert_eq!(plans.len(), 5);
         for (pi, plan) in perms.iter().zip(&plans) {
             let mut sim = pops_network::Simulator::with_unit_packets(topology);
@@ -257,19 +230,14 @@ mod tests {
     #[test]
     fn empty_batch() {
         let topology = PopsTopology::new(2, 2);
-        assert!(route_batch(&[], topology, ColorerKind::default(), None).is_empty());
+        assert!(route_batch_with(&[], topology, None, true).is_empty());
     }
 
     #[test]
     fn oversubscribed_thread_request() {
         let topology = PopsTopology::new(3, 3);
         let perms = batch(9, 3, 72);
-        let plans = route_batch(
-            &perms,
-            topology,
-            ColorerKind::default(),
-            NonZeroUsize::new(64),
-        );
+        let plans = route_batch_with(&perms, topology, NonZeroUsize::new(64), true);
         assert_eq!(plans.len(), 3);
     }
 
@@ -278,15 +246,10 @@ mod tests {
         // 7 permutations over 3 workers: chunks of 3/3/1.
         let topology = PopsTopology::new(3, 2);
         let perms = batch(6, 7, 73);
-        let plans = route_batch(
-            &perms,
-            topology,
-            ColorerKind::default(),
-            NonZeroUsize::new(3),
-        );
+        let plans = route_batch_with(&perms, topology, NonZeroUsize::new(3), true);
         assert_eq!(plans.len(), 7);
         for (pi, plan) in perms.iter().zip(&plans) {
-            let fresh = route(pi, topology, ColorerKind::default());
+            let fresh = route(pi, topology);
             assert_eq!(plan.schedule, fresh.schedule);
         }
     }
@@ -295,7 +258,7 @@ mod tests {
     fn batch_plans_keep_artefacts() {
         let topology = PopsTopology::new(2, 4);
         let perms = batch(8, 4, 74);
-        for plan in route_batch(&perms, topology, ColorerKind::default(), None) {
+        for plan in route_batch_with(&perms, topology, None, true) {
             assert!(plan.fair_distribution.is_some());
             assert!(plan.list_system.is_some());
         }
@@ -305,7 +268,7 @@ mod tests {
     fn persistent_router_reuses_warm_engines() {
         let topology = PopsTopology::new(4, 4);
         let perms = batch(16, 8, 76);
-        let mut router = BatchRouter::new(topology, ColorerKind::AlternatingPath);
+        let mut router = BatchRouter::new(topology);
         let first = router.route_batch(&perms, NonZeroUsize::new(2));
         let footprint = router.arena_footprint();
         assert!(footprint > 0, "first batch grows the worker arenas");
@@ -317,7 +280,7 @@ mod tests {
         );
         for ((a, b), pi) in first.iter().zip(&second).zip(&perms) {
             assert_eq!(a.schedule, b.schedule);
-            let fresh = route(pi, topology, ColorerKind::AlternatingPath);
+            let fresh = route(pi, topology);
             assert_eq!(a.schedule, fresh.schedule);
         }
     }
@@ -326,7 +289,7 @@ mod tests {
     fn route_batch_into_recycles_and_matches_fresh_plans() {
         let topology = PopsTopology::new(4, 4);
         let perms = batch(16, 8, 78);
-        let mut router = BatchRouter::new(topology, ColorerKind::AlternatingPath);
+        let mut router = BatchRouter::new(topology);
         let mut plans = Vec::new();
         router.route_batch_into(&perms, NonZeroUsize::new(1), &mut plans);
         assert_eq!(plans.len(), 8);
@@ -341,7 +304,7 @@ mod tests {
             "recycled batches must not grow the arenas"
         );
         for (pi, plan) in perms.iter().zip(&plans) {
-            let fresh = route(pi, topology, ColorerKind::AlternatingPath);
+            let fresh = route(pi, topology);
             assert_eq!(plan.schedule, fresh.schedule);
             assert_eq!(plan.intermediate, fresh.intermediate);
         }
@@ -351,7 +314,7 @@ mod tests {
     fn route_batch_into_recycles_on_d_gt_g_rounds() {
         let topology = PopsTopology::new(8, 2);
         let perms = batch(16, 6, 79);
-        let mut router = BatchRouter::new(topology, ColorerKind::AlternatingPath);
+        let mut router = BatchRouter::new(topology);
         let mut plans = Vec::new();
         for _ in 0..3 {
             router.route_batch_into(&perms, NonZeroUsize::new(1), &mut plans);
@@ -367,11 +330,11 @@ mod tests {
     fn persistent_router_toggles_artefacts_per_configuration() {
         let topology = PopsTopology::new(2, 4);
         let perms = batch(8, 3, 77);
-        let mut with = BatchRouter::new(topology, ColorerKind::default()).emit_artefacts(true);
+        let mut with = BatchRouter::new(topology).emit_artefacts(true);
         for plan in with.route_batch(&perms, NonZeroUsize::new(1)) {
             assert!(plan.fair_distribution.is_some());
         }
-        let mut without = BatchRouter::new(topology, ColorerKind::default());
+        let mut without = BatchRouter::new(topology);
         for plan in without.route_batch(&perms, NonZeroUsize::new(1)) {
             assert!(plan.fair_distribution.is_none());
         }
@@ -381,8 +344,8 @@ mod tests {
     fn artefact_free_batch_matches_schedules() {
         let topology = PopsTopology::new(3, 3);
         let perms = batch(9, 6, 75);
-        let with = route_batch(&perms, topology, ColorerKind::default(), None);
-        let without = route_batch_with(&perms, topology, ColorerKind::default(), None, false);
+        let with = route_batch_with(&perms, topology, None, true);
+        let without = route_batch_with(&perms, topology, None, false);
         for (a, b) in with.iter().zip(&without) {
             assert_eq!(a.schedule, b.schedule);
             assert!(b.fair_distribution.is_none());

@@ -23,7 +23,6 @@
 //!   one-packet-per-processor invariant. The last round moves
 //!   `g·(d mod g)` packets when `g ∤ d`.
 
-use pops_bipartite::ColorerKind;
 use pops_network::{PopsTopology, Schedule};
 use pops_permutation::Permutation;
 
@@ -66,10 +65,6 @@ pub struct RoutingPlan {
 
 /// Routes permutation `pi` on `topology` per Theorem 2.
 ///
-/// `colorer` selects the 1-factorization engine used by the underlying
-/// Theorem-1 construction; the schedule's slot count is identical for all
-/// engines.
-///
 /// This is a thin wrapper over a fresh [`RoutingEngine`] — the
 /// construction itself (all three cases of the proof) lives in
 /// [`crate::engine`]. Callers routing many permutations on one topology
@@ -78,8 +73,8 @@ pub struct RoutingPlan {
 /// # Panics
 ///
 /// Panics if `pi.len() != topology.n()`.
-pub fn route(pi: &Permutation, topology: PopsTopology, colorer: ColorerKind) -> RoutingPlan {
-    RoutingEngine::with_colorer(topology, colorer)
+pub fn route(pi: &Permutation, topology: PopsTopology) -> RoutingPlan {
+    RoutingEngine::new(topology)
         .emit_artefacts(true)
         .plan_theorem2(pi)
 }
@@ -93,9 +88,9 @@ mod tests {
 
     /// Routes and fully simulates, asserting delivery, slot count, and the
     /// one-packet-per-processor invariant after every slot.
-    fn check(pi: &Permutation, d: usize, g: usize, colorer: ColorerKind) {
+    fn check(pi: &Permutation, d: usize, g: usize) {
         let topology = PopsTopology::new(d, g);
-        let plan = route(pi, topology, colorer);
+        let plan = route(pi, topology);
         assert_eq!(
             plan.schedule.slot_count(),
             theorem2_slots(d, g),
@@ -119,7 +114,7 @@ mod tests {
         let mut rng = SplitMix64::new(80);
         for g in [1usize, 2, 5, 16] {
             let pi = random_permutation(g, &mut rng);
-            check(&pi, 1, g, ColorerKind::default());
+            check(&pi, 1, g);
         }
     }
 
@@ -128,7 +123,7 @@ mod tests {
         let mut rng = SplitMix64::new(81);
         for (d, g) in [(2usize, 2usize), (2, 4), (3, 5), (4, 4), (5, 8), (7, 7)] {
             let pi = random_permutation(d * g, &mut rng);
-            check(&pi, d, g, ColorerKind::default());
+            check(&pi, d, g);
         }
     }
 
@@ -137,7 +132,7 @@ mod tests {
         let mut rng = SplitMix64::new(82);
         for (d, g) in [(4usize, 2usize), (6, 3), (8, 4), (5, 2), (7, 3), (9, 4)] {
             let pi = random_permutation(d * g, &mut rng);
-            check(&pi, d, g, ColorerKind::default());
+            check(&pi, d, g);
         }
     }
 
@@ -147,7 +142,7 @@ mod tests {
         let mut rng = SplitMix64::new(83);
         for (d, g) in [(3usize, 2usize), (5, 3), (7, 2), (11, 4), (13, 5)] {
             let pi = random_permutation(d * g, &mut rng);
-            check(&pi, d, g, ColorerKind::default());
+            check(&pi, d, g);
         }
     }
 
@@ -157,46 +152,31 @@ mod tests {
         let mut rng = SplitMix64::new(84);
         let d = 4;
         let pi = random_permutation(d, &mut rng);
-        check(&pi, d, 1, ColorerKind::default());
+        check(&pi, d, 1);
     }
 
     #[test]
     fn identity_and_reversal_route_correctly() {
         for (d, g) in [(3usize, 3usize), (4, 2), (2, 4)] {
-            check(&Permutation::identity(d * g), d, g, ColorerKind::default());
-            check(&vector_reversal(d * g), d, g, ColorerKind::default());
-        }
-    }
-
-    #[test]
-    fn all_coloring_engines_give_valid_routings() {
-        let mut rng = SplitMix64::new(85);
-        for kind in ColorerKind::ALL {
-            let pi = random_permutation(24, &mut rng);
-            check(&pi, 4, 6, kind); // d <= g
-            let pi = random_permutation(24, &mut rng);
-            check(&pi, 6, 4, kind); // d > g
+            check(&Permutation::identity(d * g), d, g);
+            check(&vector_reversal(d * g), d, g);
         }
     }
 
     #[test]
     fn figure3_permutation_routes_in_two_slots() {
         let pi = Permutation::new(vec![5, 1, 7, 2, 0, 6, 3, 8, 4]).unwrap();
-        check(&pi, 3, 3, ColorerKind::default());
+        check(&pi, 3, 3);
     }
 
     #[test]
     fn plan_exposes_construction_artefacts() {
         let pi = vector_reversal(12);
-        let plan = route(&pi, PopsTopology::new(3, 4), ColorerKind::default());
+        let plan = route(&pi, PopsTopology::new(3, 4));
         assert!(plan.fair_distribution.is_some());
         assert!(plan.list_system.is_some());
         assert_eq!(plan.intermediate.len(), 12);
-        let plan1 = route(
-            &vector_reversal(4),
-            PopsTopology::new(1, 4),
-            ColorerKind::default(),
-        );
+        let plan1 = route(&vector_reversal(4), PopsTopology::new(1, 4));
         assert!(plan1.fair_distribution.is_none());
     }
 
@@ -215,6 +195,6 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn rejects_mismatched_sizes() {
         let pi = Permutation::identity(5);
-        let _ = route(&pi, PopsTopology::new(2, 3), ColorerKind::default());
+        let _ = route(&pi, PopsTopology::new(2, 3));
     }
 }

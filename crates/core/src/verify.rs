@@ -4,7 +4,6 @@
 
 use std::fmt;
 
-use pops_bipartite::ColorerKind;
 use pops_network::{PopsTopology, ScheduleStats, SimError, Simulator};
 use pops_permutation::Permutation;
 
@@ -67,10 +66,9 @@ pub fn route_and_verify(
     pi: &Permutation,
     d: usize,
     g: usize,
-    colorer: ColorerKind,
 ) -> Result<VerifiedRouting, RoutingFailure> {
     let topology = PopsTopology::new(d, g);
-    let plan = route(pi, topology, colorer);
+    let plan = route(pi, topology);
     execute_plan(pi, plan)
 }
 
@@ -112,7 +110,7 @@ mod tests {
         let mut rng = SplitMix64::new(110);
         let (d, g) = (4usize, 6usize);
         let pi = random_permutation(d * g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         assert_eq!(v.slots, v.theorem2_slots);
         assert!(v.lower_bound <= v.slots);
         assert!(v.storage_invariant_held);
@@ -125,7 +123,7 @@ mod tests {
     fn d1_verified_in_one_slot() {
         let mut rng = SplitMix64::new(111);
         let pi = random_permutation(9, &mut rng);
-        let v = route_and_verify(&pi, 1, 9, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, 1, 9).unwrap();
         assert_eq!(v.slots, 1);
         assert_eq!(v.stats.total_deliveries, 9);
     }
@@ -136,7 +134,7 @@ mod tests {
         // provably optimal (corrected Prop 2 at (4, 2), Prop 3 at (8, 4)).
         for (d, g) in [(4usize, 2usize), (8, 4)] {
             let pi = vector_reversal(d * g);
-            let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+            let v = route_and_verify(&pi, d, g).unwrap();
             assert_eq!(v.slots, v.lower_bound, "POPS({d}, {g})");
             assert_eq!(v.slots, 2 * d / g);
         }

@@ -13,7 +13,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pops_bipartite::ColorerKind;
 use pops_core::RoutingEngine;
 use pops_network::PopsTopology;
 
@@ -34,16 +33,11 @@ impl EnginePool {
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn new(
-        topology: PopsTopology,
-        colorer: ColorerKind,
-        shards: usize,
-        metrics: Arc<ServiceMetrics>,
-    ) -> Self {
+    pub fn new(topology: PopsTopology, shards: usize, metrics: Arc<ServiceMetrics>) -> Self {
         assert!(shards > 0, "a pool needs at least one shard");
         let shards = (0..shards)
             .map(|_| {
-                let mut engine = RoutingEngine::with_colorer(topology, colorer);
+                let mut engine = RoutingEngine::new(topology);
                 engine.warm();
                 Mutex::new(engine)
             })
@@ -123,7 +117,6 @@ mod tests {
     fn pool(shards: usize) -> EnginePool {
         EnginePool::new(
             PopsTopology::new(4, 4),
-            ColorerKind::AlternatingPath,
             shards,
             Arc::new(ServiceMetrics::new()),
         )
@@ -154,12 +147,7 @@ mod tests {
     #[test]
     fn concurrent_requests_spread_over_shards() {
         let metrics = Arc::new(ServiceMetrics::new());
-        let p = Arc::new(EnginePool::new(
-            PopsTopology::new(4, 4),
-            ColorerKind::AlternatingPath,
-            4,
-            metrics.clone(),
-        ));
+        let p = Arc::new(EnginePool::new(PopsTopology::new(4, 4), 4, metrics.clone()));
         let mut rng = SplitMix64::new(7);
         let perms: Vec<_> = (0..4).map(|_| random_permutation(16, &mut rng)).collect();
         std::thread::scope(|scope| {

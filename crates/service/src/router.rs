@@ -74,7 +74,7 @@ use crate::service::{RoutingService, ServiceConfig};
 #[derive(Debug, Clone)]
 pub struct TopologyRouterConfig {
     /// The template every lazily-constructed [`RoutingService`] is built
-    /// from (shards, cache capacities, admission bound, colourer).
+    /// from (shards, cache capacities, admission bound).
     pub service: ServiceConfig,
     /// Most topologies resident at once (pinned ones included). Dynamic
     /// topologies beyond this evict the least-recently-used unpinned one;
@@ -528,7 +528,6 @@ mod tests {
     use super::*;
     use crate::metrics::{Counter, Gauge};
     use crate::service::ServiceRequest;
-    use pops_bipartite::ColorerKind;
     use pops_permutation::families::vector_reversal;
 
     fn small_router(max_topologies: usize) -> TopologyRouter {
@@ -539,7 +538,6 @@ mod tests {
                     shards: 1,
                     cache_capacity: 8,
                     max_in_flight: 2,
-                    colorer: ColorerKind::AlternatingPath,
                     ..ServiceConfig::default()
                 },
                 max_topologies,

@@ -1563,7 +1563,6 @@ mod tests {
     use super::*;
     use crate::client::ServiceClient;
     use crate::service::ServiceConfig;
-    use pops_bipartite::ColorerKind;
     use pops_network::Simulator;
     use pops_permutation::families::vector_reversal;
 
@@ -1578,7 +1577,6 @@ mod tests {
                 shards: 2,
                 cache_capacity: 32,
                 max_in_flight: 4,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -1664,7 +1662,6 @@ mod tests {
                     shards: 1,
                     cache_capacity: 16,
                     max_in_flight: 2,
-                    colorer: ColorerKind::AlternatingPath,
                     ..ServiceConfig::default()
                 },
             ));
@@ -1892,7 +1889,6 @@ mod tests {
                 shards: 2,
                 cache_capacity: 32,
                 max_in_flight: 4,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));
@@ -2344,7 +2340,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         ));

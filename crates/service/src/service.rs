@@ -132,7 +132,10 @@ pub struct ServiceConfig {
     /// Maximum requests in flight; excess callers wait at the admission
     /// gate.
     pub max_in_flight: usize,
-    /// The edge-colouring engine of the pooled engines.
+    /// Ignored: every engine plans with the one bitset edge-colouring
+    /// kernel. The field stays only because the benchmark daemon spells
+    /// out this struct in full; the benchmark change that stops naming it
+    /// (ROADMAP P0) deletes it.
     pub colorer: ColorerKind,
 }
 
@@ -302,7 +305,6 @@ impl Drop for AdmissionGuard<'_> {
 #[derive(Debug)]
 pub struct RoutingService {
     topology: PopsTopology,
-    colorer: ColorerKind,
     pool: EnginePool,
     /// Level 1: whole-request canonical keys → shared outcomes.
     cache: ShardedPlanCache<CachedOutcome>,
@@ -333,11 +335,10 @@ impl RoutingService {
         let metrics = Arc::new(ServiceMetrics::new());
         Self {
             topology,
-            colorer: config.colorer,
-            pool: EnginePool::new(topology, config.colorer, config.shards, metrics.clone()),
+            pool: EnginePool::new(topology, config.shards, metrics.clone()),
             cache: ShardedPlanCache::new(config.cache_capacity, config.cache_shards),
             phase_cache: ShardedPlanCache::new(config.phase_cache_capacity, config.cache_shards),
-            batch_router: Mutex::new(BatchRouter::new(topology, config.colorer)),
+            batch_router: Mutex::new(BatchRouter::new(topology)),
             metrics,
             admission: Admission::new(config.max_in_flight),
         }
@@ -346,11 +347,6 @@ impl RoutingService {
     /// The topology this service routes on.
     pub fn topology(&self) -> PopsTopology {
         self.topology
-    }
-
-    /// The colourer this service's engines run.
-    pub fn colorer(&self) -> ColorerKind {
-        self.colorer
     }
 
     /// The pool's shard count.
@@ -745,7 +741,6 @@ mod tests {
                 shards: 2,
                 cache_capacity: 8,
                 max_in_flight: 4,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         )
@@ -860,12 +855,11 @@ mod tests {
         assert!(again.cache_hit);
 
         // A *fresh* relation whose phases are already cached: decompose it
-        // up front (same deterministic colourer as the service), route its
+        // up front (same deterministic kernel as the service), route its
         // completed phases as plain theorem2 requests, then route the
         // relation itself — its L1 key is new, but every phase hits L2.
         let fresh = random_relation(16, 2, &mut rng);
-        let phases = RoutingEngine::with_colorer(service.topology(), ColorerKind::AlternatingPath)
-            .decompose_h_relation(&fresh);
+        let phases = RoutingEngine::new(service.topology()).decompose_h_relation(&fresh);
         for phase in &phases {
             service
                 .route(&ServiceRequest::Theorem2 {
@@ -915,8 +909,7 @@ mod tests {
         // engine's plan_h_relation, hits and misses alike.
         let mut rng = SplitMix64::new(23);
         let service = small_service();
-        let mut engine =
-            RoutingEngine::with_colorer(service.topology(), ColorerKind::AlternatingPath);
+        let mut engine = RoutingEngine::new(service.topology());
         for h in [1usize, 2, 4] {
             let relation = random_relation(16, h, &mut rng);
             let reply = service
@@ -985,7 +978,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         );
@@ -1006,7 +998,7 @@ mod tests {
                 phase_cache_capacity: 8,
                 cache_shards: 2,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
+                ..ServiceConfig::default()
             },
         )
     }
@@ -1250,7 +1242,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 16,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         );
@@ -1326,7 +1317,6 @@ mod tests {
                 shards: 1,
                 cache_capacity: 8,
                 max_in_flight: 2,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
         );

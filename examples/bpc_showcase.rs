@@ -13,7 +13,6 @@
 //! cargo run --release --bin bpc_showcase
 //! ```
 
-use pops_bipartite::ColorerKind;
 use pops_core::theorem2_slots;
 use pops_core::verify::route_and_verify;
 use pops_permutation::families::{bit_reversal, perfect_shuffle, vector_reversal, BpcSpec};
@@ -38,8 +37,7 @@ fn main() {
         ),
     ];
     for (name, pi) in &named {
-        let verdict = route_and_verify(pi, d, g, ColorerKind::default())
-            .expect("Theorem 2 routes every BPC permutation");
+        let verdict = route_and_verify(pi, d, g).expect("Theorem 2 routes every BPC permutation");
         println!(
             "  {name:<34} {} slots (lower bound {})",
             verdict.slots, verdict.lower_bound
@@ -51,8 +49,7 @@ fn main() {
     for trial in 0..10 {
         let spec = BpcSpec::random(k, &mut rng);
         let pi = spec.to_permutation();
-        let verdict = route_and_verify(&pi, d, g, ColorerKind::default())
-            .expect("Theorem 2 routes every BPC permutation");
+        let verdict = route_and_verify(&pi, d, g).expect("Theorem 2 routes every BPC permutation");
         println!(
             "  trial {trial}: sigma {:?}, complement {:#08b} -> {} slots",
             spec.sigma(),
@@ -68,7 +65,7 @@ fn main() {
     let a = BpcSpec::random(k, &mut rng);
     let b = BpcSpec::random(k, &mut rng);
     let composite = a.compose(&b);
-    let verdict = route_and_verify(&composite.to_permutation(), d, g, ColorerKind::default())
+    let verdict = route_and_verify(&composite.to_permutation(), d, g)
         .expect("composites are BPC, hence routable");
     println!(
         "  composite of two random BPC specs: {} slots — same bound.",

@@ -11,7 +11,6 @@
 //! cargo run --release --bin figure3
 //! ```
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
 use pops_core::single_slot::is_single_slot_routable;
 use pops_network::{viz, PopsTopology, Simulator};
@@ -34,7 +33,7 @@ fn main() {
     println!("-- initial placement (left side of Figure 3) --");
     print!("{}", viz::render_placement(&sim, pi.as_slice()));
 
-    let plan = RoutingEngine::with_colorer(topology, ColorerKind::default())
+    let plan = RoutingEngine::new(topology)
         .emit_artefacts(true)
         .plan_theorem2(&pi);
     let fd = plan.fair_distribution.as_ref().expect("d > 1");

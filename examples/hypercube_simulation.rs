@@ -13,7 +13,6 @@
 //! cargo run --release --bin hypercube_simulation
 //! ```
 
-use pops_bipartite::ColorerKind;
 use pops_core::theorem2_slots;
 use pops_core::verify::route_and_verify;
 use pops_permutation::families::{hypercube::all_exchanges, random_permutation};
@@ -34,8 +33,7 @@ fn main() {
     println!("-- identity mapping (the setting of Sahni 2000b, Theorem 1) --");
     let mut total = 0usize;
     for (b, step) in all_exchanges(dims).iter().enumerate() {
-        let verdict = route_and_verify(step, d, g, ColorerKind::default())
-            .expect("Theorem 2 routes every exchange");
+        let verdict = route_and_verify(step, d, g).expect("Theorem 2 routes every exchange");
         println!(
             "  dimension {b}: {} slots (lower bound {})",
             verdict.slots, verdict.lower_bound
@@ -55,8 +53,7 @@ fn main() {
         // POPS processor mapping(i) plays hypercube processor i, so the
         // permutation to route on the POPS is mapping . step . mapping^-1.
         let routed: Permutation = mapping.compose(&step.compose(&mapping_inv));
-        let verdict = route_and_verify(&routed, d, g, ColorerKind::default())
-            .expect("Theorem 2 is mapping-independent");
+        let verdict = route_and_verify(&routed, d, g).expect("Theorem 2 is mapping-independent");
         println!("  dimension {b}: {} slots", verdict.slots);
         total_mapped += verdict.slots;
     }

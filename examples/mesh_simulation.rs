@@ -12,7 +12,6 @@
 //! cargo run --release --bin mesh_simulation
 //! ```
 
-use pops_bipartite::ColorerKind;
 use pops_core::theorem2_slots;
 use pops_core::verify::route_and_verify;
 use pops_permutation::families::mesh::{mesh_shift, MeshDirection};
@@ -27,8 +26,7 @@ fn main() {
         println!("Theorem 2 guarantee per shift: {}", theorem2_slots(d, g));
         for dir in MeshDirection::ALL {
             let pi = mesh_shift(nside, dir);
-            let verdict = route_and_verify(&pi, d, g, ColorerKind::default())
-                .expect("Theorem 2 routes every shift");
+            let verdict = route_and_verify(&pi, d, g).expect("Theorem 2 routes every shift");
             println!(
                 "  {dir:?}: {} slots (lower bound {}, single-slot routable: {})",
                 verdict.slots,
@@ -48,7 +46,7 @@ fn main() {
     for dir in MeshDirection::ALL {
         let pi = mesh_shift(nside, dir);
         // Route (fully simulated) to prove the data movement is legal…
-        route_and_verify(&pi, 6, 6, ColorerKind::default()).expect("shift routes");
+        route_and_verify(&pi, 6, 6).expect("shift routes");
         // …then account for the arriving values.
         let inv = pi.inverse();
         for (p, s) in sums.iter_mut().enumerate() {

@@ -5,7 +5,6 @@
 //! cargo run --release --bin quickstart
 //! ```
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::{Router, RoutingEngine, RoutingRequest};
 use pops_core::verify::route_and_verify;
 use pops_core::{lower_bound, theorem2_slots};
@@ -39,8 +38,7 @@ fn main() {
     let mut rng = SplitMix64::new(2002); // IPPS 2002
     let pi = random_permutation(topology.n(), &mut rng);
     println!("permutation: {:?}", pi.as_slice());
-    let verdict =
-        route_and_verify(&pi, d, g, ColorerKind::default()).expect("Theorem 2 always routes");
+    let verdict = route_and_verify(&pi, d, g).expect("Theorem 2 always routes");
     println!(
         "routed in {} slots (Theorem 2 guarantee: {}, provable lower bound: {})",
         verdict.slots,

@@ -6,7 +6,6 @@
 //! ```
 
 use pops_algorithms::total_exchange::route_total_exchange;
-use pops_bipartite::ColorerKind;
 use pops_core::theorem2_slots;
 use pops_network::{PopsTopology, Simulator};
 
@@ -19,7 +18,7 @@ fn main() {
     for (d, g) in [(2usize, 3usize), (3, 3), (4, 3), (3, 4), (2, 8)] {
         let n = d * g;
         let topology = PopsTopology::new(d, g);
-        let routing = route_total_exchange(topology, ColorerKind::default());
+        let routing = route_total_exchange(topology);
 
         // Verify each phase end-to-end on fresh simulators.
         for (idx, phase) in routing.phases.iter().enumerate() {

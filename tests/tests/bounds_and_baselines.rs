@@ -3,7 +3,6 @@
 //! T2 and T6).
 
 use pops_baselines::{compare, direct_slots, route_direct};
-use pops_bipartite::ColorerKind;
 use pops_core::bounds::{lower_bound, proposition1, proposition2, proposition3};
 use pops_core::verify::route_and_verify;
 use pops_network::{PopsTopology, Simulator};
@@ -45,13 +44,13 @@ fn proposition2_families_are_routed_optimally_when_certified() {
     let mut rng = SplitMix64::new(3001);
     for (d, g) in [(2usize, 2usize), (4, 2), (8, 2), (8, 4)] {
         let pi = random_group_deranged(d, g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         assert_eq!(v.slots, v.lower_bound, "d={d} g={g}: optimal on this class");
         assert_eq!(v.slots, 2 * d / g);
     }
     for (d, g) in [(3usize, 2usize), (9, 2), (7, 3), (9, 3)] {
         let pi = random_group_deranged(d, g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         assert!(v.slots >= v.lower_bound, "d={d} g={g}");
         assert_eq!(v.slots, 2 * d.div_ceil(g), "d={d} g={g}");
     }
@@ -79,7 +78,7 @@ fn derangements_within_factor_two_of_optimal() {
     let mut rng = SplitMix64::new(3003);
     for (d, g) in [(2usize, 3usize), (5, 2), (7, 4), (10, 5)] {
         let pi = random_derangement(d * g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         assert!(v.slots <= 2 * v.lower_bound, "d={d} g={g}");
     }
 }
@@ -133,6 +132,6 @@ fn reversal_bound_tightness_depends_on_g_parity() {
     // reversal still routes in 2⌈d/g⌉.
     let odd = vector_reversal(12); // d=4, g=3
     assert!(proposition2(&odd, 4, 3).is_none());
-    let v = route_and_verify(&odd, 4, 3, ColorerKind::default()).unwrap();
+    let v = route_and_verify(&odd, 4, 3).unwrap();
     assert_eq!(v.slots, 4);
 }

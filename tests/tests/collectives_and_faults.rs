@@ -2,7 +2,6 @@
 //! fault-aware router (T10), and the exact-optimum search (T12) — every
 //! schedule refereed by the machine-model simulator.
 
-use pops_bipartite::ColorerKind;
 use pops_collectives::{cost, movement, CollectiveEngine};
 use pops_core::fault_routing::{route_greedy, route_with_faults};
 use pops_core::optimal::min_slots_two_hop;
@@ -70,12 +69,12 @@ fn all_to_all_equals_h_relation_total_cost() {
     // same (n−1)-relation for the same total slots.
     let t = PopsTopology::new(2, 3);
     let n = t.n();
-    let plan = movement::all_to_all_personalized(&t, ColorerKind::default());
+    let plan = movement::all_to_all_personalized(&t);
     let pairs: Vec<(usize, usize)> = (0..n)
         .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
         .collect();
     let rel = pops_core::HRelation::new(n, pairs).unwrap();
-    let hr = pops_core::route_h_relation(&rel, t, ColorerKind::default());
+    let hr = pops_core::route_h_relation(&rel, t);
     assert_eq!(plan.total_slots(), hr.schedule.slot_count());
 }
 

@@ -3,7 +3,6 @@
 //! aggregate statistics the experiment analyses rely on.
 
 use pops_baselines::route_direct;
-use pops_bipartite::ColorerKind;
 use pops_core::diagnostics::{render_gantt, render_plan, summarize_schedule};
 use pops_core::route;
 use pops_network::{CouplerLoad, PopsTopology, Simulator};
@@ -18,7 +17,7 @@ fn theorem2_schedules_are_perfectly_balanced_when_d_equals_g() {
     for s in [3usize, 4, 5] {
         let t = PopsTopology::new(s, s);
         let pi = random_permutation(s * s, &mut rng);
-        let plan = route(&pi, t, ColorerKind::default());
+        let plan = route(&pi, t);
         let load = CouplerLoad::from_schedule(&t, &plan.schedule);
         assert!((load.imbalance() - 1.0).abs() < 1e-12, "POPS({s}, {s})");
         assert!(load.per_coupler.iter().all(|&l| l == 2));
@@ -45,7 +44,7 @@ fn two_hop_beats_direct_on_imbalance_for_concentrated_demand() {
     let t = PopsTopology::new(d, g);
     let pi = group_rotation(d, g, 1);
     let direct = CouplerLoad::from_schedule(&t, &route_direct(&pi, &t));
-    let two_hop = CouplerLoad::from_schedule(&t, &route(&pi, t, ColorerKind::default()).schedule);
+    let two_hop = CouplerLoad::from_schedule(&t, &route(&pi, t).schedule);
     assert!(
         two_hop.imbalance() < direct.imbalance(),
         "two-hop {:.2} vs direct {:.2}",
@@ -60,7 +59,7 @@ fn gantt_matches_slot_summaries() {
     // of driven coupler-slots.
     let t = PopsTopology::new(4, 2);
     let pi = vector_reversal(8);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     let text = render_gantt(&plan.schedule, &t);
     let hashes = text.matches('#').count();
     let from_summaries: usize = summarize_schedule(&plan.schedule, t.coupler_count())
@@ -77,7 +76,7 @@ fn render_plan_is_consistent_with_execution() {
     let t = PopsTopology::new(2, 4);
     let mut rng = SplitMix64::new(4200);
     let pi = random_permutation(8, &mut rng);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     let text = render_plan(&plan, &pi);
     let mut sim = Simulator::with_unit_packets(t);
     sim.execute_schedule(&plan.schedule).unwrap();
@@ -97,7 +96,7 @@ fn simulator_stats_match_schedule_totals() {
     let t = PopsTopology::new(3, 2);
     let mut rng = SplitMix64::new(4300);
     let pi = random_permutation(6, &mut rng);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     let mut sim = Simulator::with_unit_packets(t);
     sim.execute_schedule(&plan.schedule).unwrap();
     let stats = sim.stats();

@@ -22,7 +22,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
 use pops_core::theorem2_slots;
 use pops_network::{codec, PopsTopology};
@@ -246,7 +245,7 @@ fn warm_service_miss_allocates_one_plan_and_one_key() {
             phase_cache_capacity: 16,
             cache_shards: 1,
             max_in_flight: 1,
-            colorer: ColorerKind::AlternatingPath,
+            ..ServiceConfig::default()
         },
     );
     let mut rng = SplitMix64::new(44);
@@ -352,7 +351,7 @@ fn loading_a_spill_allocates_per_plan_and_slot_not_per_transmission() {
             phase_cache_capacity: 16,
             cache_shards: 1,
             max_in_flight: 1,
-            colorer: ColorerKind::AlternatingPath,
+            ..ServiceConfig::default()
         },
     );
 

@@ -1,8 +1,9 @@
 //! Engine ↔ legacy equivalence: every schedule a warm [`RoutingEngine`]
-//! produces must be **byte-identical** to the legacy free-function output,
-//! across a `(d, g)` sweep, every permutation family, every colourer, and
-//! all six routing paths. One engine per configuration is reused for the
-//! whole sweep, so arena reuse is exercised on every comparison.
+//! produces must be **byte-identical** to the legacy free-function output
+//! and to the bytes the routing service caches, across a `(d, g)` sweep,
+//! every permutation family, and all six routing paths. One engine per
+//! configuration is reused for the whole sweep, so arena reuse is
+//! exercised on every comparison.
 
 use pops_baselines::{route_direct, route_structured};
 use pops_bipartite::ColorerKind;
@@ -17,6 +18,7 @@ use pops_permutation::families::{
     vector_reversal,
 };
 use pops_permutation::{Permutation, SplitMix64};
+use pops_service::{RoutingService, ServiceRequest};
 
 /// The sweep: d = 1, d < g, d = g, d > g, and partial-round shapes.
 const SHAPES: [(usize, usize); 12] = [
@@ -340,56 +342,66 @@ mod seed_reference {
 #[test]
 fn engine_is_byte_identical_to_the_frozen_seed_emission() {
     // Non-circular ground truth: the engine (and therefore today's
-    // wrappers) must reproduce the seed commit's schedules bit for bit.
-    for kind in ColorerKind::ALL {
-        for (d, g) in SHAPES {
-            let t = PopsTopology::new(d, g);
-            let mut engine = RoutingEngine::with_colorer(t, kind).emit_artefacts(true);
-            let mut rng = SplitMix64::new(7_700 + d as u64 * 64 + g as u64);
-            for (name, pi) in families(d, g, &mut rng) {
-                let seed = seed_reference::route(&pi, t, kind);
-                let warm = engine.plan_theorem2(&pi);
-                assert_eq!(
-                    seed.schedule,
-                    warm.schedule,
-                    "{name} d={d} g={g} {}",
-                    kind.name()
-                );
-                assert_eq!(seed.intermediate, warm.intermediate, "{name} d={d} g={g}");
-                assert_eq!(
-                    seed.fair_distribution, warm.fair_distribution,
-                    "{name} d={d} g={g}"
-                );
-                assert_eq!(seed.list_system, warm.list_system, "{name} d={d} g={g}");
-            }
+    // wrappers) must reproduce the seed commit's alternating-path
+    // schedules bit for bit.
+    for (d, g) in SHAPES {
+        let t = PopsTopology::new(d, g);
+        let mut engine = RoutingEngine::new(t).emit_artefacts(true);
+        let mut rng = SplitMix64::new(7_700 + d as u64 * 64 + g as u64);
+        for (name, pi) in families(d, g, &mut rng) {
+            let seed = seed_reference::route(&pi, t, ColorerKind::AlternatingPath);
+            let warm = engine.plan_theorem2(&pi);
+            assert_eq!(seed.schedule, warm.schedule, "{name} d={d} g={g}");
+            assert_eq!(seed.intermediate, warm.intermediate, "{name} d={d} g={g}");
+            assert_eq!(
+                seed.fair_distribution, warm.fair_distribution,
+                "{name} d={d} g={g}"
+            );
+            assert_eq!(seed.list_system, warm.list_system, "{name} d={d} g={g}");
         }
     }
 }
 
 #[test]
-fn theorem2_engine_is_byte_identical_to_legacy_for_all_colorers() {
-    for kind in ColorerKind::ALL {
-        for (d, g) in SHAPES {
-            let t = PopsTopology::new(d, g);
-            // One warm engine for the whole family sweep at this shape.
-            let mut engine = RoutingEngine::with_colorer(t, kind).emit_artefacts(true);
-            let mut rng = SplitMix64::new(7_000 + d as u64 * 64 + g as u64);
-            for (name, pi) in families(d, g, &mut rng) {
-                let legacy = route(&pi, t, kind);
-                let warm = engine.plan_theorem2(&pi);
-                assert_eq!(
-                    legacy.schedule,
-                    warm.schedule,
-                    "{name} d={d} g={g} {}",
-                    kind.name()
-                );
-                assert_eq!(legacy.intermediate, warm.intermediate, "{name} d={d} g={g}");
-                assert_eq!(
-                    legacy.fair_distribution, warm.fair_distribution,
-                    "{name} d={d} g={g}"
-                );
-                assert_eq!(legacy.list_system, warm.list_system, "{name} d={d} g={g}");
-            }
+fn theorem2_engine_is_byte_identical_to_free_route() {
+    for (d, g) in SHAPES {
+        let t = PopsTopology::new(d, g);
+        // One warm engine for the whole family sweep at this shape.
+        let mut engine = RoutingEngine::new(t).emit_artefacts(true);
+        let mut rng = SplitMix64::new(7_000 + d as u64 * 64 + g as u64);
+        for (name, pi) in families(d, g, &mut rng) {
+            let legacy = route(&pi, t);
+            let warm = engine.plan_theorem2(&pi);
+            assert_eq!(legacy.schedule, warm.schedule, "{name} d={d} g={g}");
+            assert_eq!(legacy.intermediate, warm.intermediate, "{name} d={d} g={g}");
+            assert_eq!(
+                legacy.fair_distribution, warm.fair_distribution,
+                "{name} d={d} g={g}"
+            );
+            assert_eq!(legacy.list_system, warm.list_system, "{name} d={d} g={g}");
+        }
+    }
+}
+
+#[test]
+fn free_route_encodes_to_the_bytes_the_service_caches() {
+    // One plan everywhere: the free router the experiments and the CLI
+    // use must produce exactly the bytes a service miss caches and serves.
+    for (d, g) in [(1usize, 8usize), (2, 8), (4, 4), (8, 2), (3, 5)] {
+        let t = PopsTopology::new(d, g);
+        let service = RoutingService::new(t);
+        let mut rng = SplitMix64::new(7_900 + d as u64 * 64 + g as u64);
+        for (name, pi) in families(d, g, &mut rng) {
+            let mut expected = Vec::new();
+            codec::encode_schedule(&mut expected, &route(&pi, t).schedule);
+            let reply = service
+                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+                .unwrap();
+            assert!(!reply.cache_hit, "{name} d={d} g={g}: first request misses");
+            assert!(
+                reply.outcome.cached().schedule_bytes() == expected.as_slice(),
+                "{name} d={d} g={g}: served bytes differ from route()"
+            );
         }
     }
 }
@@ -443,29 +455,27 @@ fn structured_baseline_engine_matches_legacy() {
 
 #[test]
 fn h_relation_engine_matches_legacy() {
-    for kind in ColorerKind::ALL {
-        for (d, g) in [(2usize, 2usize), (3, 3), (4, 2), (2, 4), (6, 3)] {
-            let t = PopsTopology::new(d, g);
-            let n = d * g;
-            let mut engine = RoutingEngine::with_colorer(t, kind);
-            let mut rng = SplitMix64::new(7_400 + d as u64 * 64 + g as u64);
-            for h in 1..=3usize {
-                let mut requests = Vec::with_capacity(n * h);
-                for _ in 0..h {
-                    let p = random_permutation(n, &mut rng);
-                    for src in 0..n {
-                        requests.push((src, p.apply(src)));
-                    }
+    for (d, g) in [(2usize, 2usize), (3, 3), (4, 2), (2, 4), (6, 3)] {
+        let t = PopsTopology::new(d, g);
+        let n = d * g;
+        let mut engine = RoutingEngine::new(t);
+        let mut rng = SplitMix64::new(7_400 + d as u64 * 64 + g as u64);
+        for h in 1..=3usize {
+            let mut requests = Vec::with_capacity(n * h);
+            for _ in 0..h {
+                let p = random_permutation(n, &mut rng);
+                for src in 0..n {
+                    requests.push((src, p.apply(src)));
                 }
-                let relation = HRelation::new(n, requests).unwrap();
-                let legacy = route_h_relation(&relation, t, kind);
-                let warm = engine.plan_h_relation(&relation);
-                assert_eq!(legacy.schedule, warm.schedule, "h={h} d={d} g={g}");
-                assert_eq!(legacy.slots_per_phase, warm.slots_per_phase);
-                assert_eq!(legacy.phases.len(), warm.phases.len());
-                for (a, b) in legacy.phases.iter().zip(&warm.phases) {
-                    assert_eq!(a.as_slice(), b.as_slice(), "h={h} d={d} g={g}");
-                }
+            }
+            let relation = HRelation::new(n, requests).unwrap();
+            let legacy = route_h_relation(&relation, t);
+            let warm = engine.plan_h_relation(&relation);
+            assert_eq!(legacy.schedule, warm.schedule, "h={h} d={d} g={g}");
+            assert_eq!(legacy.slots_per_phase, warm.slots_per_phase);
+            assert_eq!(legacy.phases.len(), warm.phases.len());
+            for (a, b) in legacy.phases.iter().zip(&warm.phases) {
+                assert_eq!(a.as_slice(), b.as_slice(), "h={h} d={d} g={g}");
             }
         }
     }
@@ -760,21 +770,14 @@ fn into_matches_encoded_plan(
 }
 
 #[test]
-fn theorem2_into_is_the_encoded_plan_for_every_family_and_colorer() {
+fn theorem2_into_is_the_encoded_plan_for_every_family() {
     for (d, g) in INTO_SHAPES {
         let t = PopsTopology::new(d, g);
         let mut rng = SplitMix64::new(9_100 + d as u64 * 64 + g as u64);
-        let colorers: &[ColorerKind] = if d * g <= 64 {
-            &ColorerKind::ALL
-        } else {
-            &[ColorerKind::AlternatingPath]
-        };
-        for &kind in colorers {
-            let mut engine = RoutingEngine::with_colorer(t, kind);
-            for (name, pi) in families(d, g, &mut rng) {
-                if let Err(e) = into_matches_encoded_plan(&mut engine, &pi, &[]) {
-                    panic!("{} {name}: {e:?}", kind.name());
-                }
+        let mut engine = RoutingEngine::new(t);
+        for (name, pi) in families(d, g, &mut rng) {
+            if let Err(e) = into_matches_encoded_plan(&mut engine, &pi, &[]) {
+                panic!("{name}: {e:?}");
             }
         }
     }

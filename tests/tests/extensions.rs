@@ -6,10 +6,9 @@ use pops_algorithms::matmul::{cannon_multiply, TorusMatrix};
 use pops_algorithms::reduce::data_sum;
 use pops_algorithms::scan::prefix_sum;
 use pops_algorithms::ValueMachine;
-use pops_bipartite::ColorerKind;
 use pops_core::compress::compress_schedule;
 use pops_core::h_relation::{route_h_relation, HRelation};
-use pops_core::parallel::route_batch;
+use pops_core::parallel::route_batch_with;
 use pops_core::theorem2_slots;
 use pops_network::{PopsTopology, Simulator};
 use pops_permutation::families::{hypercube::all_exchanges, random_permutation};
@@ -26,7 +25,7 @@ fn h_relation_total_slots_formula() {
             requests.extend((0..n).map(|s| (s, p.apply(s))));
         }
         let relation = HRelation::new(n, requests).unwrap();
-        let routing = route_h_relation(&relation, PopsTopology::new(d, g), ColorerKind::default());
+        let routing = route_h_relation(&relation, PopsTopology::new(d, g));
         assert_eq!(
             routing.schedule.slot_count(),
             h * theorem2_slots(d, g),
@@ -41,7 +40,7 @@ fn compressed_schedules_stay_valid_across_shapes() {
     for (d, g) in [(2usize, 2usize), (3, 5), (5, 3), (8, 2), (2, 8), (6, 6)] {
         let pi = random_permutation(d * g, &mut rng);
         let topology = PopsTopology::new(d, g);
-        let plan = pops_core::route(&pi, topology, ColorerKind::default());
+        let plan = pops_core::route(&pi, topology);
         let compressed = compress_schedule(&plan.schedule);
         assert!(compressed.slot_count() <= plan.schedule.slot_count());
         let mut sim = Simulator::with_unit_packets(topology);
@@ -58,7 +57,7 @@ fn compression_cannot_beat_the_lower_bound() {
     let mut rng = SplitMix64::new(7002);
     let (d, g) = (6usize, 3usize);
     let pi = pops_permutation::families::random_group_deranged(d, g, &mut rng);
-    let plan = pops_core::route(&pi, PopsTopology::new(d, g), ColorerKind::default());
+    let plan = pops_core::route(&pi, PopsTopology::new(d, g));
     let compressed = compress_schedule(&plan.schedule);
     assert!(compressed.slot_count() >= pops_core::lower_bound(&pi, d, g));
 }
@@ -71,7 +70,7 @@ fn batch_routing_a_hypercube_round() {
     let (d, g) = (4usize, 8usize);
     let topology = PopsTopology::new(d, g);
     let steps = all_exchanges(dims);
-    let plans = route_batch(&steps, topology, ColorerKind::default(), None);
+    let plans = route_batch_with(&steps, topology, None, true);
     assert_eq!(plans.len(), dims as usize);
     for (pi, plan) in steps.iter().zip(&plans) {
         let mut sim = Simulator::with_unit_packets(topology);

@@ -8,7 +8,6 @@ mod common;
 
 use std::sync::Arc;
 
-use pops_bipartite::ColorerKind;
 use pops_core::route;
 use pops_network::{PopsTopology, SimError, Simulator};
 use pops_permutation::families::random_permutation;
@@ -24,7 +23,7 @@ fn valid_setup() -> (
     let topology = PopsTopology::new(d, g);
     let mut rng = SplitMix64::new(8000);
     let pi = random_permutation(d * g, &mut rng);
-    let plan = route(&pi, topology, ColorerKind::default());
+    let plan = route(&pi, topology);
     (topology, pi, plan.schedule)
 }
 
@@ -101,8 +100,15 @@ fn dropping_a_transmission_breaks_delivery_not_execution() {
     let (topology, pi, mut schedule) = valid_setup();
     // Removing a first-hop transmission is *legal* per the machine model —
     // but then the packet never arrives, the second hop's sender doesn't
-    // hold it, and execution or final verification must fail.
-    let removed = schedule.slots[0].transmissions.pop().expect("non-empty");
+    // hold it, and execution or final verification must fail. A self-send
+    // (a fixed point of π sent to itself) moves nothing, so the dropped
+    // transmission is the last one whose sender is not its receiver.
+    let first_hop = &mut schedule.slots[0].transmissions;
+    let index = first_hop
+        .iter()
+        .rposition(|tx| tx.receivers.as_slice() != [tx.sender])
+        .expect("a first hop that moves a packet");
+    let removed = first_hop.remove(index);
     let mut sim = Simulator::with_unit_packets(topology);
     match sim.execute_schedule(&schedule) {
         Err((_, err)) => assert!(matches!(err, SimError::PacketNotHeld { .. })),
@@ -113,7 +119,7 @@ fn dropping_a_transmission_breaks_delivery_not_execution() {
         }
     }
     // Re-adding restores validity.
-    schedule.slots[0].transmissions.push(removed);
+    schedule.slots[0].transmissions.insert(index, removed);
     let mut sim = Simulator::with_unit_packets(topology);
     sim.execute_schedule(&schedule).unwrap();
     sim.verify_delivery(pi.as_slice()).unwrap();
@@ -151,7 +157,6 @@ fn spawn_faulted_twin_server(
             shards: 1,
             cache_capacity: 8,
             max_in_flight: 2,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     ));

@@ -3,10 +3,10 @@
 //! literature on every family §2 of the paper discusses.
 
 use pops_baselines::compare;
-use pops_bipartite::ColorerKind;
-use pops_core::theorem2_slots;
 use pops_core::verify::route_and_verify;
-use pops_network::PopsTopology;
+use pops_core::{theorem2_slots, Router, RoutingEngine, RoutingRequest};
+use pops_network::fault::FaultSet;
+use pops_network::{PopsTopology, Simulator};
 use pops_permutation::families::{
     bit_reversal, hypercube::all_exchanges, matrix_transpose, mesh::all_shifts, perfect_shuffle,
     vector_reversal, BpcSpec,
@@ -19,7 +19,7 @@ fn hypercube_exchanges_match_sahni_theorem1() {
     // or 2⌈d/g⌉ slots (d > 1).
     for (dims, d, g) in [(4u32, 1usize, 16usize), (4, 4, 4), (4, 8, 2), (6, 8, 8)] {
         for (b, step) in all_exchanges(dims).iter().enumerate() {
-            let v = route_and_verify(step, d, g, ColorerKind::default()).unwrap();
+            let v = route_and_verify(step, d, g).unwrap();
             assert_eq!(
                 v.slots,
                 theorem2_slots(d, g),
@@ -40,7 +40,7 @@ fn mesh_shifts_match_sahni_theorem2() {
         (6, 9, 4),
     ] {
         for pi in all_shifts(nside) {
-            let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+            let v = route_and_verify(&pi, d, g).unwrap();
             assert_eq!(v.slots, theorem2_slots(d, g), "nside={nside} d={d} g={g}");
         }
     }
@@ -52,7 +52,7 @@ fn bpc_permutations_match_sahni_2000a() {
     for (k, d, g) in [(4usize, 4usize, 4usize), (4, 2, 8), (5, 8, 4), (6, 8, 8)] {
         for _ in 0..5 {
             let pi = BpcSpec::random(k, &mut rng).to_permutation();
-            let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+            let v = route_and_verify(&pi, d, g).unwrap();
             assert_eq!(v.slots, theorem2_slots(d, g), "k={k} d={d} g={g}");
         }
     }
@@ -63,7 +63,7 @@ fn named_bpc_instances() {
     let n = 64usize;
     let (d, g) = (8usize, 8usize);
     for pi in [bit_reversal(n), perfect_shuffle(n), vector_reversal(n)] {
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         assert_eq!(v.slots, 2);
     }
 }
@@ -104,8 +104,12 @@ fn transpose_direct_beats_general_router() {
 
 #[test]
 fn every_family_delivered_by_all_engines() {
-    // Belt and braces: one shape, every family, every colouring engine.
+    // Belt and braces: one shape, every family, every routing path of the
+    // engine that accepts any permutation.
     let (d, g) = (4usize, 4usize);
+    let t = PopsTopology::new(d, g);
+    let mut engine = RoutingEngine::new(t);
+    let faults = FaultSet::none(&t);
     let n = d * g;
     let mut pis = vec![
         vector_reversal(n),
@@ -115,10 +119,23 @@ fn every_family_delivered_by_all_engines() {
     ];
     pis.extend(all_exchanges(4));
     pis.extend(all_shifts(4));
-    for kind in ColorerKind::ALL {
-        for pi in &pis {
-            let v = route_and_verify(pi, d, g, kind).unwrap();
-            assert_eq!(v.slots, 2, "{}", kind.name());
+    for pi in &pis {
+        assert_eq!(route_and_verify(pi, d, g).unwrap().slots, 2);
+        let requests = [
+            RoutingRequest::Theorem2 { pi },
+            RoutingRequest::DirectBaseline { pi },
+            RoutingRequest::WithFaults {
+                pi,
+                faults: &faults,
+            },
+        ];
+        for req in requests {
+            let outcome = engine.plan(&req).unwrap();
+            let mut sim = Simulator::with_unit_packets(t);
+            sim.execute_schedule(outcome.schedule())
+                .unwrap_or_else(|(slot, e)| panic!("{req:?} slot {slot}: {e}"));
+            sim.verify_delivery(pi.as_slice())
+                .unwrap_or_else(|e| panic!("{req:?}: {e}"));
         }
     }
 }

@@ -70,7 +70,7 @@ fn figure3_unavoidable_conflict() {
 fn figure3_two_slot_routing_with_fair_intermediate() {
     let pi = figure3_permutation();
     let t = PopsTopology::new(3, 3);
-    let plan = route(&pi, t, ColorerKind::default());
+    let plan = route(&pi, t);
     assert_eq!(plan.schedule.slot_count(), 2);
 
     let mut sim = Simulator::with_unit_packets(t);
@@ -117,6 +117,6 @@ fn figure3_two_slots_is_optimal_here() {
     let pi = figure3_permutation();
     // Any permutation needing more than one slot needs at least 2; Theorem
     // 2 delivers in exactly 2 — optimal for this instance.
-    let v = pops_core::verify::route_and_verify(&pi, 3, 3, ColorerKind::default()).unwrap();
+    let v = pops_core::verify::route_and_verify(&pi, 3, 3).unwrap();
     assert_eq!(v.slots, 2);
 }

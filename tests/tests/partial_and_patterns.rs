@@ -1,7 +1,6 @@
 //! Integration tests for partial permutation routing (via completion) and
 //! the §1 communication patterns.
 
-use pops_bipartite::ColorerKind;
 use pops_core::router::route;
 use pops_network::patterns::{one_to_all, point_to_point};
 use pops_network::{PopsTopology, Simulator};
@@ -21,7 +20,7 @@ fn partial_permutation_routes_via_completion() {
     let completed = partial.complete();
 
     // Route the completion; the filler packets ride along harmlessly.
-    let plan = route(&completed, t, ColorerKind::default());
+    let plan = route(&completed, t);
     let mut sim = Simulator::with_unit_packets(t);
     sim.execute_schedule(&plan.schedule).unwrap();
     sim.verify_delivery(completed.as_slice()).unwrap();
@@ -44,7 +43,7 @@ fn sparse_partial_still_two_slots() {
     image[8] = Some(0);
     let partial = PartialPermutation::new(image).unwrap();
     let completed = partial.complete();
-    let plan = route(&completed, t, ColorerKind::default());
+    let plan = route(&completed, t);
     assert_eq!(plan.schedule.slot_count(), 2);
     let mut sim = Simulator::with_unit_packets(t);
     sim.execute_schedule(&plan.schedule).unwrap();

@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
 
-use pops_bipartite::ColorerKind;
 use pops_network::{PopsTopology, Simulator};
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
@@ -46,7 +45,7 @@ fn server() -> SocketAddr {
                     phase_cache_capacity: 64,
                     cache_shards: 2,
                     max_in_flight: 2,
-                    colorer: ColorerKind::AlternatingPath,
+                    ..ServiceConfig::default()
                 },
                 max_topologies: 64,
                 max_n: 1 << 12,

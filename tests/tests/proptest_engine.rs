@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 
-use pops_bipartite::ColorerKind;
 use pops_core::engine::RoutingEngine;
 use pops_core::fair_distribution::FairDistribution;
 use pops_core::list_system::ListSystem;
@@ -25,11 +24,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn engine_reuse_never_leaks_state((d, g) in shapes(), seed in any::<u64>(),
-                                      engine_idx in 0usize..3) {
+    fn engine_reuse_never_leaks_state((d, g) in shapes(), seed in any::<u64>()) {
         let t = PopsTopology::new(d, g);
-        let kind = ColorerKind::ALL[engine_idx];
-        let mut warm = RoutingEngine::with_colorer(t, kind).emit_artefacts(true);
+        let mut warm = RoutingEngine::new(t).emit_artefacts(true);
         let mut rng = SplitMix64::new(seed);
         // A mixed diet of permutations through one warm engine.
         for round in 0..6 {
@@ -39,7 +36,7 @@ proptest! {
                 random_group_uniform(d, g, &mut rng)
             };
             let warm_plan = warm.plan_theorem2(&pi);
-            let fresh_plan = RoutingEngine::with_colorer(t, kind)
+            let fresh_plan = RoutingEngine::new(t)
                 .emit_artefacts(true)
                 .plan_theorem2(&pi);
             prop_assert_eq!(&warm_plan.schedule, &fresh_plan.schedule);
@@ -73,8 +70,8 @@ proptest! {
         let t = PopsTopology::new(d, g);
         let mut rng = SplitMix64::new(seed);
         let pi = random_permutation(d * g, &mut rng);
-        let wrapper = route(&pi, t, ColorerKind::AlternatingPath);
-        let engine = RoutingEngine::with_colorer(t, ColorerKind::AlternatingPath)
+        let wrapper = route(&pi, t);
+        let engine = RoutingEngine::new(t)
             .emit_artefacts(true)
             .plan_theorem2(&pi);
         prop_assert_eq!(wrapper.schedule, engine.schedule);

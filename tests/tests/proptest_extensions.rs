@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use pops_bipartite::ColorerKind;
 use pops_core::compress::compress_schedule;
 use pops_core::h_relation::{route_h_relation, HRelation};
 use pops_core::theorem2_slots;
@@ -30,7 +29,7 @@ proptest! {
         let relation = HRelation::new(n, requests).unwrap();
         prop_assert!(relation.h() <= h);
         let topology = PopsTopology::new(d, g);
-        let routing = route_h_relation(&relation, topology, ColorerKind::default());
+        let routing = route_h_relation(&relation, topology);
         prop_assert!(routing.phases.len() <= h);
         prop_assert_eq!(
             routing.schedule.slot_count(),
@@ -64,7 +63,7 @@ proptest! {
         let relation = HRelation::new(n, requests).unwrap();
         let h = relation.h();
         let topology = PopsTopology::new(d, g);
-        let routing = route_h_relation(&relation, topology, ColorerKind::default());
+        let routing = route_h_relation(&relation, topology);
         prop_assert_eq!(routing.phases.len(), h);
         // Each phase block executes and delivers its completion.
         for (idx, phase) in routing.phases.iter().enumerate() {
@@ -85,7 +84,7 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let pi = random_permutation(d * g, &mut rng);
         let topology = PopsTopology::new(d, g);
-        let plan = pops_core::route(&pi, topology, ColorerKind::default());
+        let plan = pops_core::route(&pi, topology);
         let compressed = compress_schedule(&plan.schedule);
         prop_assert!(compressed.slot_count() <= plan.schedule.slot_count());
         // Idempotent.

@@ -25,7 +25,7 @@ proptest! {
     fn theorem2_holds_for_random_permutations((d, g) in shapes(), seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
         let pi = random_permutation(d * g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         prop_assert_eq!(v.slots, theorem2_slots(d, g));
         prop_assert!(v.storage_invariant_held);
         prop_assert!(v.lower_bound <= v.slots);
@@ -36,7 +36,7 @@ proptest! {
         prop_assume!(d * g >= 2);
         let mut rng = SplitMix64::new(seed);
         let pi = random_derangement(d * g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         // Theorem 2 is within a factor 2 of Proposition 1 for derangements.
         prop_assert!(v.slots <= 2 * d.div_ceil(g).max(1));
         prop_assert!(v.lower_bound >= d.div_ceil(g));
@@ -46,7 +46,7 @@ proptest! {
     fn theorem2_holds_for_group_structured((d, g) in shapes(), seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
         let pi = random_group_uniform(d, g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         prop_assert_eq!(v.slots, theorem2_slots(d, g));
     }
 
@@ -54,7 +54,7 @@ proptest! {
     fn prop2_families_bracket_their_lower_bound((d, g) in (1usize..=12, 2usize..=12), seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
         let pi = random_group_deranged(d, g, &mut rng);
-        let v = route_and_verify(&pi, d, g, ColorerKind::default()).unwrap();
+        let v = route_and_verify(&pi, d, g).unwrap();
         // Corrected Prop 2 (see pops_core::bounds): the combined lower
         // bound reaches the achieved 2d/g exactly when g | d and the
         // stronger of Prop 2/Prop 3 attains it; for g ∤ d the paper's
@@ -86,8 +86,8 @@ proptest! {
         let pi1 = random_permutation(d * g, &mut rng1);
         let pi2 = random_permutation(d * g, &mut rng2);
         prop_assert_eq!(&pi1, &pi2);
-        let a = route_and_verify(&pi1, d, g, ColorerKind::default()).unwrap();
-        let b = route_and_verify(&pi2, d, g, ColorerKind::default()).unwrap();
+        let a = route_and_verify(&pi1, d, g).unwrap();
+        let b = route_and_verify(&pi2, d, g).unwrap();
         prop_assert_eq!(a.plan.schedule, b.plan.schedule);
     }
 }

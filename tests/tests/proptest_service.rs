@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use pops_bipartite::ColorerKind;
 use pops_core::HRelation;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
@@ -25,7 +24,6 @@ fn tiny_service(d: usize, g: usize) -> RoutingService {
             shards: 1,
             cache_capacity: 8,
             max_in_flight: 2,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     )
@@ -170,7 +168,6 @@ proptest! {
                     shards: 1,
                     cache_capacity: 4,
                     max_in_flight: 2,
-                    colorer: ColorerKind::AlternatingPath,
                     ..ServiceConfig::default()
                 },
                 max_topologies: 2,

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 
-use pops_bipartite::ColorerKind;
 use pops_network::{FaultSet, PopsTopology, Simulator};
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
@@ -25,7 +24,6 @@ fn tiny_service(d: usize, g: usize) -> RoutingService {
             shards: 1,
             cache_capacity: 8,
             max_in_flight: 2,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     )

@@ -12,7 +12,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use common::{run_fault_chaos, verify_schedule_under_faults, ChaosStep};
-use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
@@ -37,7 +36,6 @@ fn spawn_server(
             shards: 2,
             cache_capacity: 64,
             max_in_flight: 8,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     ));
@@ -281,7 +279,6 @@ fn warm_restart_preserves_fault_keyed_entries() {
         shards: 1,
         cache_capacity: 16,
         max_in_flight: 2,
-        colorer: ColorerKind::AlternatingPath,
         ..ServiceConfig::default()
     };
     let mut rng = SplitMix64::new(0x44AA);

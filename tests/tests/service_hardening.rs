@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
@@ -42,7 +41,6 @@ fn small_service_config() -> ServiceConfig {
         shards: 2,
         cache_capacity: 16,
         max_in_flight: 4,
-        colorer: ColorerKind::AlternatingPath,
         ..ServiceConfig::default()
     }
 }
@@ -309,7 +307,6 @@ fn shutdown_under_load_drains_every_in_flight_response() {
             shards: 1,
             cache_capacity: 0,
             max_in_flight: 1,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
         ServerConfig::default(),
@@ -401,7 +398,6 @@ fn overload_watermark_sheds_typed_errors_and_drops_nothing() {
             shards: 1,
             cache_capacity: 0,
             max_in_flight: 4,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
         ServerConfig {

@@ -10,7 +10,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use common::{unique_temp_dir, verify_permutation_schedule};
-use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::families::{random_permutation, vector_reversal};
 use pops_permutation::SplitMix64;
@@ -31,7 +30,6 @@ fn small_router(max_topologies: usize) -> Arc<TopologyRouter> {
                 shards: 2,
                 cache_capacity: 32,
                 max_in_flight: 4,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
             max_topologies,

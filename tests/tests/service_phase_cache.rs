@@ -7,7 +7,6 @@ mod common;
 use std::sync::Arc;
 
 use common::{random_relation, unique_temp_dir, verify_h_relation_outcome as verify_assembled};
-use pops_bipartite::ColorerKind;
 use pops_core::{HRelation, RoutingEngine};
 use pops_network::{PopsTopology, Schedule, Simulator};
 use pops_permutation::families::random_permutation;
@@ -35,7 +34,7 @@ fn concurrent_phase_reuse_with_l1_disabled() {
             phase_cache_capacity: 64,
             cache_shards: 4,
             max_in_flight: 4,
-            colorer: ColorerKind::AlternatingPath,
+            ..ServiceConfig::default()
         },
     ));
 
@@ -98,10 +97,10 @@ fn assembly_is_byte_identical_to_the_engine() {
             phase_cache_capacity: 64,
             cache_shards: 2,
             max_in_flight: 2,
-            colorer: ColorerKind::AlternatingPath,
+            ..ServiceConfig::default()
         },
     );
-    let mut engine = RoutingEngine::with_colorer(t, ColorerKind::AlternatingPath);
+    let mut engine = RoutingEngine::new(t);
     let mut rng = SplitMix64::new(0xA55E);
     for h in [1usize, 2, 5] {
         let relation = random_relation(d * g, h, &mut rng);
@@ -138,7 +137,7 @@ fn warm_restart_preserves_recency_under_truncation() {
         phase_cache_capacity: 64,
         cache_shards: 1, // one shard: file order IS the global LRU order
         max_in_flight: 2,
-        colorer: ColorerKind::AlternatingPath,
+        ..ServiceConfig::default()
     };
     let first = RoutingService::with_config(t, config(16));
     let mut rng = SplitMix64::new(0x0DDC0FFE);
@@ -201,7 +200,7 @@ fn wire_cache_ops_survive_a_server_restart() {
         phase_cache_capacity: 32,
         cache_shards: 2,
         max_in_flight: 4,
-        colorer: ColorerKind::AlternatingPath,
+        ..ServiceConfig::default()
     };
     let spawn = |dir: std::path::PathBuf| {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -268,7 +267,7 @@ fn theorem2_plans_serve_as_phases() {
             phase_cache_capacity: 16,
             cache_shards: 2,
             max_in_flight: 2,
-            colorer: ColorerKind::AlternatingPath,
+            ..ServiceConfig::default()
         },
     );
     let mut rng = SplitMix64::new(0xFACE);

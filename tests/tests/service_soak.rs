@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{run_fault_chaos, unique_temp_dir, ChaosStep};
-use pops_bipartite::ColorerKind;
 use pops_network::PopsTopology;
 use pops_permutation::families::random_permutation;
 use pops_permutation::SplitMix64;
@@ -31,7 +30,6 @@ fn small_router(max_topologies: usize) -> Arc<TopologyRouter> {
                 shards: 2,
                 cache_capacity: 128,
                 max_in_flight: 8,
-                colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
             },
             max_topologies,

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use common::{verify_h_relation_schedule, verify_permutation_schedule};
 
-use pops_bipartite::ColorerKind;
 use pops_core::{theorem2_slots, HRelation};
 use pops_network::PopsTopology;
 use pops_permutation::families::{random_group_uniform, random_permutation};
@@ -31,7 +30,6 @@ fn eight_threads_hammer_one_service() {
             // Tighter than the thread count, so the admission gate and the
             // pool overflow path are genuinely exercised.
             max_in_flight: 5,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     ));
@@ -114,7 +112,6 @@ fn concurrent_h_relations_verify_per_phase() {
             shards: 2,
             cache_capacity: 8,
             max_in_flight: 4,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     ));
@@ -175,7 +172,6 @@ fn mixed_single_and_batch_traffic() {
             shards: 2,
             cache_capacity: 16,
             max_in_flight: 3,
-            colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
         },
     ));

@@ -3,7 +3,6 @@
 //! correctness evidence in the repository — Theorem 2 quantifies over all
 //! `n!` permutations, and here we literally check them all for n ≤ 8.
 
-use pops_bipartite::ColorerKind;
 use pops_core::theorem2_slots;
 use pops_core::verify::route_and_verify;
 use pops_permutation::Permutation;
@@ -38,7 +37,7 @@ fn exhaustive(d: usize, g: usize) {
     let expected = theorem2_slots(d, g);
     for image in all_permutations(n) {
         let pi = Permutation::new(image).unwrap();
-        let v = route_and_verify(&pi, d, g, ColorerKind::default())
+        let v = route_and_verify(&pi, d, g)
             .unwrap_or_else(|e| panic!("d={d} g={g} pi={:?}: {e}", pi.as_slice()));
         assert_eq!(v.slots, expected, "d={d} g={g} pi={:?}", pi.as_slice());
         assert!(v.storage_invariant_held, "pi={:?}", pi.as_slice());
